@@ -61,7 +61,7 @@ _SCENARIO_KEYS = {"schema_version", "task", "system", "target", "time_grid",
                   "options"}
 
 _OPTION_KEYS = {"compare_mapped", "detect_weights", "n_traj", "dt",
-                "dark_threshold", "n_tau", "tau_horizon", "normalized"}
+                "dark_threshold", "normalized"}
 
 
 @dataclass(frozen=True)
@@ -409,7 +409,11 @@ def run(s: Scenario, out_dir: str | Path) -> RunReport:
         if s.options.get("compare_mapped"):
             target, emap = map_system(s.system)
             emap_dict = _emap_to_dict(emap)
-            other = curve_fn(build_model(target), times, **kwargs)
+            # the twin's detection reset is the rotated ground state
+            u = emap.unitary
+            other = curve_fn(build_model(target), times,
+                             reset_state=u @ level_projector(0) @ u.conj().T,
+                             **kwargs)
             diff = float(np.max(np.abs(curve.values - other.values)))
             tol = s.tolerances["photon_statistics"]
             checks.append({"name": f"{s.task}_mapped_pair_max_diff",
@@ -422,20 +426,13 @@ def run(s: Scenario, out_dir: str | Path) -> RunReport:
 
     elif s.task == "spectrum":
         omegas = _grid_array(s.omega_grid)
-        n_tau = int(s.options.get("n_tau", 0)) or None
-        horizon = s.options.get("tau_horizon")
-        kwargs = {}
-        if n_tau:
-            kwargs["n_tau"] = n_tau
-        if horizon:
-            kwargs["tau_horizon"] = float(horizon)
         if s.options.get("compare_mapped"):
             target, emap = map_system(s.system)
             emap_dict = _emap_to_dict(emap)
             model_b = build_model(target)
             det_a, det_b = _detect_pair(model, model_b, emap)
-            spec_a = emission_spectrum(model, det_a, omegas, **kwargs)
-            spec_b = emission_spectrum(model_b, det_b, omegas, **kwargs)
+            spec_a = emission_spectrum(model, det_a, omegas)
+            spec_b = emission_spectrum(model_b, det_b, omegas)
             scale = max(float(np.max(np.abs(spec_a.values))), 1e-300)
             diff = float(np.max(np.abs(spec_a.values - spec_b.values))) / scale
             tol = s.tolerances["spectrum_rel"]
@@ -457,7 +454,7 @@ def run(s: Scenario, out_dir: str | Path) -> RunReport:
                 raise ScenarioError("options.detect_weights",
                                     "must be a pair of numbers") from None
             detect = w0 * model.collapse_ops[0] + w1 * model.collapse_ops[1]
-            spec = emission_spectrum(model, detect, omegas, **kwargs)
+            spec = emission_spectrum(model, detect, omegas)
             path = out_dir / "spectrum.dat"
             _write_columns(
                 path,

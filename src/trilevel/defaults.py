@@ -1,7 +1,9 @@
 """Central table of default numerical tolerances and grid choices.
 
 Scenario files may override any entry per run; the CLI reads defaults from
-here so that every reported check carries an explicit tolerance.
+here so that every reported check carries an explicit tolerance.  Spectra
+are exact resolvents evaluated on the omega grid, so no quadrature
+settings appear here.
 """
 
 DEFAULT_TOLERANCES = {
@@ -30,8 +32,3 @@ DEFAULT_OMEGA_GRID = (-10.0, 10.0, 2001)  # units of Gamma_ref
 DEFAULT_N_TRAJ = 1000
 DEFAULT_MC_DT = 0.05
 DEFAULT_DARK_THRESHOLD = 10.0
-
-# emission-spectrum quadrature: tau horizon = HORIZON_FACTOR / slowest decay
-# rate of the Liouvillian, sampled at DEFAULT_N_TAU points
-SPECTRUM_HORIZON_FACTOR = 20.0
-DEFAULT_N_TAU = 2**14

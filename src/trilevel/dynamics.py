@@ -57,11 +57,15 @@ def feeding_superoperator(model: LindbladModel) -> np.ndarray:
     return f
 
 
-def _check_trace(rho: np.ndarray, t: float) -> np.ndarray:
-    drift = abs(np.trace(rho).real - 1.0)
-    if drift > 1e-6:
-        raise PropagationError(f"trace drifted by {drift:.3e}", time=t)
-    return rho
+def _check_trace(rhos: np.ndarray, times) -> np.ndarray:
+    """Raise at the first of the states (a matrix or a stack) whose trace
+    drifted from 1."""
+    drift = np.abs(np.trace(rhos, axis1=-2, axis2=-1).real - 1.0)
+    bad = np.flatnonzero(drift > 1e-6)
+    if bad.size:
+        raise PropagationError(f"trace drifted by {drift.flat[bad[0]]:.3e}",
+                               time=float(np.ravel(times)[bad[0]]))
+    return rhos
 
 
 def propagate(l: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
@@ -72,34 +76,49 @@ def propagate(l: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
     return _check_trace(rho, t)
 
 
-def propagate_series(l: Liouvillian, rho0: np.ndarray,
-                     times: np.ndarray) -> list[np.ndarray]:
-    """States at the given times (increasing, starting at >= 0).
+def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
+                      times: np.ndarray) -> np.ndarray:
+    """Columns exp(G t_j) v0 for an increasing grid starting at >= 0.
 
-    The exponential of each distinct step length is cached, so a uniform
-    grid costs a single matrix exponential.
+    Each step multiplies by the exponential of its length.  Step lengths
+    that agree to a few ulps of the grid end share one cached exponential,
+    so any uniform grid, ``linspace`` included, costs a single one.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D grid")
     if times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing and start at >= 0")
-    cache: dict[float, np.ndarray] = {}
-    v = vec(rho0)
-    out = []
-    prev = 0.0
-    for t in times:
-        dt = t - prev
+    # linspace rounds every point to within half an ulp of the grid end
+    width = 4.0 * np.spacing(times[-1])
+    dts = np.diff(times, prepend=0.0)
+    keys = np.rint(dts / width).astype(np.int64)
+    cache: dict[int, np.ndarray] = {}
+    out = np.empty((times.size, v0.size), dtype=complex)
+    v = np.asarray(v0, dtype=complex)
+    for j, (dt, key) in enumerate(zip(dts.tolist(), keys.tolist())):
         if dt > 0:
-            step = cache.get(dt)
+            step = cache.get(key)
             if step is None:
-                step = mat_exp(l.matrix, dt)
-                cache[dt] = step
+                step = cache.get(key - 1, cache.get(key + 1))
+            if step is None:
+                step = cache[key] = mat_exp(generator, dt)
             v = step @ v
-        rho = _check_trace(hermitize(unvec(v)), t)
-        out.append(rho)
-        prev = t
-    return out
+        out[j] = v
+    return out.T
+
+
+def propagate_series(l: Liouvillian, rho0: np.ndarray,
+                     times: np.ndarray) -> list[np.ndarray]:
+    """States at the given times (increasing, starting at >= 0).
+
+    Steps share cached exponentials (see :func:`propagate_vectors`); every
+    state is re-Hermitized and its trace checked.
+    """
+    vs = propagate_vectors(l.matrix, vec(rho0), times)
+    # row k of vs.T is vec(rho_k), i.e. rho_k transposed in row-major order
+    rhos = hermitize(np.swapaxes(vs.T.reshape(-1, 3, 3), -1, -2))
+    return list(_check_trace(rhos, times))
 
 
 def steady_state(l: Liouvillian, tol: float = 1e-10) -> np.ndarray:

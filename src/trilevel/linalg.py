@@ -23,9 +23,13 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Symmetrize away accumulated floating-point non-Hermiticity."""
+    """Symmetrize away accumulated floating-point non-Hermiticity.
+
+    Acts on the last two axes, so a stack of matrices is symmetrized
+    matrix by matrix.
+    """
     a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def vec(rho: np.ndarray) -> np.ndarray:

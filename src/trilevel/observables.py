@@ -4,9 +4,8 @@ populations and quantum-jump trajectories.
 The intensity correlation implemented here is the unnormalized detection
 rate a time tau after a detection reset (the atom restarts in the ground
 state); pass ``normalized=True`` to divide by the long-time rate.  Spectra
-use the quantum regression theorem with the coherent (Rayleigh) plateau
-split off as a scalar weight, since a numerical transform cannot represent
-its delta function.
+are the exact resolvent form of the quantum regression theorem, with the
+coherent (Rayleigh) plateau split off as a scalar weight.
 """
 
 from __future__ import annotations
@@ -16,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defaults import DEFAULT_N_TAU, SPECTRUM_HORIZON_FACTOR
-from .linalg import dagger, level_projector, mat_exp, vec
+from .linalg import dagger, level_projector, null_space, vec
 from .dynamics import (
     feeding_superoperator,
     liouvillian,
     propagate_series,
-    slowest_decay_rate,
+    propagate_vectors,
     steady_state,
 )
 from .systems import LindbladModel
@@ -43,7 +41,9 @@ class SampledFunction:
     """Uniformly meaningful (grid, values) pair with a kind tag.
 
     tau grids are in 1/Gamma_ref, omega grids in Gamma_ref.  ``meta`` holds
-    auxiliary scalars (coherent weight of a spectrum, seeds, ...).
+    auxiliary scalars (coherent weight of a spectrum, seeds, ...).  A
+    waiting-time density is judged against 1 by its exact
+    ``meta["emitted_probability"]`` when present, else by the trapezoid rule.
     """
 
     grid: np.ndarray
@@ -66,7 +66,9 @@ class SampledFunction:
                 raise ValueError(f"{self.kind.value} values must be >= 0 "
                                  f"(found {low})")
         if self.kind is Kind.WAITING_TIME and grid.size > 1:
-            total = float(_trapezoid(values.real, grid))
+            total = self.meta.get("emitted_probability")
+            if total is None:
+                total = float(_trapezoid(values.real, grid))
             if total > 1.0 + 1e-6:
                 raise ValueError(f"waiting-time density integrates to {total} > 1")
 
@@ -93,30 +95,6 @@ def _nonnegative_rates(raw: np.ndarray, what: str) -> np.ndarray:
     return np.maximum(raw, 0.0)
 
 
-def _series_vectors(generator: np.ndarray, v0: np.ndarray,
-                    taus: np.ndarray) -> np.ndarray:
-    """Columns exp(G tau_j) v0 with the step exponential cached."""
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim != 1 or taus.size == 0 or taus[0] < 0 or \
-            np.any(np.diff(taus) <= 0):
-        raise ValueError("tau grid must be strictly increasing and start >= 0")
-    out = np.empty((v0.size, taus.size), dtype=complex)
-    cache: dict[float, np.ndarray] = {}
-    v = v0.astype(complex)
-    prev = 0.0
-    for j, t in enumerate(taus):
-        dt = t - prev
-        if dt > 0:
-            step = cache.get(dt)
-            if step is None:
-                step = mat_exp(generator, dt)
-                cache[dt] = step
-            v = step @ v
-        out[:, j] = v
-        prev = t
-    return out
-
-
 def g2(model: LindbladModel, taus: np.ndarray,
        reset_state: np.ndarray | None = None,
        normalized: bool = False) -> SampledFunction:
@@ -129,7 +107,7 @@ def g2(model: LindbladModel, taus: np.ndarray,
     """
     lm = liouvillian(model)
     f = _detection_functional(model)
-    vs = _series_vectors(lm.matrix, _reset_vec(reset_state), taus)
+    vs = propagate_vectors(lm.matrix, _reset_vec(reset_state), taus)
     values = _nonnegative_rates((f @ vs).real, "intensity correlation")
     meta = {}
     if normalized:
@@ -147,71 +125,69 @@ def waiting_time(model: LindbladModel, taus: np.ndarray,
 
     The reset state evolves under the no-jump generator (the Liouvillian
     minus all feeding terms); the density is the detection-rate functional
-    of that decaying state, so it integrates to at most 1.
+    of that decaying state, so it integrates to at most 1.  The exact
+    probability of an emission by the last grid point, the trace the
+    no-jump state has lost, is kept in meta["emitted_probability"].
     """
     lm = liouvillian(model)
     feed = feeding_superoperator(model)
-    f = vec(np.eye(3)) @ feed
-    vs = _series_vectors(lm.matrix - feed, _reset_vec(reset_state), taus)
-    values = _nonnegative_rates((f @ vs).real, "waiting-time density")
+    one = vec(np.eye(3))
+    v0 = _reset_vec(reset_state)
+    vs = propagate_vectors(lm.matrix - feed, v0, taus)
+    values = _nonnegative_rates((one @ feed @ vs).real, "waiting-time density")
+    emitted = float((one @ (v0 - vs[:, -1])).real)
     return SampledFunction(np.asarray(taus, dtype=float), values,
-                           Kind.WAITING_TIME)
+                           Kind.WAITING_TIME,
+                           {"emitted_probability": emitted})
 
 
 def emission_spectrum(
     model: LindbladModel,
     detect: np.ndarray,
     omegas: np.ndarray,
-    tau_horizon: float | None = None,
-    n_tau: int = DEFAULT_N_TAU,
     rho_ss: np.ndarray | None = None,
 ) -> SampledFunction:
     """Incoherent emission spectrum along a detection (lowering) operator.
 
-    Quantum regression: C(tau) = tr(detect^+ exp(L tau)[detect rho_ss]).
-    The coherent plateau C(inf) = |<detect>_ss|^2 is subtracted before the
-    one-sided transform and reported in meta["coherent_weight"].  With the
-    1/pi normalization used here the spectrum integrates (over all omega)
-    to the incoherent part of <detect^+ detect>_ss.
+    Quantum regression in resolvent form, with x = vec(detect rho_ss):
+    S(omega) = (1/pi) Re <detect| (i omega - L)^-1 (1 - P0) |x>, where P0
+    is the spectral projector onto the null space of L.  (1 - P0) removes
+    the coherent plateau C(inf) = |<detect>_ss|^2 of the correlation
+    function, which is reported in meta["coherent_weight"].  With the 1/pi
+    normalization the spectrum integrates (over all omega) to the
+    incoherent part of <detect^+ detect>_ss.
 
     ``rho_ss`` overrides the steady state for models whose null space is
-    degenerate (e.g. a fully decoupled spectator level); by default the
-    unique steady state is computed and required.
+    degenerate (e.g. a fully decoupled spectator level); it must be
+    stationary under L, else ValueError.  By default the unique steady
+    state is computed and required.
     """
     lm = liouvillian(model)
+    l = lm.matrix
     if rho_ss is None:
         rho_ss = steady_state(lm)
+    else:
+        rho_ss = np.asarray(rho_ss, dtype=complex)
+        resid = float(np.linalg.norm(l @ vec(rho_ss)))
+        if resid > 1e-10 * np.linalg.norm(l):
+            raise ValueError(f"rho_ss is not stationary (|L rho_ss| = "
+                             f"{resid:.3e})")
     detect = np.asarray(detect, dtype=complex)
-    if tau_horizon is None:
-        tau_horizon = SPECTRUM_HORIZON_FACTOR / slowest_decay_rate(lm)
-    if not (tau_horizon > 0):
-        raise ValueError("tau_horizon must be > 0")
-    if n_tau < 2:
-        raise ValueError("n_tau must be at least 2")
-    taus = np.linspace(0.0, float(tau_horizon), int(n_tau))
-    vs = _series_vectors(lm.matrix, vec(detect @ rho_ss), taus)
-    # tr(D^+ X) = <vec(D), vec(X)>
-    corr = vec(detect).conj() @ vs
+    # P0 = V (U^+ V)^-1 U^+ from the right and left null spaces of L
+    right = np.array(null_space(l)).T
+    left = np.array(null_space(l.conj().T)).T
+    proj = right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
+    x = vec(detect @ rho_ss)
+    omegas = np.asarray(omegas, dtype=float)
+    # adding P0 makes the matrix invertible and leaves (1 - P0) x unchanged
+    mats = 1j * omegas[:, None, None] * np.eye(9) - l + proj
+    rhs = np.broadcast_to(x - proj @ x, (omegas.size, 9))[..., None]
+    z = np.linalg.solve(mats, rhs)[..., 0]
+    values = (z @ vec(detect).conj()).real / np.pi
     coherent = complex(np.trace(dagger(detect) @ rho_ss)
                        * np.trace(detect @ rho_ss))
-    decaying = corr - coherent
-
-    omegas = np.asarray(omegas, dtype=float)
-    weights = np.full(taus.size, taus[1] - taus[0])
-    weights[0] *= 0.5
-    weights[-1] *= 0.5
-    wg = weights * decaying
-    values = np.empty(omegas.size)
-    # chunked direct transform keeps the phase matrix small
-    chunk = max(1, int(2e6 // taus.size))
-    for lo in range(0, omegas.size, chunk):
-        block = omegas[lo:lo + chunk, None] * taus[None, :]
-        values[lo:lo + chunk] = (np.exp(-1j * block) @ wg).real / np.pi
-    return SampledFunction(
-        omegas, values, Kind.SPECTRUM,
-        meta={"coherent_weight": coherent.real,
-              "tau_horizon": float(tau_horizon), "n_tau": int(n_tau)},
-    )
+    return SampledFunction(omegas, values, Kind.SPECTRUM,
+                           meta={"coherent_weight": coherent.real})
 
 
 def populations(model: LindbladModel, rho0: np.ndarray,

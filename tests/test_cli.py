@@ -149,11 +149,38 @@ def test_g2_compare_mapped_run(tmp_path):
     assert data.shape[1] == 3  # tau, value, mapped value
 
 
+@pytest.mark.parametrize("verb", ["g2", "waiting-time"])
+def test_compare_mapped_twin_starts_from_rotated_ground_state(tmp_path, verb):
+    # fig1 has U|1> != |1>, so the twin must be reset to U|1><1|U^+
+    payload = {
+        "schema_version": 1,
+        "task": verb,
+        "system": {"config": "fig1a", "gamma21": 1.0, "gamma23": 0.3,
+                   "omega_a": 1.2, "omega_b": 0.7, "delta2": 0.4,
+                   "delta3": -0.6},
+        "time_grid": [0.0, 30.0, 301],
+        "options": {"compare_mapped": True},
+    }
+    code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["checks"][0]["value"] < 1e-8
+
+
+def test_spectrum_rejects_quadrature_options(tmp_path, capsys):
+    payload = minimal_fig2a(task="spectrum", options={"n_tau": 4096})
+    code = main(["spectrum", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "options.n_tau: unknown option" in capsys.readouterr().err
+
+
 def test_spectrum_compare_mapped_run(tmp_path):
     payload = minimal_fig2a(task="spectrum",
                             omega_grid=[-8.0, 8.0, 201],
-                            options={"compare_mapped": True,
-                                     "n_tau": 4096, "tau_horizon": 200.0})
+                            options={"compare_mapped": True})
     code = main(["spectrum", "--config",
                  str(write_scenario(tmp_path, payload)),
                  "--out", str(tmp_path / "out")])

@@ -12,7 +12,7 @@ from trilevel.dynamics import (
     steady_state,
 )
 from trilevel.errors import NonUniqueSteadyStateError, PropagationError
-from trilevel.linalg import frob_dist, ketbra, vec
+from trilevel.linalg import frob_dist, ketbra, mat_exp, vec
 from trilevel.systems import Config, LindbladModel, SystemParams, build_model
 
 RNG = np.random.default_rng(555)
@@ -150,6 +150,25 @@ def test_propagate_series_uniform_vs_nonuniform():
     assert frob_dist(uniform[1], ragged[0]) < 1e-10
     assert frob_dist(uniform[4], ragged[1]) < 1e-10
     assert frob_dist(uniform[8], ragged[3]) < 1e-10
+
+
+def test_linspace_grid_costs_one_exponential(monkeypatch):
+    import trilevel.dynamics as dynamics
+    from trilevel.observables import g2, waiting_time
+    calls = []
+
+    def counting_exp(m, t=1.0):
+        calls.append(t)
+        return mat_exp(m, t)
+
+    monkeypatch.setattr(dynamics, "mat_exp", counting_exp)
+    m = build_model(random_driven_params(Config.FIG2A))
+    taus = np.linspace(0.0, 30.0, 301)
+    assert len(set(np.diff(taus))) > 1  # the steps differ in the last bits
+    propagate_series(liouvillian(m), ketbra(0, 0), taus)
+    g2(m, taus)
+    waiting_time(m, taus)
+    assert len(calls) == 3
 
 
 def test_propagate_series_rejects_bad_grid():

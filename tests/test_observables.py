@@ -135,6 +135,17 @@ def test_waiting_time_integrates_to_one():
     assert total > 0.999
 
 
+def test_waiting_time_exact_total_accepts_quadrature_overshoot():
+    # on this grid the trapezoid rule overshoots 1 by 1.5e-6; the exact
+    # emitted probability is the trace lost by the no-jump state
+    p = fig2a_params(gamma21=0.13, gamma23_or_31=2.6, omega_a=3.66,
+                     omega_b=3.82, delta2=2.06, delta3=3.85)
+    taus = np.linspace(0, 30, 301)
+    w = waiting_time(build_model(p), taus)
+    assert _trapezoid(w.values, taus) > 1.0 + 1e-6
+    np.testing.assert_allclose(w.meta["emitted_probability"], 1.0, atol=1e-11)
+
+
 def test_waiting_time_mapped_pair_equality():
     ma, mb, _ = mapped_pair(fig2a_params(delta2=-1.2, delta3=2.0))
     taus = np.linspace(0, 30, 151)
@@ -185,8 +196,7 @@ def test_spectrum_mollow_structure():
     lm = liouvillian(m)
     rho_ss = propagate_series(lm, ketbra(0, 0), np.array([60.0]))[-1]
     omegas = np.linspace(-20, 20, 257)
-    spec = emission_spectrum(m, m.collapse_ops[0], omegas, rho_ss=rho_ss,
-                             tau_horizon=25.0)
+    spec = emission_spectrum(m, m.collapse_ops[0], omegas, rho_ss=rho_ss)
     v = spec.values
     step = omegas[1] - omegas[0]
     i_right = np.argmax(np.where(omegas > omega, v, -np.inf))
@@ -204,12 +214,21 @@ def test_spectrum_mapped_pair_equality():
     det_b = (math.cos(emap.theta) * mb.collapse_ops[0]
              + math.sin(emap.theta) * mb.collapse_ops[1])
     omegas = np.linspace(-10, 10, 501)
-    sa = emission_spectrum(ma, det_a, omegas, tau_horizon=300.0, n_tau=2**12)
-    sb = emission_spectrum(mb, det_b, omegas, tau_horizon=300.0, n_tau=2**12)
+    sa = emission_spectrum(ma, det_a, omegas)
+    sb = emission_spectrum(mb, det_b, omegas)
     scale = np.abs(sa.values).max()
     assert np.abs(sa.values - sb.values).max() < 1e-6 * scale
     np.testing.assert_allclose(sa.meta["coherent_weight"],
                                sb.meta["coherent_weight"], atol=1e-10)
+
+
+def test_spectrum_rejects_nonstationary_rho_ss():
+    p = SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.0,
+                     omega_a=1.0, omega_b=0.0)
+    m = build_model(p)
+    with pytest.raises(ValueError, match="not stationary"):
+        emission_spectrum(m, m.collapse_ops[0], np.linspace(-5, 5, 11),
+                          rho_ss=ketbra(0, 0))
 
 
 def test_spectrum_requires_unique_steady_state():
