@@ -22,9 +22,7 @@ from .equivalence import (
     verify_equivalence,
 )
 from .dynamics import (
-    Liouvillian,
     liouvillian,
-    propagate,
     propagate_series,
     slowest_decay_rate,
     steady_state,
@@ -58,7 +56,7 @@ __all__ = [
     "mixing_angle_fig2", "basis_unitary", "map_rates", "dipole_angle",
     "map_fig1a_to_fig1b", "map_fig2a_to_fig2b", "map_system",
     "verify_equivalence",
-    "Liouvillian", "liouvillian", "propagate", "propagate_series",
+    "liouvillian", "propagate_series",
     "steady_state", "slowest_decay_rate",
     "SampledFunction", "Kind", "JumpRecord", "McRun", "BrightDarkStats",
     "g2", "waiting_time", "emission_spectrum", "populations",

@@ -3,7 +3,9 @@
 Scenarios are JSON files with a versioned schema; results go to delimited
 text files with '#'-prefixed headers plus a machine-readable report.json.
 Verbs: simulate, equiv-check, spectrum, g2, waiting-time, trajectories,
-describe-map.  Exit status is 0 iff every check in the scenario passed.
+describe-map.  Exit status is 0 iff every check in the scenario passed, 1
+if a check failed, 2 if the scenario or its input was rejected and 3 on an
+internal failure.
 """
 
 from __future__ import annotations
@@ -568,9 +570,13 @@ def main(argv: list[str] | None = None) -> int:
             tols[_MAIN_TOL[args.verb]] = args.tol
             scenario = dataclasses.replace(scenario, tolerances=tols)
         report = run(scenario, args.out)
-    except Exception as err:  # surface context, fail with distinct status
+    except (ValueError, TypeError, OSError) as err:  # rejected input
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # internal, e.g. NonUniqueSteadyStateError
+        log.debug("internal failure", exc_info=True)
+        print(f"internal error: {err}", file=sys.stderr)
+        return 3
     for check in report.checks:
         status = "pass" if check["passed"] else "FAIL"
         print(f"{check['name']}: {check['value']:.6e} "

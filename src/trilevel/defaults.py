@@ -1,9 +1,10 @@
 """Central table of default numerical tolerances and grid choices.
 
-Scenario files may override any entry per run; the CLI reads defaults from
-here so that every reported check carries an explicit tolerance.  Spectra
-are exact resolvents evaluated on the omega grid, so no quadrature
-settings appear here.
+Scenario files may override any of the four tolerances per run (an unknown
+key is rejected); each one is the threshold of a check the CLI reports, so
+every reported check carries an explicit tolerance.  Spectra are exact
+resolvents evaluated on the omega grid, so no quadrature settings appear
+here.
 """
 
 DEFAULT_TOLERANCES = {
@@ -15,14 +16,6 @@ DEFAULT_TOLERANCES = {
     "spectrum_rel": 1e-6,
     # trace drift of any propagated density matrix
     "trace": 1e-9,
-    # most negative admissible density-matrix eigenvalue
-    "positivity": -1e-9,
-    # residual of the trace functional as a left null vector of a Liouvillian
-    "left_null": 1e-12,
-    # singular-value threshold (relative to sigma_max) for null spaces
-    "null_space": 1e-10,
-    # Hermiticity tolerance accepted by the Hermitian eigensolver
-    "hermiticity": 1e-10,
 }
 
 DEFAULT_TIME_GRID = (0.0, 20.0, 201)     # units of 1/Gamma_ref

@@ -7,73 +7,36 @@ reuse the exponential of the common step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonUniqueSteadyStateError, PropagationError
-from .linalg import hermitize, mat_exp, null_space, sandwich_super, unvec, vec
+from .linalg import hermitize, mat_exp, null_space, unvec, vec
 from .systems import LindbladModel
 
 
-@dataclass(frozen=True)
-class Liouvillian:
-    """9x9 generator acting on column-stacked density matrices."""
+def feeding_superoperator(model: LindbladModel) -> np.ndarray:
+    """The photon-feeding part sum_ab R[a,b] A_a rho A_b^+ as a 9x9 matrix,
+    i.e. sum_ab R[a,b] kron(conj(A_b), A_a)."""
+    ops = np.array(model.collapse_ops, dtype=complex).reshape(-1, 3, 3)
+    f = np.einsum("ab,bij,akl->ikjl", model.rate_matrix, ops.conj(), ops)
+    return f.reshape(9, 9)
 
-    matrix: np.ndarray
-    source: LindbladModel | None = None
 
+def liouvillian(model: LindbladModel) -> np.ndarray:
+    """The 9x9 generator L with L vec(rho) = vec(-i[H, rho] + dissipators).
 
-def liouvillian(model: LindbladModel) -> Liouvillian:
-    """Assemble L with L vec(rho) = vec(-i[H, rho] + dissipators)."""
-    h = model.hamiltonian
-    eye = np.eye(3, dtype=complex)
-    l = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    r = model.rate_matrix
-    ops = model.collapse_ops
-    for a in range(len(ops)):
-        for b in range(len(ops)):
-            if r[a, b] == 0.0:
-                continue
-            feed = sandwich_super(ops[a], ops[b].conj().T)
-            k = ops[b].conj().T @ ops[a]
-            l += r[a, b] * (feed - 0.5 * (np.kron(eye, k) + np.kron(k.T, eye)))
+    The no-jump part -i (H_eff rho - rho H_eff^+) carries the commutator
+    and the anticommutator; the feeding superoperator adds the rest.
+    """
+    h_eff = model.effective_hamiltonian()
+    eye = np.eye(3)
+    l = (-1j * (np.kron(eye, h_eff) - np.kron(h_eff.conj(), eye))
+         + feeding_superoperator(model))
     # trace preservation is an algebraic identity of this construction
     resid = np.linalg.norm(vec(np.eye(3)) @ l)
     if resid > 1e-12 * max(1.0, np.linalg.norm(l)):
         raise RuntimeError(f"Liouvillian is not trace preserving ({resid=})")
-    return Liouvillian(matrix=l, source=model)
-
-
-def feeding_superoperator(model: LindbladModel) -> np.ndarray:
-    """The photon-feeding part sum_ab R[a,b] A_a rho A_b^+ as a 9x9 matrix."""
-    f = np.zeros((9, 9), dtype=complex)
-    r = model.rate_matrix
-    ops = model.collapse_ops
-    for a in range(len(ops)):
-        for b in range(len(ops)):
-            if r[a, b] != 0.0:
-                f += r[a, b] * sandwich_super(ops[a], ops[b].conj().T)
-    return f
-
-
-def _check_trace(rhos: np.ndarray, times) -> np.ndarray:
-    """Raise at the first of the states (a matrix or a stack) whose trace
-    drifted from 1."""
-    drift = np.abs(np.trace(rhos, axis1=-2, axis2=-1).real - 1.0)
-    bad = np.flatnonzero(drift > 1e-6)
-    if bad.size:
-        raise PropagationError(f"trace drifted by {drift.flat[bad[0]]:.3e}",
-                               time=float(np.ravel(times)[bad[0]]))
-    return rhos
-
-
-def propagate(l: Liouvillian, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve rho0 for time t: unvec(exp(L t) vec(rho0)), re-Hermitized."""
-    if not np.isfinite(t) or t < 0:
-        raise ValueError(f"time must be finite and non-negative, got {t}")
-    rho = hermitize(unvec(mat_exp(l.matrix, t) @ vec(rho0)))
-    return _check_trace(rho, t)
+    return l
 
 
 def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
@@ -108,27 +71,33 @@ def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
     return out.T
 
 
-def propagate_series(l: Liouvillian, rho0: np.ndarray,
-                     times: np.ndarray) -> list[np.ndarray]:
-    """States at the given times (increasing, starting at >= 0).
+def propagate_series(l: np.ndarray, rho0: np.ndarray,
+                     times: np.ndarray) -> np.ndarray:
+    """(len(times), 3, 3) stack of the states at the given times
+    (increasing, starting at >= 0).
 
     Steps share cached exponentials (see :func:`propagate_vectors`); every
     state is re-Hermitized and its trace checked.
     """
-    vs = propagate_vectors(l.matrix, vec(rho0), times)
+    vs = propagate_vectors(l, vec(rho0), times)
     # row k of vs.T is vec(rho_k), i.e. rho_k transposed in row-major order
     rhos = hermitize(np.swapaxes(vs.T.reshape(-1, 3, 3), -1, -2))
-    return list(_check_trace(rhos, times))
+    drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+    bad = np.flatnonzero(drift > 1e-6)
+    if bad.size:
+        raise PropagationError(f"trace drifted by {drift[bad[0]]:.3e}",
+                               time=float(np.asarray(times)[bad[0]]))
+    return rhos
 
 
-def steady_state(l: Liouvillian, tol: float = 1e-10) -> np.ndarray:
+def steady_state(l: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Unique unit-trace Hermitian null vector of the Liouvillian.
 
     Raises NonUniqueSteadyStateError when the null space (at singular-value
     threshold tol * sigma_max) is not one-dimensional, e.g. for decoupled
     levels or dark-state manifolds.
     """
-    basis = null_space(l.matrix, tol)
+    basis = null_space(l, tol)
     if len(basis) != 1:
         raise NonUniqueSteadyStateError(dimension=len(basis))
     rho = hermitize(unvec(basis[0]))
@@ -138,15 +107,14 @@ def steady_state(l: Liouvillian, tol: float = 1e-10) -> np.ndarray:
     return rho / tr
 
 
-def slowest_decay_rate(l: Liouvillian | np.ndarray) -> float:
+def slowest_decay_rate(l: np.ndarray) -> float:
     """Smallest nonzero damping rate |Re(lambda)| of the generator.
 
     Eigenvalues in the stationary cluster (|lambda| below 1e-10 of the
     generator norm) are excluded.  Raises ValueError when nothing decays.
     """
-    m = l.matrix if isinstance(l, Liouvillian) else np.asarray(l)
-    eigs = np.linalg.eigvals(m)
-    scale = max(1.0, float(np.linalg.norm(m)))
+    eigs = np.linalg.eigvals(l)
+    scale = max(1.0, float(np.linalg.norm(l)))
     rates = [-ev.real for ev in eigs
              if abs(ev) > 1e-10 * scale and -ev.real > 1e-12 * scale]
     if not rates:

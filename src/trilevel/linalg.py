@@ -42,11 +42,6 @@ def unvec(v: np.ndarray, dim: int = 3) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
 
 
-def sandwich_super(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> a rho b in the column-stacking convention."""
-    return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
-
-
 def _require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
@@ -78,21 +73,6 @@ def null_space(m: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
     _, s, vh = np.linalg.svd(m)
     smax = s[0] if s.size else 0.0
     return [vh[k].conj() for k in range(len(s)) if s[k] <= tol * smax]
-
-
-def eig_herm(m: np.ndarray, herm_tol: float = 1e-10):
-    """Eigen-decomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector matrix V) with m V = V diag.
-    Raises ValueError if m deviates from Hermiticity by more than herm_tol
-    relative to its norm.
-    """
-    m = _require_finite(m)
-    scale = max(1.0, float(np.linalg.norm(m)))
-    if np.linalg.norm(m - m.conj().T) > herm_tol * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return w, v
 
 
 def frob_dist(a: np.ndarray, b: np.ndarray) -> float:

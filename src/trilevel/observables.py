@@ -28,6 +28,10 @@ from .systems import LindbladModel
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
+# frequencies per batched resolvent solve, which bounds the (n, 9, 9) stack
+# emission_spectrum holds at once to about 1.3 MB
+_SPECTRUM_BLOCK = 1024
+
 
 class Kind(str, enum.Enum):
     G2 = "g2"
@@ -105,9 +109,8 @@ def g2(model: LindbladModel, taus: np.ndarray,
     rate functional, cross-damping terms included.  ``normalized=True``
     divides by the rate at the last grid point.
     """
-    lm = liouvillian(model)
     f = _detection_functional(model)
-    vs = propagate_vectors(lm.matrix, _reset_vec(reset_state), taus)
+    vs = propagate_vectors(liouvillian(model), _reset_vec(reset_state), taus)
     values = _nonnegative_rates((f @ vs).real, "intensity correlation")
     meta = {}
     if normalized:
@@ -129,11 +132,10 @@ def waiting_time(model: LindbladModel, taus: np.ndarray,
     probability of an emission by the last grid point, the trace the
     no-jump state has lost, is kept in meta["emitted_probability"].
     """
-    lm = liouvillian(model)
     feed = feeding_superoperator(model)
     one = vec(np.eye(3))
     v0 = _reset_vec(reset_state)
-    vs = propagate_vectors(lm.matrix - feed, v0, taus)
+    vs = propagate_vectors(liouvillian(model) - feed, v0, taus)
     values = _nonnegative_rates((one @ feed @ vs).real, "waiting-time density")
     emitted = float((one @ (v0 - vs[:, -1])).real)
     return SampledFunction(np.asarray(taus, dtype=float), values,
@@ -162,10 +164,9 @@ def emission_spectrum(
     stationary under L, else ValueError.  By default the unique steady
     state is computed and required.
     """
-    lm = liouvillian(model)
-    l = lm.matrix
+    l = liouvillian(model)
     if rho_ss is None:
-        rho_ss = steady_state(lm)
+        rho_ss = steady_state(l)
     else:
         rho_ss = np.asarray(rho_ss, dtype=complex)
         resid = float(np.linalg.norm(l @ vec(rho_ss)))
@@ -178,12 +179,16 @@ def emission_spectrum(
     left = np.array(null_space(l.conj().T)).T
     proj = right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
     x = vec(detect @ rho_ss)
+    rhs = (x - proj @ x)[:, None]
     omegas = np.asarray(omegas, dtype=float)
-    # adding P0 makes the matrix invertible and leaves (1 - P0) x unchanged
-    mats = 1j * omegas[:, None, None] * np.eye(9) - l + proj
-    rhs = np.broadcast_to(x - proj @ x, (omegas.size, 9))[..., None]
-    z = np.linalg.solve(mats, rhs)[..., 0]
-    values = (z @ vec(detect).conj()).real / np.pi
+    values = np.empty(omegas.size)
+    for start in range(0, omegas.size, _SPECTRUM_BLOCK):
+        block = omegas[start:start + _SPECTRUM_BLOCK, None, None]
+        # adding P0 makes the matrix invertible and leaves (1 - P0) x unchanged
+        mats = 1j * block * np.eye(9) - l + proj
+        z = np.linalg.solve(mats, np.broadcast_to(rhs, (block.size, 9, 1)))
+        values[start:start + block.size] = (
+            (z[..., 0] @ vec(detect).conj()).real / np.pi)
     coherent = complex(np.trace(dagger(detect) @ rho_ss)
                        * np.trace(detect @ rho_ss))
     return SampledFunction(omegas, values, Kind.SPECTRUM,
@@ -194,10 +199,9 @@ def populations(model: LindbladModel, rho0: np.ndarray,
                 times: np.ndarray) -> tuple[SampledFunction, ...]:
     """Level populations along a trajectory, one SampledFunction per level."""
     series = propagate_series(liouvillian(model), rho0, times)
-    times = np.asarray(times, dtype=float)
-    diag = np.array([[rho[k, k].real for rho in series] for k in range(3)])
+    diag = np.diagonal(series, axis1=1, axis2=2).real
     return tuple(
-        SampledFunction(times, diag[k], Kind.POPULATION, {"level": k + 1})
+        SampledFunction(times, diag[:, k], Kind.POPULATION, {"level": k + 1})
         for k in range(3)
     )
 
@@ -396,26 +400,21 @@ def mc_trajectories(
         pops_sq[j] += (p ** 2).sum(axis=0)
 
     record_samples(0)
-    if jump_ops:
-        # rows of step_prop are the evolved basis vectors, so psi @ step_prop
-        # applies exp(-i H_eff dt) to every row state at once
-        step_prop = evolver.advance(evolver.prepare(np.eye(3, dtype=complex)),
-                                    np.full(3, dt))
-        for step in range(n_steps):
-            prev = states
-            states = states @ step_prop
-            n2 = (np.abs(states) ** 2).sum(axis=1)
-            crossed = n2 < thresholds
+    # rows of step_prop are the evolved basis vectors, so psi @ step_prop
+    # applies exp(-i H_eff dt) to every row state at once
+    step_prop = evolver.advance(evolver.prepare(np.eye(3, dtype=complex)),
+                                np.full(3, dt))
+    for step in range(n_steps):
+        prev = states
+        states = states @ step_prop
+        if jump_ops:
+            crossed = (np.abs(states) ** 2).sum(axis=1) < thresholds
             if np.any(crossed):
                 states[crossed] = prev[crossed]  # back to the step start
                 states = _resolve_jumps_in_step(
                     states, thresholds, crossed, evolver, jump_ops,
                     step * dt, dt, rngs, jump_times, jump_channels)
-            record_samples(step + 1)
-    else:
-        for step in range(n_steps):
-            states = evolver.advance(evolver.prepare(states), np.full(n_traj, dt))
-            record_samples(step + 1)
+        record_samples(step + 1)
 
     records = [
         JumpRecord(i, np.array(jump_times[i]), np.array(jump_channels[i]),

@@ -173,12 +173,8 @@ class LindbladModel:
 
     def total_decay_operator(self) -> np.ndarray:
         """sum_ab R[a, b] A_b^+ A_a, the operator in the anticommutator."""
-        k = np.zeros((3, 3), dtype=complex)
-        for a, op_a in enumerate(self.collapse_ops):
-            for b, op_b in enumerate(self.collapse_ops):
-                if self.rate_matrix[a, b] != 0.0:
-                    k += self.rate_matrix[a, b] * (op_b.conj().T @ op_a)
-        return k
+        ops = np.array(self.collapse_ops, dtype=complex).reshape(-1, 3, 3)
+        return np.einsum("ab,bji,ajk->ik", self.rate_matrix, ops.conj(), ops)
 
     def effective_hamiltonian(self) -> np.ndarray:
         """Non-Hermitian generator of the no-jump evolution."""

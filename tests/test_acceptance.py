@@ -63,7 +63,7 @@ def _run_sweep(config, seed):
         model_a, model_b = build_model(p), build_model(target)
         for m in (model_a, model_b):
             null_residuals.append(
-                float(np.linalg.norm(one @ liouvillian(m).matrix)))
+                float(np.linalg.norm(one @ liouvillian(m))))
         reports.append(tl.verify_equivalence(
             model_a, model_b, emap.unitary, random_density_matrix(rng),
             SWEEP_TIMES, tol=EQUIV_TOL))

@@ -177,6 +177,38 @@ def test_spectrum_rejects_quadrature_options(tmp_path, capsys):
     assert "options.n_tau: unknown option" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["positivity", "left_null", "null_space",
+                                 "hermiticity"])
+def test_unread_tolerance_keys_are_rejected(tmp_path, capsys, key):
+    payload = minimal_fig2a(task="simulate", tolerances={key: 1e-9})
+    code = main(["simulate", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"tolerances.{key}: unknown tolerance" in capsys.readouterr().err
+
+
+def test_wrongly_typed_option_is_rejected_input(tmp_path):
+    payload = minimal_fig2a(task="trajectories", time_grid=[0.0, 1.0, 3],
+                            options={"n_traj": [5]})
+    code = main(["trajectories", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+
+
+def test_internal_failure_exits_3(tmp_path, capsys):
+    # nothing drives or damps the atom: the steady state is not unique
+    payload = minimal_fig2a(task="spectrum", omega_grid=[-1.0, 1.0, 5])
+    payload["system"].update(gamma21=0.0, gamma31=0.0, omega_a=0.0,
+                             omega_b=0.0)
+    code = main(["spectrum", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "null space has dimension 9" in capsys.readouterr().err
+
+
 def test_spectrum_compare_mapped_run(tmp_path):
     payload = minimal_fig2a(task="spectrum",
                             omega_grid=[-8.0, 8.0, 201],

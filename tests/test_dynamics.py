@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from trilevel.dynamics import (
-    Liouvillian,
+    feeding_superoperator,
     liouvillian,
-    propagate,
     propagate_series,
     slowest_decay_rate,
     steady_state,
@@ -51,7 +50,7 @@ def dissipator_action(model, rho):
 
 def test_liouvillian_trivial_model_is_zero():
     m = LindbladModel(np.zeros((3, 3)), (), np.zeros((0, 0)))
-    assert np.all(liouvillian(m).matrix == 0)
+    assert np.all(liouvillian(m) == 0)
 
 
 def test_liouvillian_pure_hamiltonian_spectrum():
@@ -59,7 +58,7 @@ def test_liouvillian_pure_hamiltonian_spectrum():
     h = random_hermitian(np.random.default_rng(3), scale=2.0)
     lev = np.linalg.eigvalsh(h)
     m = LindbladModel(h, (), np.zeros((0, 0)))
-    eigs = np.linalg.eigvals(liouvillian(m).matrix)
+    eigs = np.linalg.eigvals(liouvillian(m))
     assert np.abs(eigs.real).max() < 1e-9  # purely imaginary spectrum
     expected = np.sort([lj - lk for lj in lev for lk in lev])
     np.testing.assert_allclose(np.sort(eigs.imag), expected, atol=1e-9)
@@ -74,17 +73,31 @@ def test_liouvillian_matches_direct_action(config):
     for i in range(3):
         for j in range(3):
             e = ketbra(i, j)
-            via_l = (lm.matrix @ vec(e)).reshape((3, 3), order="F")
+            via_l = (lm @ vec(e)).reshape((3, 3), order="F")
             h = m.hamiltonian
             direct = -1j * (h @ e - e @ h) + dissipator_action(m, e)
             assert frob_dist(via_l, direct) < 1e-12
 
 
 @pytest.mark.parametrize("config", list(Config))
+def test_channel_sums_match_explicit_loops(config):
+    m = build_model(random_driven_params(config))
+    r, ops = m.rate_matrix, m.collapse_ops
+    pairs = [(a, b) for a in range(len(ops)) for b in range(len(ops))]
+    feed = sum(r[a, b] * np.kron(ops[b].conj(), ops[a]) for a, b in pairs)
+    decay = sum(r[a, b] * ops[b].conj().T @ ops[a] for a, b in pairs)
+    assert np.abs(feeding_superoperator(m) - feed).max() <= 1e-14
+    assert np.abs(m.total_decay_operator() - decay).max() <= 1e-14
+    empty = LindbladModel(m.hamiltonian, (), np.zeros((0, 0)))
+    assert np.all(feeding_superoperator(empty) == 0)
+    assert np.all(empty.total_decay_operator() == 0)
+
+
+@pytest.mark.parametrize("config", list(Config))
 def test_liouvillian_spectrum_in_left_half_plane(config):
     for _ in range(20):
         lm = liouvillian(build_model(random_driven_params(config)))
-        assert np.linalg.eigvals(lm.matrix).real.max() < 1e-10
+        assert np.linalg.eigvals(lm).real.max() < 1e-10
 
 
 # -------------------------------------------------------------- propagate
@@ -92,7 +105,8 @@ def test_liouvillian_spectrum_in_left_half_plane(config):
 def test_propagate_zero_time_is_identity():
     m = build_model(random_driven_params(Config.FIG1A))
     rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
-    assert frob_dist(propagate(liouvillian(m), rho0, 0.0), rho0) == 0.0
+    rho = propagate_series(liouvillian(m), rho0, [0.0])[-1]
+    assert frob_dist(rho, rho0) == 0.0
 
 
 def test_propagate_undriven_two_level_decay():
@@ -100,7 +114,7 @@ def test_propagate_undriven_two_level_decay():
                      omega_a=0.0, omega_b=0.0)
     lm = liouvillian(build_model(p))
     for t in (0.3, 1.0, 4.0):
-        rho = propagate(lm, ketbra(1, 1), t)
+        rho = propagate_series(lm, ketbra(1, 1), [t])[-1]
         np.testing.assert_allclose(rho[1, 1].real, math.exp(-1.2 * t),
                                    atol=1e-9)
 
@@ -112,15 +126,14 @@ def test_propagate_pure_rabi_oscillation():
                      omega_a=omega, omega_b=0.0)
     lm = liouvillian(build_model(p))
     for t in (0.2, 0.7, 2.1):
-        rho = propagate(lm, ketbra(0, 0), t)
+        rho = propagate_series(lm, ketbra(0, 0), [t])[-1]
         np.testing.assert_allclose(rho[1, 1].real, math.sin(omega * t) ** 2,
                                    atol=1e-9)
 
 
 def test_propagate_rejects_trace_drift():
-    fake = Liouvillian(matrix=-0.1 * np.eye(9, dtype=complex))
     with pytest.raises(PropagationError):
-        propagate(fake, np.diag([1.0, 0, 0]).astype(complex), 1.0)
+        propagate_series(-0.1 * np.eye(9), np.diag([1.0, 0, 0]), [1.0])
 
 
 def test_propagate_series_consistency():
@@ -130,14 +143,14 @@ def test_propagate_series_consistency():
     times = np.linspace(0.0, 5.0, 11)
     series = propagate_series(lm, rho0, times)
     for t, rho in zip(times, series):
-        assert frob_dist(rho, propagate(lm, rho0, t)) < 1e-10
+        assert frob_dist(rho, propagate_series(lm, rho0, [t])[-1]) < 1e-10
 
 
 def test_propagate_series_single_point():
     m = build_model(random_driven_params(Config.FIG1B))
     rho0 = np.diag([0.5, 0.25, 0.25]).astype(complex)
     series = propagate_series(liouvillian(m), rho0, np.array([0.0]))
-    assert len(series) == 1
+    assert series.shape == (1, 3, 3)
     assert frob_dist(series[0], rho0) == 0.0
 
 
@@ -201,7 +214,6 @@ def test_steady_state_lambda_dark_state():
     dark /= np.linalg.norm(dark)
     assert frob_dist(rho, np.outer(dark, dark.conj())) < 1e-8
     assert rho[1, 1].real < 1e-10  # no excited population
-    from trilevel.dynamics import feeding_superoperator
     rate = (vec(np.eye(3)) @ feeding_superoperator(m) @ vec(rho)).real
     assert rate < 1e-10
 
@@ -220,7 +232,7 @@ def test_steady_state_residual(config):
     for _ in range(10):
         lm = liouvillian(build_model(random_driven_params(config)))
         rho = steady_state(lm)
-        assert np.linalg.norm(lm.matrix @ vec(rho)) < 1e-10
+        assert np.linalg.norm(lm @ vec(rho)) < 1e-10
         assert abs(np.trace(rho).real - 1.0) < 1e-12
 
 
@@ -229,7 +241,7 @@ def test_steady_state_residual(config):
 def test_long_time_conservation():
     m = build_model(random_driven_params(Config.FIG2A))
     lm = liouvillian(m)
-    rho = propagate(lm, ketbra(0, 0), 100.0)
+    rho = propagate_series(lm, ketbra(0, 0), [100.0])[-1]
     assert abs(np.trace(rho).real - 1.0) < 1e-9
     assert np.linalg.eigvalsh(rho).min() > -1e-9
 
@@ -239,8 +251,9 @@ def test_semigroup_property_of_propagation():
     lm = liouvillian(m)
     rho0 = ketbra(0, 0)
     t1, t2 = 1.3, 2.4
-    once = propagate(lm, rho0, t1 + t2)
-    twice = propagate(lm, propagate(lm, rho0, t1), t2)
+    once = propagate_series(lm, rho0, [t1 + t2])[-1]
+    half = propagate_series(lm, rho0, [t1])[-1]
+    twice = propagate_series(lm, half, [t2])[-1]
     assert frob_dist(once, twice) < 1e-9
 
 
@@ -249,7 +262,7 @@ def test_steady_state_is_long_time_limit():
     lm = liouvillian(m)
     rho_ss = steady_state(lm)
     horizon = 50.0 / slowest_decay_rate(lm)
-    rho_t = propagate(lm, ketbra(0, 0), horizon)
+    rho_t = propagate_series(lm, ketbra(0, 0), [horizon])[-1]
     assert frob_dist(rho_t, rho_ss) < 1e-6
 
 

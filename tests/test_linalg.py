@@ -3,12 +3,10 @@ import pytest
 
 from trilevel.linalg import (
     check_density_matrix,
-    eig_herm,
     frob_dist,
     ketbra,
     mat_exp,
     null_space,
-    sandwich_super,
     unvec,
     vec,
 )
@@ -81,7 +79,7 @@ def test_null_space_damped_system_steady_state():
     for (i, j, rate) in [(0, 1, 2.0), (0, 2, 0.8)]:
         a = ketbra(i, j)
         k = a.conj().T @ a
-        l += rate * (sandwich_super(a, a.conj().T)
+        l += rate * (np.kron(a.conj(), a)
                      - 0.5 * (np.kron(eye, k) + np.kron(k.T, eye)))
     basis = null_space(l)
     assert len(basis) == 1
@@ -93,34 +91,6 @@ def test_null_space_damped_system_steady_state():
 def test_null_space_rejects_non_square():
     with pytest.raises(ValueError):
         null_space(np.zeros((2, 3)))
-
-
-# --------------------------------------------------------------- eig_herm
-
-def test_eig_herm_diagonal():
-    w, _ = eig_herm(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(w, [1.0, 2.0, 3.0], atol=1e-14)
-
-
-def test_eig_herm_sigma_x_block():
-    m = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 5.0]], dtype=complex)
-    w, v = eig_herm(m)
-    np.testing.assert_allclose(w, [-1.0, 1.0, 5.0], atol=1e-14)
-    assert frob_dist(m @ v, v @ np.diag(w)) < 1e-12
-
-
-def test_eig_herm_reconstruction():
-    rng = np.random.default_rng(77)
-    for _ in range(20):
-        m = random_hermitian(rng, scale=4.0)
-        w, v = eig_herm(m)
-        assert frob_dist(v @ np.diag(w) @ v.conj().T, m) < 1e-10
-        assert frob_dist(v @ v.conj().T, np.eye(3)) < 1e-10
-
-
-def test_eig_herm_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        eig_herm(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 # -------------------------------------------------------------- frob_dist
@@ -146,10 +116,10 @@ def test_frob_dist_rejects_shape_mismatch():
 # ----------------------------------------------- vectorization convention
 
 def test_column_stacking_convention():
-    # sandwich_super(A, B) vec(rho) must equal vec(A rho B)
+    # kron(B.T, A) vec(rho) must equal vec(A rho B)
     rng = np.random.default_rng(21)
     a, b, rho = (random_complex(rng, (3, 3)) for _ in range(3))
-    lhs = sandwich_super(a, b) @ vec(rho)
+    lhs = np.kron(b.T, a) @ vec(rho)
     np.testing.assert_allclose(lhs, vec(a @ rho @ b), atol=1e-12)
     np.testing.assert_allclose(unvec(vec(rho)), rho, atol=0)
 
@@ -165,11 +135,3 @@ def test_check_density_matrix():
     with pytest.raises(ValueError):
         check_density_matrix(bad)
 
-
-def test_eig_herm_density_matrix_eigenvalues_sum_to_one():
-    rng = np.random.default_rng(44)
-    a = random_complex(rng, (3, 3))
-    rho = a @ a.conj().T
-    rho = rho / np.trace(rho)
-    w, _ = eig_herm(rho)
-    assert abs(w.sum() - 1.0) < 1e-9

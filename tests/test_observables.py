@@ -126,7 +126,7 @@ def test_waiting_time_integrates_to_one():
     m = build_model(fig2a_params())
     from trilevel.dynamics import feeding_superoperator, slowest_decay_rate
     lm = liouvillian(m)
-    no_jump = lm.matrix - feeding_superoperator(m)
+    no_jump = lm - feeding_superoperator(m)
     horizon = 10.0 / slowest_decay_rate(no_jump)
     taus = np.linspace(0, horizon, 4001)
     w = waiting_time(m, taus)
@@ -240,6 +240,24 @@ def test_spectrum_requires_unique_steady_state():
         emission_spectrum(m, m.collapse_ops[0], np.linspace(-5, 5, 11))
 
 
+def test_spectrum_memory_is_bounded():
+    import tracemalloc
+    m = build_model(fig2a_params(delta2=0.4, delta3=-0.7))
+    d = m.collapse_ops[0]
+    omegas = np.linspace(-10, 10, 20_000)
+    tracemalloc.start()
+    try:
+        spec = emission_spectrum(m, d, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    # the blocked solve gives the same values as a grid of a single block
+    coarse = emission_spectrum(m, d, omegas[::1000])
+    np.testing.assert_allclose(spec.values[::1000], coarse.values,
+                               rtol=1e-12, atol=0)
+
+
 # ------------------------------------------------------------- populations
 
 def test_populations_sum_to_one():
@@ -279,6 +297,20 @@ def test_mc_no_drive_means_no_jumps():
     m = build_model(fig2a_params(omega_a=0.0, omega_b=0.0))
     run = mc_trajectories(m, n_traj=20, t_final=5.0, seed=3, dt=0.1)
     assert all(r.times.size == 0 for r in run.records)
+
+
+def test_mc_without_jump_channels_follows_master_equation():
+    # gamma21 = gamma31 = 0 leaves no jump channel: every trajectory is the
+    # unitary evolution the master equation gives
+    m = build_model(fig2a_params(gamma21=0.0, gamma23_or_31=0.0))
+    assert m.jump_operators() == ()
+    sample = np.linspace(0.0, 5.0, 11)
+    run = mc_trajectories(m, n_traj=5, t_final=5.0, seed=4, dt=0.05,
+                          sample_times=sample)
+    assert all(r.times.size == 0 for r in run.records)
+    exact = np.column_stack([p.values for p in
+                             populations(m, ketbra(0, 0), sample)])
+    np.testing.assert_allclose(run.populations, exact, rtol=0, atol=1e-12)
 
 
 def test_mc_reproducible_for_fixed_seed():
