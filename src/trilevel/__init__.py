@@ -43,6 +43,7 @@ from .observables import (
 )
 from .errors import (
     DegenerateBasisError,
+    JumpRankError,
     NonUniqueSteadyStateError,
     PropagationError,
     ScenarioError,
@@ -62,5 +63,5 @@ __all__ = [
     "g2", "waiting_time", "emission_spectrum", "populations",
     "mc_trajectories", "interjump_gaps", "bright_dark_stats",
     "DegenerateBasisError", "UndefinedAngleError", "PropagationError",
-    "NonUniqueSteadyStateError", "ScenarioError",
+    "NonUniqueSteadyStateError", "ScenarioError", "JumpRankError",
 ]

@@ -5,7 +5,8 @@ text files with '#'-prefixed headers plus a machine-readable report.json.
 Verbs: simulate, equiv-check, spectrum, g2, waiting-time, trajectories,
 describe-map.  Exit status is 0 iff every check in the scenario passed, 1
 if a check failed, 2 if the scenario or its input was rejected and 3 on an
-internal failure.
+internal failure.  Task options: compare_mapped, detect_weights,
+normalized, n_traj and dark_threshold (jump times need no step size).
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from . import __version__
 from .defaults import (
     DEFAULT_DARK_THRESHOLD,
-    DEFAULT_MC_DT,
     DEFAULT_N_TRAJ,
     DEFAULT_OMEGA_GRID,
     DEFAULT_TIME_GRID,
@@ -62,7 +62,7 @@ _SCENARIO_KEYS = {"schema_version", "task", "system", "target", "time_grid",
                   "omega_grid", "initial_state", "seed", "tolerances",
                   "options"}
 
-_OPTION_KEYS = {"compare_mapped", "detect_weights", "n_traj", "dt",
+_OPTION_KEYS = {"compare_mapped", "detect_weights", "n_traj",
                 "dark_threshold", "normalized"}
 
 
@@ -473,13 +473,10 @@ def run(s: Scenario, out_dir: str | Path) -> RunReport:
                                 "trajectories start from a pure state; "
                                 "use a level index")
         n_traj = int(s.options.get("n_traj", DEFAULT_N_TRAJ))
-        dt = float(s.options.get("dt", DEFAULT_MC_DT))
         threshold = float(s.options.get("dark_threshold",
                                         DEFAULT_DARK_THRESHOLD))
-        psi0 = np.zeros(3, dtype=complex)
-        psi0[s.initial_state - 1] = 1.0
         run_mc = mc_trajectories(model, n_traj, float(times[-1]), s.seed,
-                                 dt=dt, initial_state=psi0)
+                                 initial_state=np.eye(3)[s.initial_state - 1])
         rows_traj, rows_t, rows_ch = [], [], []
         for rec in run_mc.records:
             rows_traj.extend([rec.trajectory] * rec.times.size)
@@ -489,7 +486,7 @@ def run(s: Scenario, out_dir: str | Path) -> RunReport:
         _write_columns(
             path,
             [f"trilevel trajectories ({s.system.config.value}), "
-             f"seed = {s.seed}, n_traj = {n_traj}, dt = {dt:g} [1/Gamma_ref]",
+             f"seed = {s.seed}, n_traj = {n_traj}",
              "trajectory [1], jump_time [1/Gamma_ref], channel [1]"],
             [np.array(rows_traj, dtype=float), np.array(rows_t),
              np.array(rows_ch, dtype=float)],

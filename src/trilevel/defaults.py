@@ -3,8 +3,8 @@
 Scenario files may override any of the four tolerances per run (an unknown
 key is rejected); each one is the threshold of a check the CLI reports, so
 every reported check carries an explicit tolerance.  Spectra are exact
-resolvents evaluated on the omega grid, so no quadrature settings appear
-here.
+resolvents evaluated on the omega grid and jump times are exact roots of
+the no-jump survival, so no quadrature or step-size settings appear here.
 """
 
 DEFAULT_TOLERANCES = {
@@ -23,5 +23,4 @@ DEFAULT_OMEGA_GRID = (-10.0, 10.0, 2001)  # units of Gamma_ref
 
 # quantum-jump ensembles
 DEFAULT_N_TRAJ = 1000
-DEFAULT_MC_DT = 0.05
 DEFAULT_DARK_THRESHOLD = 10.0

@@ -22,16 +22,18 @@ def feeding_superoperator(model: LindbladModel) -> np.ndarray:
     return f.reshape(9, 9)
 
 
-def liouvillian(model: LindbladModel) -> np.ndarray:
-    """The 9x9 generator L with L vec(rho) = vec(-i[H, rho] + dissipators).
-
-    The no-jump part -i (H_eff rho - rho H_eff^+) carries the commutator
-    and the anticommutator; the feeding superoperator adds the rest.
-    """
+def no_jump_generator(model: LindbladModel) -> np.ndarray:
+    """The 9x9 no-jump part -i (H_eff rho - rho H_eff^+) of the generator;
+    the trace it loses is the probability that a photon was emitted."""
     h_eff = model.effective_hamiltonian()
     eye = np.eye(3)
-    l = (-1j * (np.kron(eye, h_eff) - np.kron(h_eff.conj(), eye))
-         + feeding_superoperator(model))
+    return -1j * (np.kron(eye, h_eff) - np.kron(h_eff.conj(), eye))
+
+
+def liouvillian(model: LindbladModel) -> np.ndarray:
+    """The 9x9 generator L with L vec(rho) = vec(-i[H, rho] + dissipators):
+    the no-jump generator plus the feeding superoperator."""
+    l = no_jump_generator(model) + feeding_superoperator(model)
     # trace preservation is an algebraic identity of this construction
     resid = np.linalg.norm(vec(np.eye(3)) @ l)
     if resid > 1e-12 * max(1.0, np.linalg.norm(l)):

@@ -9,6 +9,11 @@ class UndefinedAngleError(ValueError):
     """Dipole angle is undefined because one decay channel is dark."""
 
 
+class JumpRankError(ValueError):
+    """A jump operator is not rank one: a jump would not reset the atom to
+    a fixed state."""
+
+
 class PropagationError(RuntimeError):
     """Density-matrix propagation produced an invalid state."""
 

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import dagger, level_projector, null_space, vec
+from .errors import JumpRankError
+from .linalg import dagger, level_projector, mat_exp, null_space, vec
 from .dynamics import (
-    feeding_superoperator,
     liouvillian,
+    no_jump_generator,
     propagate_series,
     propagate_vectors,
     steady_state,
@@ -78,8 +79,9 @@ class SampledFunction:
 
 
 def _detection_functional(model: LindbladModel) -> np.ndarray:
-    # row vector f with f @ vec(rho) = tr(feeding(rho)) = photon rate
-    return vec(np.eye(3)) @ feeding_superoperator(model)
+    # row vector f with f @ vec(rho) = tr(K rho) = tr(feeding(rho)), the
+    # photon rate
+    return vec(model.total_decay_operator().T)
 
 
 def _reset_vec(reset_state: np.ndarray | None) -> np.ndarray:
@@ -132,12 +134,11 @@ def waiting_time(model: LindbladModel, taus: np.ndarray,
     probability of an emission by the last grid point, the trace the
     no-jump state has lost, is kept in meta["emitted_probability"].
     """
-    feed = feeding_superoperator(model)
-    one = vec(np.eye(3))
     v0 = _reset_vec(reset_state)
-    vs = propagate_vectors(liouvillian(model) - feed, v0, taus)
-    values = _nonnegative_rates((one @ feed @ vs).real, "waiting-time density")
-    emitted = float((one @ (v0 - vs[:, -1])).real)
+    vs = propagate_vectors(no_jump_generator(model), v0, taus)
+    values = _nonnegative_rates((_detection_functional(model) @ vs).real,
+                                "waiting-time density")
+    emitted = float((vec(np.eye(3)) @ (v0 - vs[:, -1])).real)
     return SampledFunction(np.asarray(taus, dtype=float), values,
                            Kind.WAITING_TIME,
                            {"emitted_probability": emitted})
@@ -237,97 +238,74 @@ class McRun:
 
     records: list[JumpRecord]
     seed: int
-    dt: float
     sample_times: np.ndarray | None = None
     populations: np.ndarray | None = None        # (n_samples, 3) means
     populations_stderr: np.ndarray | None = None
 
 
-class _SegmentEvolver:
-    """Evaluates the no-jump evolution exp(-i H_eff dt) psi for arbitrary dt
-    via the eigendecomposition of the (generically diagonalizable)
-    effective Hamiltonian."""
+class _NoJumpEvolution:
+    """exp(-i H_eff tau) psi_j of a few start states, 0 <= tau <= t_max:
+    tabulated at multiples of h = min(t_max, 1/||H_eff||), in between a
+    17-term Taylor polynomial from the nearest table point, exact to about
+    2**-17 / 17! ~ 2e-20 at |delta| ||H_eff|| <= 1/2."""
 
-    def __init__(self, h_eff: np.ndarray):
-        mu, s = np.linalg.eig(h_eff)
-        if np.linalg.cond(s) > 1e8:
-            raise ValueError("effective Hamiltonian is too close to defective")
-        self.mu = mu
-        self.s_t = s.T
-        self.sinv_t = np.linalg.inv(s).T
+    def __init__(self, h_eff: np.ndarray, starts: np.ndarray, t_max: float):
+        norm = np.linalg.norm(h_eff, 2)
+        self.h = min(t_max, 1.0 / norm) if norm > 0 else t_max
+        self.gen_t = -1j * h_eff.T  # psi @ gen_t = -i H_eff psi for rows psi
+        self.decay_t = (1j * (h_eff - dagger(h_eff))).T  # K
+        step_t = mat_exp(-1j * h_eff, self.h).T
+        table = [starts]
+        for _ in range(int(np.ceil(t_max / self.h))):
+            table.append(table[-1] @ step_t)
+        self.table = np.stack(table, axis=1)
+        # the survival is non-increasing: clip roundoff so it can be searched
+        self.neg_survival = -np.minimum.accumulate(
+            (np.abs(self.table) ** 2).sum(axis=2), axis=1)
 
-    def prepare(self, psis: np.ndarray) -> np.ndarray:
-        """Eigenbasis amplitudes of a batch of states (rows)."""
-        return psis @ self.sinv_t
+    def states(self, start: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Rows exp(-i H_eff tau_r) psi_{start_r}."""
+        m = np.rint(tau / self.h).astype(int)
+        delta = (tau - m * self.h)[:, None]
+        base = out = self.table[start, m]
+        for n in range(16, 0, -1):  # Horner
+            out = out @ self.gen_t
+            out *= delta / n
+            out += base
+        return out
 
-    def advance(self, amps: np.ndarray, dts: np.ndarray) -> np.ndarray:
-        """States after per-row time steps, from prepared amplitudes."""
-        phase = np.exp(-1j * np.outer(dts, self.mu))
-        return (amps * phase) @ self.s_t
-
-
-def _resolve_jumps_in_step(states, thresholds, crossed, evolver, jump_ops,
-                           t0, dt, rngs, jump_times, jump_channels):
-    """Locate and apply every jump occurring within (t0, t0 + dt].
-
-    ``states`` holds the segment states at t0 for the crossed rows; returns
-    their states at t0 + dt.  The no-jump norm is monotone non-increasing,
-    so bisection on the survival probability finds each jump time exactly.
-    """
-    idx = np.flatnonzero(crossed)
-    psi0 = states[idx]
-    offset = np.zeros(idx.size)  # segment start relative to t0
-    out = states.copy()
-    guard = 0
-    while idx.size:
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("jump resolution did not terminate")
-        amps = evolver.prepare(psi0)
-        u = thresholds[idx]
-        lo = np.zeros(idx.size)
-        hi = dt - offset
-        for _ in range(48):  # dt * 2**-48 is below double-precision time resolution
-            mid = 0.5 * (lo + hi)
-            n2 = np.abs(evolver.advance(amps, mid)) ** 2
-            high = n2.sum(axis=1) >= u
-            lo = np.where(high, mid, lo)
-            hi = np.where(high, hi, mid)
-        tj_rel = 0.5 * (lo + hi)
-        psi_j = evolver.advance(amps, tj_rel)
-
-        # candidate post-jump states and channel rates, batched over rows
-        branches = np.stack([psi_j @ op.T for op in jump_ops], axis=1)
-        rates = (np.abs(branches) ** 2).sum(axis=2)
-        totals = rates.sum(axis=1)
-        cum = np.cumsum(rates, axis=1)
-        new_states = np.empty_like(psi_j)
-        n_ch = len(jump_ops)
-        for row, traj in enumerate(idx):
-            rng = rngs[traj]
-            if totals[row] > 0:
-                k = int(np.searchsorted(cum[row],
-                                        rng.random() * totals[row],
-                                        side="right"))
-                k = min(k, n_ch - 1)
-            else:  # numerically fully decayed; pick uniformly
-                k = int(rng.random() * n_ch)
-            branch = branches[row, k]
-            new_states[row] = branch / np.sqrt(rates[row, k])
-            thresholds[traj] = 1.0 - rng.random()  # in (0, 1]
-            jump_times[traj].append(t0 + offset[row] + tj_rel[row])
-            jump_channels[traj].append(k)
-
-        offset = offset + tj_rel
-        remainder = dt - offset
-        psi_end = evolver.advance(evolver.prepare(new_states), remainder)
-        out[idx] = psi_end
-        n2_end = (np.abs(psi_end) ** 2).sum(axis=1)
-        again = n2_end < thresholds[idx]
-        idx = idx[again]
-        psi0 = new_states[again]
-        offset = offset[again]
-    return out
+    def jump_times(self, start, u, t_left):
+        """Times at which the survival ||psi(tau)||^2 falls to u; NaN where
+        it stays >= u on [0, t_left]."""
+        m = np.empty(u.size, dtype=int)
+        for j, neg in enumerate(self.neg_survival):
+            m[start == j] = np.searchsorted(neg, -u[start == j], side="right")
+        # table point m is the first below u; Newton with the exact slope
+        # -<psi|K|psi> polishes the root in [lo, hi] and bisects where a step
+        # would leave it or not halve the step before last (rtsafe)
+        lo = np.maximum(m - 1, 0) * self.h
+        tau = np.full(u.size, np.nan)
+        rows = np.flatnonzero((m < self.table.shape[1]) & (lo < t_left))
+        start, u, lo, hi = start[rows], u[rows], lo[rows], m[rows] * self.h
+        t = 0.5 * (lo + hi)
+        step = before = hi - lo
+        for _ in range(100):  # the step halves at least every other time
+            if not rows.size:
+                return np.where(tau <= t_left, tau, np.nan)
+            psi = self.states(start, t)
+            f = (np.abs(psi) ** 2).sum(axis=1) - u
+            slope = -np.einsum("ri,ri->r", psi.conj(), psi @ self.decay_t).real
+            lo, hi = np.where(f >= 0, t, lo), np.where(f >= 0, hi, t)
+            newton = f / np.minimum(slope, -1e-300)  # slope <= 0 up to roundoff
+            bisect = ~((t - newton >= lo) & (t - newton <= hi)
+                       & (2.0 * np.abs(newton) <= np.abs(before)))
+            before, step = step, np.where(bisect, t - 0.5 * (lo + hi), newton)
+            t = t - step
+            done = np.abs(step) <= 1e-13 * self.h  # |step| <= hi - lo
+            tau[rows[done]] = t[done]
+            rows, start, u, lo, hi, t, step, before = (
+                x[~done] for x in (rows, start, u, lo, hi, t, step, before))
+        raise RuntimeError("jump-time root search did not converge")
 
 
 def mc_trajectories(
@@ -335,98 +313,86 @@ def mc_trajectories(
     n_traj: int,
     t_final: float,
     seed: int,
-    dt: float = 0.05,
     initial_state: np.ndarray | None = None,
     sample_times: np.ndarray | None = None,
 ) -> McRun:
-    """Quantum-jump unraveling of the master equation.
+    """Quantum-jump unraveling of the master equation as a renewal process.
 
-    Deterministic no-jump evolution under H_eff = H - i K / 2 with the
-    survival probability compared against a uniform threshold; at a jump
-    the channel is chosen proportional to the instantaneous channel rates
-    (channels are the diagonalized dissipator modes, so cross-damping
-    models unravel correctly).  Trajectory i draws from an independent
-    stream spawned from (seed, i), so results are reproducible and
-    trajectory-parallel.
-
-    ``sample_times`` (snapped to the step grid) requests ensemble-averaged
-    populations with standard errors, for comparison against the master
-    equation.
+    Every jump operator c_k must be rank one (else JumpRankError), so a
+    jump resets the atom to the range of c_k; in between the state evolves
+    under H_eff = H - i K / 2 until its survival ||psi||^2 falls to a
+    uniform threshold, a root found without any time grid.  The channel
+    is drawn from the rates ||c_k psi||^2 of the diagonalized dissipator
+    modes, so cross-damping models unravel correctly.  Trajectory i draws
+    from its own stream spawned from (seed, i): a threshold, then a
+    channel and the next threshold at each jump.  ``sample_times`` (any
+    within [0, t_final]) requests ensemble populations with standard
+    errors, for comparison against the master equation.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     if not (t_final > 0):
         raise ValueError("t_final must be > 0")
-    jump_ops = list(model.jump_operators())
-    evolver = _SegmentEvolver(model.effective_hamiltonian())
-
-    if initial_state is None:
-        psi_start = np.array([1.0, 0.0, 0.0], dtype=complex)
-    else:
-        psi_start = np.asarray(initial_state, dtype=complex)
-        psi_start = psi_start / np.linalg.norm(psi_start)
-    states = np.tile(psi_start, (n_traj, 1))
+    ops = np.array(model.jump_operators(), dtype=complex).reshape(-1, 3, 3)
+    ranges, sv, _ = np.linalg.svd(ops)
+    bad = np.flatnonzero(sv[:, 1] > 1e-12 * sv[:, 0])
+    if bad.size:
+        raise JumpRankError(f"jump channel {bad[0]} is not rank one "
+                            f"(s2/s1 = {sv[bad[0], 1] / sv[bad[0], 0]:.3e})")
+    psi0 = np.asarray([1.0, 0.0, 0.0] if initial_state is None
+                      else initial_state, dtype=complex)
+    # start state 0 is psi0, start state k + 1 the reset state of channel k
+    evo = _NoJumpEvolution(model.effective_hamiltonian(), np.vstack(
+        [psi0 / np.linalg.norm(psi0), ranges[:, :, 0]]), t_final)
+    if sample_times is not None:
+        sample_times = np.asarray(sample_times, dtype=float)
+        if np.any(sample_times < 0) or np.any(sample_times > t_final):
+            raise ValueError("sample_times must lie within [0, t_final]")
+        moments = np.zeros((sample_times.size, 2, 3))  # sums of p and p^2
 
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             for i in range(n_traj)]
-    thresholds = np.array([1.0 - rng.random() for rng in rngs])
-    jump_times: list[list[float]] = [[] for _ in range(n_traj)]
-    jump_channels: list[list[int]] = [[] for _ in range(n_traj)]
+    # thresholds lie in (0, 1]; without jump channels they are 0, never met
+    thresholds = np.array([1.0 - rng.random() for rng in rngs]) * bool(len(ops))
+    traj, t0 = np.arange(n_traj), np.zeros(n_traj)
+    start = np.zeros(n_traj, dtype=int)
+    found = [(traj[:0], t0[:0], start[:0])]
+    while traj.size:
+        tau = evo.jump_times(start, thresholds[traj], t_final - t0)
+        jumped = ~np.isnan(tau)
+        t_end = np.where(jumped, np.minimum(t0 + tau, t_final), np.inf)
+        if sample_times is not None:  # samples within each segment [t0, t_end)
+            r, j = np.nonzero((t0[:, None] <= sample_times)
+                              & (sample_times < t_end[:, None]))
+            p = np.abs(evo.states(start[r], sample_times[j] - t0[r])) ** 2
+            p /= p.sum(axis=1, keepdims=True)
+            np.add.at(moments, j, np.stack([p, p ** 2], axis=1))
+        traj, t0 = traj[jumped], t_end[jumped]
+        if not traj.size:
+            break
+        psi = evo.states(start[jumped], tau[jumped])
+        rates = (np.abs(np.einsum("kij,rj->rki", ops, psi)) ** 2).sum(axis=2)
+        draw, next_u = np.array([rngs[i].random(2) for i in traj]).T
+        thresholds[traj] = 1.0 - next_u
+        total = rates.sum(axis=1)
+        channel = (np.cumsum(rates, axis=1) <= (draw * total)[:, None]).sum(1)
+        channel = np.minimum(channel, len(ops) - 1)
+        # a numerically fully decayed state picks its channel uniformly
+        channel = np.where(total > 0, channel, (draw * len(ops)).astype(int))
+        start = channel + 1
+        found.append((traj, t0, channel))
 
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final) or n_steps < 1:
-        raise ValueError("t_final must be a positive multiple of dt")
-
-    sample_idx: dict[int, int] = {}
-    pops_sum = pops_sq = None
-    if sample_times is not None:
-        sample_times = np.asarray(sample_times, dtype=float)
-        steps = np.round(sample_times / dt).astype(int)
-        if np.any(np.abs(steps * dt - sample_times) > 1e-9) or \
-                np.any(steps < 0) or np.any(steps > n_steps):
-            raise ValueError("sample_times must be multiples of dt within "
-                             "[0, t_final]")
-        sample_idx = {int(s): j for j, s in enumerate(steps)}
-        pops_sum = np.zeros((len(steps), 3))
-        pops_sq = np.zeros((len(steps), 3))
-
-    def record_samples(step):
-        j = sample_idx.get(step)
-        if j is None:
-            return
-        n2 = (np.abs(states) ** 2).sum(axis=1, keepdims=True)
-        p = np.abs(states) ** 2 / n2
-        pops_sum[j] += p.sum(axis=0)
-        pops_sq[j] += (p ** 2).sum(axis=0)
-
-    record_samples(0)
-    # rows of step_prop are the evolved basis vectors, so psi @ step_prop
-    # applies exp(-i H_eff dt) to every row state at once
-    step_prop = evolver.advance(evolver.prepare(np.eye(3, dtype=complex)),
-                                np.full(3, dt))
-    for step in range(n_steps):
-        prev = states
-        states = states @ step_prop
-        if jump_ops:
-            crossed = (np.abs(states) ** 2).sum(axis=1) < thresholds
-            if np.any(crossed):
-                states[crossed] = prev[crossed]  # back to the step start
-                states = _resolve_jumps_in_step(
-                    states, thresholds, crossed, evolver, jump_ops,
-                    step * dt, dt, rngs, jump_times, jump_channels)
-        record_samples(step + 1)
-
-    records = [
-        JumpRecord(i, np.array(jump_times[i]), np.array(jump_channels[i]),
-                   float(t_final))
-        for i in range(n_traj)
-    ]
+    who, when, which = (np.concatenate(x) for x in zip(*found))
+    by_traj = np.argsort(who, kind="stable")  # rounds come in time order
+    bounds = np.cumsum(np.bincount(who, minlength=n_traj))[:-1]
+    records = [JumpRecord(i, t, c, float(t_final)) for i, (t, c) in enumerate(
+        zip(np.split(when[by_traj], bounds), np.split(which[by_traj], bounds)))]
     pops = stderr = None
-    if pops_sum is not None:
-        pops = pops_sum / n_traj
-        var = np.maximum(pops_sq / n_traj - pops ** 2, 0.0)
+    if sample_times is not None:
+        pops, mean_sq = np.moveaxis(moments / n_traj, 1, 0)
+        var = np.maximum(mean_sq - pops ** 2, 0.0)
         stderr = np.sqrt(var / n_traj)
-    return McRun(records=records, seed=seed, dt=dt, sample_times=sample_times,
+    return McRun(records=records, seed=seed, sample_times=sample_times,
                  populations=pops, populations_stderr=stderr)
 
 

@@ -258,9 +258,9 @@ def telegraph_runs():
     model_a, model_b = build_model(p), build_model(target)
     sample = np.array([0.0, 100.0, 200.0, 300.0, 400.0])
     run_a = tl.mc_trajectories(model_a, n_traj=10_000, t_final=400.0,
-                               seed=2025, dt=0.05, sample_times=sample)
+                               seed=2025, sample_times=sample)
     run_b = tl.mc_trajectories(model_b, n_traj=10_000, t_final=400.0,
-                               seed=4050, dt=0.05, sample_times=sample)
+                               seed=4050, sample_times=sample)
     return p, model_a, model_b, sample, run_a, run_b
 
 

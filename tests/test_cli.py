@@ -125,7 +125,7 @@ def test_simulate_zero_horizon_single_row(tmp_path):
 def test_trajectories_are_bit_identical_for_fixed_seed(tmp_path):
     payload = minimal_fig2a(task="trajectories", time_grid=[0.0, 10.0, 2],
                             seed=123,
-                            options={"n_traj": 20, "dt": 0.05,
+                            options={"n_traj": 20,
                                      "dark_threshold": 3.0})
     cfg = write_scenario(tmp_path, payload)
     main(["trajectories", "--config", str(cfg), "--out", str(tmp_path / "a")])
@@ -186,6 +186,36 @@ def test_unread_tolerance_keys_are_rejected(tmp_path, capsys, key):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert f"tolerances.{key}: unknown tolerance" in capsys.readouterr().err
+
+
+def test_trajectories_reject_step_size_option(tmp_path, capsys):
+    payload = minimal_fig2a(task="trajectories", time_grid=[0.0, 1.0, 3],
+                            options={"n_traj": 5, "dt": 0.05})
+    code = main(["trajectories", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "options.dt: unknown option" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system, horizon", [
+    # a horizon that is no multiple of 0.05
+    ({}, 10.03),
+    # the critical damping point of the 1-2 block, where H_eff is nearly
+    # defective
+    ({"gamma21": 0.4, "gamma31": 0.1, "omega_a": 0.2, "omega_b": 0.0}, 10.0),
+], ids=["off-grid-horizon", "exceptional-point"])
+def test_trajectories_run(tmp_path, system, horizon):
+    payload = minimal_fig2a(task="trajectories", time_grid=[0.0, horizon, 2],
+                            options={"n_traj": 50})
+    payload["system"].update(system)
+    code = main(["trajectories", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    data = np.loadtxt(tmp_path / "out" / "jumps.dat", ndmin=2)
+    assert data.shape[1] == 3
+    assert np.all((data[:, 1] > 0) & (data[:, 1] <= horizon))
 
 
 def test_wrongly_typed_option_is_rejected_input(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from trilevel.dynamics import (
     feeding_superoperator,
     liouvillian,
+    no_jump_generator,
     propagate_series,
     slowest_decay_rate,
     steady_state,
@@ -77,6 +78,18 @@ def test_liouvillian_matches_direct_action(config):
             h = m.hamiltonian
             direct = -1j * (h @ e - e @ h) + dissipator_action(m, e)
             assert frob_dist(via_l, direct) < 1e-12
+
+
+@pytest.mark.parametrize("config", list(Config))
+def test_no_jump_generator_and_photon_rate(config):
+    # L splits into the no-jump generator plus the feeding terms, and the
+    # photon rate tr(F(rho)) equals tr(K rho)
+    m = build_model(random_driven_params(config, np.random.default_rng(9)))
+    feed = feeding_superoperator(m)
+    assert np.array_equal(liouvillian(m), no_jump_generator(m) + feed)
+    np.testing.assert_allclose(vec(np.eye(3)) @ feed,
+                               vec(m.total_decay_operator().T),
+                               rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("config", list(Config))

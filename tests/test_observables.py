@@ -2,9 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
-from trilevel.dynamics import liouvillian, propagate_series, steady_state
-from trilevel.linalg import ketbra
+from trilevel.dynamics import (
+    liouvillian,
+    no_jump_generator,
+    propagate_series,
+    propagate_vectors,
+    steady_state,
+)
+from trilevel.errors import JumpRankError
+from trilevel.linalg import ketbra, vec
 from trilevel.observables import (
     JumpRecord,
     Kind,
@@ -17,7 +25,7 @@ from trilevel.observables import (
     populations,
     waiting_time,
 )
-from trilevel.systems import Config, SystemParams, build_model
+from trilevel.systems import Config, LindbladModel, SystemParams, build_model
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -295,7 +303,7 @@ def test_populations_mapped_pair_rotate_into_each_other():
 
 def test_mc_no_drive_means_no_jumps():
     m = build_model(fig2a_params(omega_a=0.0, omega_b=0.0))
-    run = mc_trajectories(m, n_traj=20, t_final=5.0, seed=3, dt=0.1)
+    run = mc_trajectories(m, n_traj=20, t_final=5.0, seed=3)
     assert all(r.times.size == 0 for r in run.records)
 
 
@@ -305,7 +313,7 @@ def test_mc_without_jump_channels_follows_master_equation():
     m = build_model(fig2a_params(gamma21=0.0, gamma23_or_31=0.0))
     assert m.jump_operators() == ()
     sample = np.linspace(0.0, 5.0, 11)
-    run = mc_trajectories(m, n_traj=5, t_final=5.0, seed=4, dt=0.05,
+    run = mc_trajectories(m, n_traj=5, t_final=5.0, seed=4,
                           sample_times=sample)
     assert all(r.times.size == 0 for r in run.records)
     exact = np.column_stack([p.values for p in
@@ -315,22 +323,82 @@ def test_mc_without_jump_channels_follows_master_equation():
 
 def test_mc_reproducible_for_fixed_seed():
     m = build_model(fig2a_params())
-    run1 = mc_trajectories(m, n_traj=30, t_final=6.0, seed=99, dt=0.05)
-    run2 = mc_trajectories(m, n_traj=30, t_final=6.0, seed=99, dt=0.05)
+    run1 = mc_trajectories(m, n_traj=30, t_final=6.0, seed=99)
+    run2 = mc_trajectories(m, n_traj=30, t_final=6.0, seed=99)
     for a, b in zip(run1.records, run2.records):
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.channels, b.channels)
 
 
-def test_mc_step_size_does_not_bias_jump_times():
-    # the no-jump propagation and in-step jump location are exact, so the
-    # same seed gives the same first-jump time for different dt
+def test_mc_first_jump_times_follow_exact_distribution():
+    # a first jump by t has probability P(t) = 1 - tr rho_nj(t), the trace
+    # the no-jump state has lost; here conditioned on a jump before t_final
     m = build_model(fig2a_params())
-    run_coarse = mc_trajectories(m, n_traj=10, t_final=6.0, seed=5, dt=0.3)
-    run_fine = mc_trajectories(m, n_traj=10, t_final=6.0, seed=5, dt=0.05)
-    for a, b in zip(run_coarse.records, run_fine.records):
-        if a.times.size and b.times.size:
-            assert abs(a.times[0] - b.times[0]) < 1e-9
+    t_final = 30.0
+    run = mc_trajectories(m, n_traj=2000, t_final=t_final, seed=5)
+    first = np.array([r.times[0] for r in run.records if r.times.size])
+    assert first.size > 1900
+
+    def cdf(t):
+        grid, inverse = np.unique(np.append(t, t_final), return_inverse=True)
+        vs = propagate_vectors(no_jump_generator(m), vec(ketbra(0, 0)), grid)
+        emitted = 1.0 - (vec(np.eye(3)) @ vs).real[inverse]
+        return emitted[:-1] / emitted[-1]
+
+    assert kstest(first, cdf).pvalue > 0.01
+
+
+def test_mc_rejects_jump_operator_of_rank_two():
+    model = LindbladModel(np.zeros((3, 3)), (ketbra(0, 1) + ketbra(1, 2),),
+                          np.array([[1.0]]))
+    with pytest.raises(JumpRankError):
+        mc_trajectories(model, n_traj=3, t_final=1.0, seed=0)
+
+
+def _ensemble_z(run, model, sample):
+    exact = np.diagonal(propagate_series(liouvillian(model), ketbra(0, 0),
+                                         sample), axis1=1, axis2=2).real
+    return np.abs(run.populations - exact) / np.maximum(
+        run.populations_stderr, 1e-12)
+
+
+def test_mc_at_exceptional_point_matches_master_equation():
+    # critical damping of the 1-2 block: the eigenvectors of H_eff are
+    # nearly parallel (condition number ~1e8), so the no-jump evolution is
+    # not diagonalizable in practice
+    m = build_model(fig2a_params(gamma21=0.4, gamma23_or_31=0.1, omega_a=0.2,
+                                 omega_b=0.0, delta2=0.0, delta3=0.0))
+    assert np.linalg.cond(np.linalg.eig(m.effective_hamiltonian())[1]) > 1e7
+    sample = np.array([0.0, 1.0, 2.5, 5.0, 10.0, 20.0])
+    run = mc_trajectories(m, n_traj=2000, t_final=20.0, seed=7,
+                          sample_times=sample)
+    assert _ensemble_z(run, m, sample).max() < 3.0
+
+
+@pytest.mark.parametrize("twin", [False, True], ids=["fig1a", "fig1b"])
+def test_mc_fig1_jumps_reset_to_each_channel_state(twin):
+    # fig1 channels end in different levels (fig1b: superpositions of 1'
+    # and 3'), so a jump must restart the atom from its own channel's state
+    p = SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.3,
+                     omega_a=1.2, omega_b=0.7, delta2=0.4, delta3=-0.6)
+    m = mapped_pair(p)[int(twin)]
+    sample = np.array([0.0, 1.5, 4.0, 8.0])
+    run = mc_trajectories(m, n_traj=2000, t_final=8.0, seed=3,
+                          sample_times=sample)
+    assert len({int(c) for r in run.records for c in r.channels}) == 2
+    assert _ensemble_z(run, m, sample).max() < 3.0
+
+
+def test_mc_samples_populations_at_any_time():
+    m = build_model(fig2a_params())
+    sample = np.array([0.0, 0.123, 3.3])
+    run = mc_trajectories(m, n_traj=2000, t_final=10.03, seed=12,
+                          sample_times=sample)
+    assert _ensemble_z(run, m, sample).max() < 3.0
+    for bad in ([0.0, 10.5], [-0.1, 1.0]):
+        with pytest.raises(ValueError, match="sample_times"):
+            mc_trajectories(m, n_traj=3, t_final=10.03, seed=12,
+                            sample_times=np.array(bad))
 
 
 def test_mc_ensemble_matches_master_equation():
@@ -338,7 +406,7 @@ def test_mc_ensemble_matches_master_equation():
                      delta2=0.3, delta3=-0.2)
     m = build_model(p)
     sample = np.array([0.0, 1.0, 2.0, 4.0, 8.0])
-    run = mc_trajectories(m, n_traj=2000, t_final=8.0, seed=1, dt=0.02,
+    run = mc_trajectories(m, n_traj=2000, t_final=8.0, seed=1,
                           sample_times=sample)
     lm = liouvillian(m)
     exact = np.vstack(
@@ -360,7 +428,7 @@ def test_mc_cross_damped_model_unravels_correctly():
     mb = build_model(target)
     assert abs(mb.rate_matrix[0, 1]) > 0.1  # genuine cross damping
     sample = np.array([0.0, 2.0, 6.0])
-    run = mc_trajectories(mb, n_traj=1500, t_final=6.0, seed=8, dt=0.02,
+    run = mc_trajectories(mb, n_traj=1500, t_final=6.0, seed=8,
                           sample_times=sample)
     lm = liouvillian(mb)
     exact = np.vstack(
@@ -376,7 +444,7 @@ def test_mc_shelving_gaps_are_bimodal():
     p = fig2a_params(gamma23_or_31=0.01, omega_a=1.0, omega_b=0.1,
                      delta2=0.0, delta3=0.0)
     m = build_model(p)
-    run = mc_trajectories(m, n_traj=120, t_final=250.0, seed=21, dt=0.05)
+    run = mc_trajectories(m, n_traj=120, t_final=250.0, seed=21)
     stats = bright_dark_stats(run.records, threshold=8.0)
     assert stats.n_dark_periods >= 20
     assert stats.mean_dark > 5 * stats.mean_bright
@@ -388,7 +456,7 @@ def test_mc_dark_period_scales_inversely_with_escape_rate():
         p = fig2a_params(gamma23_or_31=g31, omega_a=1.0, omega_b=0.1,
                          delta2=0.0, delta3=0.0)
         run = mc_trajectories(build_model(p), n_traj=150, t_final=300.0,
-                              seed=33, dt=0.05)
+                              seed=33)
         gaps = interjump_gaps(run.records)
         dark = np.sort(gaps[gaps > 8.0])
         means.append(dark.mean())
