@@ -13,12 +13,9 @@ from .equivalence import (
     EquivalenceReport,
     basis_unitary,
     dipole_angle,
-    map_fig1a_to_fig1b,
-    map_fig2a_to_fig2b,
+    dressed_block,
     map_rates,
     map_system,
-    mixing_angle_fig1,
-    mixing_angle_fig2,
     verify_equivalence,
 )
 from .dynamics import (
@@ -53,9 +50,8 @@ from .errors import (
 __all__ = [
     "__version__",
     "Config", "SystemParams", "LindbladModel", "build_model",
-    "EquivalenceMap", "EquivalenceReport", "mixing_angle_fig1",
-    "mixing_angle_fig2", "basis_unitary", "map_rates", "dipole_angle",
-    "map_fig1a_to_fig1b", "map_fig2a_to_fig2b", "map_system",
+    "EquivalenceMap", "EquivalenceReport", "dressed_block",
+    "basis_unitary", "map_rates", "dipole_angle", "map_system",
     "verify_equivalence",
     "liouvillian", "propagate_series",
     "steady_state", "slowest_decay_rate",

@@ -122,10 +122,8 @@ def _system_from_dict(raw: dict, where: str) -> SystemParams:
         raise ScenarioError(f"{where}.gamma21", "missing")
     try:
         return SystemParams(**kwargs)
-    except ValueError as err:
-        # surface the offending field name from the params validator
-        name = str(err).split()[0]
-        raise ScenarioError(f"{where}.{name}", str(err)) from None
+    except ScenarioError as err:
+        raise ScenarioError(f"{where}.{err.field}", err.message) from None
 
 
 def _grid_from(raw, where: str, default: tuple) -> tuple[float, float, int]:
@@ -133,11 +131,24 @@ def _grid_from(raw, where: str, default: tuple) -> tuple[float, float, int]:
         return default
     try:
         start, stop, count = float(raw[0]), float(raw[1]), int(raw[2])
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, IndexError, OverflowError):
         raise ScenarioError(where, "must be [start, stop, count]") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ScenarioError(where, f"bounds must be finite, got ({start}, "
+                                   f"{stop})")
     if count < 1 or stop < start or (count == 1 and stop != start):
         raise ScenarioError(where, f"invalid grid ({start}, {stop}, {count})")
     return (start, stop, count)
+
+
+def _tolerance(where: str, raw) -> float:
+    try:
+        tol = float(raw)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise ScenarioError(where, f"must be a finite number > 0, got {raw!r}")
+    return tol
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -188,7 +199,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     for key, val in (raw.get("tolerances") or {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"tolerances.{key}", "unknown tolerance")
-        tolerances[key] = float(val)
+        tolerances[key] = _tolerance(f"tolerances.{key}", val)
     options = dict(raw.get("options") or {})
     unknown = set(options) - _OPTION_KEYS
     if unknown:
@@ -259,19 +270,7 @@ class RunReport:
 
 
 def _emap_to_dict(emap: EquivalenceMap) -> dict:
-    return {
-        "theta": emap.theta,
-        "lambda1": emap.lambda1,
-        "lambda2": emap.lambda2,
-        "gamma_p21": emap.gamma_p21,
-        "gamma_p23_or_31": emap.gamma_p23_or_31,
-        "gamma_cross": emap.gamma_cross,
-        "phi": emap.phi,
-        "unitary": [list(row) for row in emap.unitary],
-        "shifted_detunings": list(emap.shifted_detunings),
-        "mapped_rabis": list(emap.mapped_rabis),
-        "family": emap.family,
-    }
+    return dataclasses.asdict(emap) | {"unitary": emap.unitary.tolist()}
 
 
 def describe_map(p: SystemParams) -> str:
@@ -564,7 +563,7 @@ def main(argv: list[str] | None = None) -> int:
             scenario = dataclasses.replace(scenario, seed=args.seed)
         if args.tol is not None and args.verb in _MAIN_TOL:
             tols = dict(scenario.tolerances)
-            tols[_MAIN_TOL[args.verb]] = args.tol
+            tols[_MAIN_TOL[args.verb]] = _tolerance("--tol", args.tol)
             scenario = dataclasses.replace(scenario, tolerances=tols)
         report = run(scenario, args.out)
     except (ValueError, TypeError, OSError) as err:  # rejected input

@@ -11,6 +11,10 @@ master equation of the single-laser (b) configuration once
 * the drive splits along the rotation,  (O cos(theta), O sin(theta)),
 * the detunings are shifted by the dressed eigenvalues lambda_1/2.
 
+Both families diagonalize the same block [[0, Omega], [Omega, delta]]
+(``dressed_block``), and ``map_system`` is the one map for both: only the
+block's detuning and the resulting detuning shifts differ between them.
+
 ``verify_equivalence`` certifies a mapped pair numerically by integrating
 both master equations and comparing the rotated trajectories.
 """
@@ -32,51 +36,34 @@ from .systems import Config, LindbladModel, SystemParams
 _POLE_SNAP = 4 * np.finfo(float).eps
 
 
-def mixing_angle_fig1(delta3: float, omega31: float) -> tuple[float, float, float]:
-    """Mixing angle and dressed eigenvalues of the 1-3 block of fig1a.
+def dressed_block(delta: float, omega: float) -> tuple[float, float, float]:
+    """Mixing angle and eigenvalues of the block [[0, omega], [omega, delta]].
 
-    The block [[0, omega31], [omega31, -delta3]] has eigenvalues
-    lambda_{1,2} = (-delta3 +- sqrt(delta3^2 + 4 omega31^2)) / 2; the
-    lambda_1 eigenvector is (cos(theta), sin(theta)) with
-    cos(theta) = omega31 / sqrt(lambda_1^2 + omega31^2).  theta lies in
-    [0, pi/2] because lambda_1 >= 0.
+    The eigenvalues are l1, l2 = (delta +- sqrt(delta^2 + 4 omega^2)) / 2,
+    so l1 >= 0 >= l2, and the l1 eigenvector is (cos(theta), sin(theta))
+    with theta = atan2(l1, omega) in [0, pi/2].  The root of larger
+    magnitude comes from the sum, where delta and the square root share a
+    sign, and the other from l1 * l2 = -omega^2; the difference formula
+    would cancel when omega << |delta| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 1.8).  Branching on
+    ``delta >= 0`` treats -0.0 like 0.0.
     """
-    if omega31 < 0:
-        raise ValueError(f"omega31 must be >= 0, got {omega31}")
-    if delta3 == 0.0 and omega31 == 0.0:
+    if omega < 0:
+        raise ValueError(f"omega must be >= 0, got {omega}")
+    if delta == 0.0 and omega == 0.0:
         raise DegenerateBasisError(
-            "1-3 block vanishes (delta3 = omega31 = 0); dressed basis undefined"
+            "coupling block vanishes (delta3 = omega_b = 0); "
+            "dressed basis undefined"
         )
-    disc = math.hypot(delta3, 2.0 * omega31)
-    lam1 = 0.5 * (-delta3 + disc)
-    lam2 = 0.5 * (-delta3 - disc)
-    theta = math.atan2(lam1, omega31)
-    return theta, lam1, lam2
-
-
-def mixing_angle_fig2(delta2: float, delta3: float,
-                      omega23: float) -> tuple[float, float, float]:
-    """Mixing angle and dressed eigenvalues of the 2-3 block of fig2a.
-
-    The block [[-delta2, omega23], [omega23, delta3 - delta2]] has
-    eigenvalues lambda_{1,2} = (delta3 +- sqrt(delta3^2 + 4 omega23^2))/2
-    - delta2.  The rotation angle is independent of the common -delta2
-    shift, so cos(theta) uses the pre-shift eigenvalue
-    ell_1 = lambda_1 + delta2 (this is what makes the rotated block
-    diagonal; see the diagonalization tests).
-    """
-    if omega23 < 0:
-        raise ValueError(f"omega23 must be >= 0, got {omega23}")
-    if delta3 == 0.0 and omega23 == 0.0:
-        raise DegenerateBasisError(
-            "2-3 block vanishes (delta3 = omega23 = 0); dressed basis undefined"
-        )
-    disc = math.hypot(delta3, 2.0 * omega23)
-    ell1 = 0.5 * (delta3 + disc)
-    lam1 = ell1 - delta2
-    lam2 = 0.5 * (delta3 - disc) - delta2
-    theta = math.atan2(ell1, omega23)
-    return theta, lam1, lam2
+    disc = math.hypot(delta, 2.0 * omega)
+    # omega / l is at most 1 for the larger root l, so nothing overflows
+    if delta >= 0:
+        l1 = 0.5 * (delta + disc)
+        l2 = -omega * (omega / l1)
+    else:
+        l2 = 0.5 * (delta - disc)
+        l1 = -omega * (omega / l2)
+    return math.atan2(l1, omega), l1, l2
 
 
 def basis_unitary(theta: float, family: str) -> np.ndarray:
@@ -156,86 +143,51 @@ class EquivalenceMap:
     family: str
 
 
-def map_fig1a_to_fig1b(p: SystemParams) -> tuple[SystemParams, EquivalenceMap]:
-    """Parameters of the Lambda system equivalent to a fig1a system.
-
-    The rotated fig1a Hamiltonian is diag(lambda1, -delta2, lambda2)
-    + omega_a (cos, sin) couplings; after shifting the energy origin to the
-    dressed level 1' this is the fig1b Hamiltonian with detunings
-    delta2' = delta2 + lambda1 and delta3' = delta2 + lambda2 (i.e. shifted
-    detunings D21~ = delta2 + lambda1 and D31~ = lambda1 - lambda2).
-    """
-    if p.config is not Config.FIG1A:
-        raise ValueError(f"expected fig1a params, got {p.config.value}")
-    theta, lam1, lam2 = mixing_angle_fig1(p.delta3, p.omega_b)
-    gpa, gpb, gx = map_rates(theta, p.gamma21, p.gamma23_or_31)
-    phi = dipole_angle(gpa, gpb, gx)
-    u = basis_unitary(theta, "fig1")
-    c, s = math.cos(theta), math.sin(theta)
-    target = SystemParams(
-        config=Config.FIG1B,
-        gamma21=gpa,
-        gamma23_or_31=gpb,
-        omega_a=p.omega_a * c,
-        omega_b=p.omega_a * s,
-        delta2=p.delta2 + lam1,
-        delta3=p.delta2 + lam2,
-        phi=phi,
-    )
-    emap = EquivalenceMap(
-        theta=theta, lambda1=lam1, lambda2=lam2,
-        gamma_p21=gpa, gamma_p23_or_31=gpb, gamma_cross=gx, phi=phi,
-        unitary=u,
-        shifted_detunings=(p.delta2 + lam1, lam1 - lam2),
-        mapped_rabis=(p.omega_a * c, p.omega_a * s),
-        family="fig1",
-    )
-    return target, emap
-
-
-def map_fig2a_to_fig2b(p: SystemParams) -> tuple[SystemParams, EquivalenceMap]:
-    """Parameters of the V system equivalent to a fig2a system.
-
-    The rotated fig2a Hamiltonian is diag(0, lambda1, lambda2) with drive
-    omega_a (cos, sin) on the two upper levels, i.e. a V system with laser
-    detunings -lambda1 and -lambda2.
-    """
-    if p.config is not Config.FIG2A:
-        raise ValueError(f"expected fig2a params, got {p.config.value}")
-    theta, lam1, lam2 = mixing_angle_fig2(p.delta2, p.delta3, p.omega_b)
-    gpa, gpb, gx = map_rates(theta, p.gamma21, p.gamma23_or_31)
-    phi = dipole_angle(gpa, gpb, gx)
-    u = basis_unitary(theta, "fig2")
-    c, s = math.cos(theta), math.sin(theta)
-    target = SystemParams(
-        config=Config.FIG2B,
-        gamma21=gpa,
-        gamma23_or_31=gpb,
-        omega_a=p.omega_a * c,
-        omega_b=p.omega_a * s,
-        delta2=-lam1,
-        delta3=-lam2,
-        phi=phi,
-    )
-    emap = EquivalenceMap(
-        theta=theta, lambda1=lam1, lambda2=lam2,
-        gamma_p21=gpa, gamma_p23_or_31=gpb, gamma_cross=gx, phi=phi,
-        unitary=u,
-        shifted_detunings=(lam1, lam2),
-        mapped_rabis=(p.omega_a * c, p.omega_a * s),
-        family="fig2",
-    )
-    return target, emap
+_TWIN = {Config.FIG1A: Config.FIG1B, Config.FIG2A: Config.FIG2B}
 
 
 def map_system(p: SystemParams) -> tuple[SystemParams, EquivalenceMap]:
-    """Map an (a)-configuration onto its (b) twin."""
-    if p.config is Config.FIG1A:
-        return map_fig1a_to_fig1b(p)
-    if p.config is Config.FIG2A:
-        return map_fig2a_to_fig2b(p)
-    raise ValueError(f"config {p.config.value} is not mappable "
-                     "(only fig1a and fig2a are)")
+    """Map an (a)-configuration onto its single-laser (b) twin.
+
+    fig1a rotates its 1-3 block [[0, omega_b], [omega_b, -delta3]] into
+    diag(lambda1, lambda2).  After shifting the energy origin to the
+    dressed level 1' this is the fig1b Hamiltonian with detunings
+    delta2' = delta2 + lambda1 and delta3' = delta2 + lambda2 (shifted
+    detunings D21~ = delta2 + lambda1 and D31~ = lambda1 - lambda2).
+    fig2a rotates its 2-3 block [[-delta2, omega_b], [omega_b,
+    delta3 - delta2]], which is -delta2 plus the block of ``dressed_block``
+    at delta = delta3, into diag(lambda1, lambda2): a V system with laser
+    detunings -lambda1 and -lambda2.  Either way the drive omega_a splits
+    into (omega_a cos(theta), omega_a sin(theta)).
+    """
+    twin = _TWIN.get(p.config)
+    if twin is None:
+        raise ValueError(f"config {p.config.value} is not mappable "
+                         "(only fig1a and fig2a are)")
+    family = p.config.family()
+    if family == "fig1":
+        theta, lam1, lam2 = dressed_block(-p.delta3, p.omega_b)
+        detunings = (p.delta2 + lam1, p.delta2 + lam2)
+        shifted = (p.delta2 + lam1, lam1 - lam2)
+    else:
+        theta, ell1, ell2 = dressed_block(p.delta3, p.omega_b)
+        lam1, lam2 = ell1 - p.delta2, ell2 - p.delta2
+        detunings, shifted = (-lam1, -lam2), (lam1, lam2)
+    gpa, gpb, gx = map_rates(theta, p.gamma21, p.gamma23_or_31)
+    phi = dipole_angle(gpa, gpb, gx)
+    rabis = (p.omega_a * math.cos(theta), p.omega_a * math.sin(theta))
+    target = SystemParams(
+        config=twin, gamma21=gpa, gamma23_or_31=gpb,
+        omega_a=rabis[0], omega_b=rabis[1],
+        delta2=detunings[0], delta3=detunings[1], phi=phi,
+    )
+    emap = EquivalenceMap(
+        theta=theta, lambda1=lam1, lambda2=lam2,
+        gamma_p21=gpa, gamma_p23_or_31=gpb, gamma_cross=gx, phi=phi,
+        unitary=basis_unitary(theta, family),
+        shifted_detunings=shifted, mapped_rabis=rabis, family=family,
+    )
+    return target, emap
 
 
 @dataclass(frozen=True)

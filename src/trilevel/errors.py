@@ -33,8 +33,10 @@ class NonUniqueSteadyStateError(RuntimeError):
 
 
 class ScenarioError(ValueError):
-    """A scenario file failed validation; `field` names the offending entry."""
+    """A scenario entry or parameter failed validation; `field` names the
+    offending entry and `message` says what is wrong with it."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+        self.message = message

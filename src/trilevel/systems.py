@@ -16,6 +16,11 @@ moments form an angle phi:
   ground level 1' (rates 2*gamma21, 2*gamma31), one laser drives both
   transitions.
 
+The four differ only in where level 3 sits, which level pairs the two
+drives couple and which matrix units decay.  One table, ``_LAYOUT``, holds
+those three entries per configuration, and ``build_model`` fills every
+model from it.
+
 Conventions
 -----------
 * Array index 0, 1, 2 corresponds to atomic level 1, 2, 3.
@@ -40,9 +45,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ScenarioError
 from .linalg import ketbra
 
 
@@ -102,15 +109,15 @@ class SystemParams:
                      "delta2", "delta3"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("gamma21", "gamma23_or_31", "omega_a", "omega_b"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+                raise ScenarioError(name, f"must be finite, got {value}")
+            if value < 0 and not name.startswith("delta"):
+                raise ScenarioError(name, f"must be >= 0, got {value}")
         if self.config in _NEEDS_PHI:
             if self.phi is None:
-                raise ValueError(f"phi is required for config {self.config.value}")
+                raise ScenarioError(
+                    "phi", f"required for config {self.config.value}")
             if not (0.0 <= self.phi <= math.pi):
-                raise ValueError(f"phi must lie in [0, pi], got {self.phi}")
+                raise ScenarioError("phi", f"must lie in [0, pi], got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -181,100 +188,43 @@ class LindbladModel:
         return self.hamiltonian - 0.5j * self.total_decay_operator()
 
 
-def _check_config(p: SystemParams, expected: Config):
-    if p.config is not expected:
-        raise ValueError(
-            f"expected params with config {expected.value}, got {p.config.value}"
-        )
+class _Layout(NamedTuple):
+    level3_bare: bool  # level 3 at -delta3, else at delta3 - delta2
+    drives: tuple[tuple[int, int], ...]  # pairs driven by omega_a, omega_b
+    channels: tuple[tuple[int, int], ...]  # collapse units |i><j|
 
 
-def build_fig1a(p: SystemParams) -> LindbladModel:
-    """Two lasers drive 1<->2 and 1<->3; level 2 decays to 1 and to 3.
-
-    H = diag(0, -delta2, -delta3) + omega_a (|2><1| + h.c.)
-      + omega_b (|3><1| + h.c.), channels |1><2| at 2*gamma21 and |3><2| at
-      2*gamma23; the anticommutator (gamma21 + gamma23){|2><2|, rho} follows
-      from the rate-matrix form.
-    """
-    _check_config(p, Config.FIG1A)
-    h = np.zeros((3, 3), dtype=complex)
-    h[1, 1] = -p.delta2
-    h[2, 2] = -p.delta3
-    h[1, 0] = h[0, 1] = p.omega_a
-    h[2, 0] = h[0, 2] = p.omega_b
-    ops = (ketbra(0, 1), ketbra(2, 1))
-    rates = np.diag([2.0 * p.gamma21, 2.0 * p.gamma23_or_31])
-    return LindbladModel(h, ops, rates, Config.FIG1A)
-
-
-def build_fig1b(p: SystemParams) -> LindbladModel:
-    """Lambda system: one laser drives 2'<->1' and 2'<->3' with dipole
-    angle phi between the two transition dipole moments.
-
-    H = diag(0, -delta2, delta3 - delta2) + omega_a (|2'><1'| + h.c.)
-      + omega_b (|2'><3'| + h.c.).  The decay channels |1'><2'| and
-    |3'><2'| interfere with cross weight 2*sqrt(g21*g23)*cos(phi).
-    """
-    _check_config(p, Config.FIG1B)
-    h = np.zeros((3, 3), dtype=complex)
-    h[1, 1] = -p.delta2
-    h[2, 2] = p.delta3 - p.delta2
-    h[1, 0] = h[0, 1] = p.omega_a
-    h[1, 2] = h[2, 1] = p.omega_b
-    ops = (ketbra(0, 1), ketbra(2, 1))
-    g21, g23 = p.gamma21, p.gamma23_or_31
-    cross = math.sqrt(g21 * g23) * _cos_dipole(p.phi)
-    rates = 2.0 * np.array([[g21, cross], [cross, g23]])
-    return LindbladModel(h, ops, rates, Config.FIG1B)
-
-
-def build_fig2a(p: SystemParams) -> LindbladModel:
-    """Lasers drive 1<->2 and 2<->3; levels 2 and 3 decay to level 1.
-
-    H = diag(0, -delta2, delta3 - delta2) + omega_a (|2><1| + h.c.)
-      + omega_b (|3><2| + h.c.), channels |1><2| at 2*gamma21 and |1><3| at
-      2*gamma31.
-    """
-    _check_config(p, Config.FIG2A)
-    h = np.zeros((3, 3), dtype=complex)
-    h[1, 1] = -p.delta2
-    h[2, 2] = p.delta3 - p.delta2
-    h[1, 0] = h[0, 1] = p.omega_a
-    h[2, 1] = h[1, 2] = p.omega_b
-    ops = (ketbra(0, 1), ketbra(0, 2))
-    rates = np.diag([2.0 * p.gamma21, 2.0 * p.gamma23_or_31])
-    return LindbladModel(h, ops, rates, Config.FIG2A)
-
-
-def build_fig2b(p: SystemParams) -> LindbladModel:
-    """V system: one laser drives both 1'<->2' and 1'<->3'; the close-lying
-    upper levels decay to the common ground state with dipole angle phi.
-
-    H = diag(0, -delta2, -delta3) + omega_a (|2'><1'| + h.c.)
-      + omega_b (|3'><1'| + h.c.).  Channels |1'><2'| and |1'><3'|
-    interfere with cross weight 2*sqrt(g21*g31)*cos(phi).
-    """
-    _check_config(p, Config.FIG2B)
-    h = np.zeros((3, 3), dtype=complex)
-    h[1, 1] = -p.delta2
-    h[2, 2] = -p.delta3
-    h[1, 0] = h[0, 1] = p.omega_a
-    h[2, 0] = h[0, 2] = p.omega_b
-    ops = (ketbra(0, 1), ketbra(0, 2))
-    g21, g31 = p.gamma21, p.gamma23_or_31
-    cross = math.sqrt(g21 * g31) * _cos_dipole(p.phi)
-    rates = 2.0 * np.array([[g21, cross], [cross, g31]])
-    return LindbladModel(h, ops, rates, Config.FIG2B)
-
-
-_BUILDERS = {
-    Config.FIG1A: build_fig1a,
-    Config.FIG1B: build_fig1b,
-    Config.FIG2A: build_fig2a,
-    Config.FIG2B: build_fig2b,
+# Each single-laser (b) member is its (a) partner's two-level block rotated:
+# fig1 rotates levels 1 and 3, fig2 rotates levels 2 and 3.
+_LAYOUT = {
+    Config.FIG1A: _Layout(True, ((1, 0), (2, 0)), ((0, 1), (2, 1))),
+    Config.FIG1B: _Layout(False, ((1, 0), (1, 2)), ((0, 1), (2, 1))),
+    Config.FIG2A: _Layout(False, ((1, 0), (2, 1)), ((0, 1), (0, 2))),
+    Config.FIG2B: _Layout(True, ((1, 0), (2, 0)), ((0, 1), (0, 2))),
 }
 
 
 def build_model(p: SystemParams) -> LindbladModel:
-    """Dispatch to the builder matching ``p.config``."""
-    return _BUILDERS[p.config](p)
+    """The Lindblad model of ``p.config``, filled in from ``_LAYOUT``.
+
+    H = diag(0, -delta2, E3) + omega_a (|2><1| + h.c.) + omega_b (|u><l| +
+    h.c.).  E3 = -delta3 and omega_b on 1<->3 for fig1a and fig2b;
+    E3 = delta3 - delta2 and omega_b on 2<->3 for fig1b and fig2a.  The
+    collapse operators are |1><2|, |3><2| for fig1 (level 2 decays into 1
+    and 3) and |1><2|, |1><3| for fig2 (levels 2 and 3 decay into 1), with
+    R = 2 [[gamma21, x], [x, gamma23_or_31]].  The cross weight
+    x = sqrt(gamma21 * gamma23_or_31) cos(phi) makes the channels of the
+    single-laser members interfere; x = 0 for the two-laser members.
+    """
+    layout = _LAYOUT[p.config]
+    h = np.zeros((3, 3), dtype=complex)
+    h[1, 1] = -p.delta2
+    h[2, 2] = -p.delta3 if layout.level3_bare else p.delta3 - p.delta2
+    for (i, j), omega in zip(layout.drives, (p.omega_a, p.omega_b)):
+        h[i, j] = h[j, i] = omega
+    g21, g = p.gamma21, p.gamma23_or_31
+    x = (math.sqrt(g21 * g) * _cos_dipole(p.phi)
+         if p.config in _NEEDS_PHI else 0.0)
+    rates = 2.0 * np.array([[g21, x], [x, g]])
+    ops = tuple(ketbra(i, j) for i, j in layout.channels)
+    return LindbladModel(h, ops, rates, p.config)

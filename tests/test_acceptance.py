@@ -107,7 +107,7 @@ def test_criterion_3_parallel_dipole_special_case():
                          gamma23_or_31=0.0, omega_a=rng.uniform(0.1, 5.0),
                          omega_b=rng.uniform(0.1, 5.0),
                          delta2=rng.uniform(-5, 5), delta3=rng.uniform(-5, 5))
-        target, emap = tl.map_fig1a_to_fig1b(p)
+        target, emap = tl.map_system(p)
         phis.append(target.phi)
         report = tl.verify_equivalence(
             build_model(p), build_model(target), emap.unitary,
@@ -126,7 +126,7 @@ def fig2_pairs():
     pairs = []
     for _ in range(20):
         p = random_a_params(rng, Config.FIG2A)
-        target, emap = tl.map_fig2a_to_fig2b(p)
+        target, emap = tl.map_system(p)
         pairs.append((build_model(p), build_model(target), emap))
     return pairs
 
@@ -254,7 +254,7 @@ def test_criterion_8_narrow_peak_width_monotonic():
 def telegraph_runs():
     p = SystemParams(Config.FIG2A, gamma21=1.0, gamma23_or_31=0.005,
                      omega_a=1.0, omega_b=0.08)
-    target, _ = tl.map_fig2a_to_fig2b(p)
+    target, _ = tl.map_system(p)
     model_a, model_b = build_model(p), build_model(target)
     sample = np.array([0.0, 100.0, 200.0, 300.0, 400.0])
     run_a = tl.mc_trajectories(model_a, n_traj=10_000, t_final=400.0,

@@ -188,6 +188,47 @@ def test_unread_tolerance_keys_are_rejected(tmp_path, capsys, key):
     assert f"tolerances.{key}: unknown tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, extra, argv, field", [
+    ("g2", {"time_grid": [0.0, math.inf, 11]}, [], "time_grid"),
+    ("g2", {"time_grid": [0.0, 10.0, math.inf]}, [], "time_grid"),
+    ("spectrum", {"omega_grid": [-5.0, math.nan, 11],
+                  "options": {"compare_mapped": True}}, [], "omega_grid"),
+    ("simulate", {"tolerances": {"equivalence": math.nan}}, [],
+     "tolerances.equivalence"),
+    ("simulate", {"tolerances": {"equivalence": "abc"}}, [],
+     "tolerances.equivalence"),
+    ("simulate", {"tolerances": {"trace": 0.0}}, [], "tolerances.trace"),
+    ("g2", {}, ["--tol", "nan"], "--tol"),
+], ids=["inf-bound", "inf-count", "nan-bound", "nan-tolerance",
+        "text-tolerance", "zero-tolerance", "nan-tol-option"])
+def test_non_finite_numbers_are_rejected_input(tmp_path, capsys, verb, extra,
+                                               argv, field):
+    # json reads NaN and Infinity; each must be named and rejected
+    payload = minimal_fig2a(task=verb, **extra)
+    code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")] + argv)
+    assert code == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("where, entry, message", [
+    ("system", {"gamma21": -1}, "must be >= 0, got -1"),
+    ("target", {"config": "fig2b", "gamma21": 1.0, "gamma31": 0.1,
+                "omega_a": 1.0}, "required for config fig2b"),
+], ids=["negative-rate", "missing-phi"])
+def test_parameter_errors_name_their_field(tmp_path, capsys, where, entry,
+                                           message):
+    payload = minimal_fig2a(task="equiv-check", time_grid=[0.0, 1.0, 3])
+    payload.setdefault(where, {}).update(entry)
+    code = main(["equiv-check", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    name = "gamma21" if where == "system" else "phi"
+    assert f"error: {where}.{name}: {message}" in capsys.readouterr().err
+
+
 def test_trajectories_reject_step_size_option(tmp_path, capsys):
     payload = minimal_fig2a(task="trajectories", time_grid=[0.0, 1.0, 3],
                             options={"n_traj": 5, "dt": 0.05})
@@ -303,11 +344,11 @@ def test_describe_map_symmetric_rates():
 
 
 def test_describe_map_matches_module_values():
-    from trilevel.equivalence import map_fig2a_to_fig2b
+    from trilevel.equivalence import map_system
     from trilevel.systems import Config, SystemParams
     p = SystemParams(Config.FIG2A, gamma21=1.3, gamma23_or_31=0.2,
                      omega_a=1.1, omega_b=0.9, delta2=0.5, delta3=-0.3)
-    _, emap = map_fig2a_to_fig2b(p)
+    _, emap = map_system(p)
     text = describe_map(p)
     assert f"{emap.theta:.12g}" in text
     assert f"{emap.phi:.12g}" in text

@@ -2,16 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from trilevel.dynamics import liouvillian
 from trilevel.equivalence import (
     basis_unitary,
     dipole_angle,
-    map_fig1a_to_fig1b,
-    map_fig2a_to_fig2b,
+    dressed_block,
     map_rates,
     map_system,
-    mixing_angle_fig1,
-    mixing_angle_fig2,
     verify_equivalence,
 )
 from trilevel.errors import DegenerateBasisError, UndefinedAngleError
@@ -46,7 +45,7 @@ def random_fig2a(rng):
 # -------------------------------------------------------- mixing angles
 
 def test_mixing_angle_fig1_resonant():
-    theta, l1, l2 = mixing_angle_fig1(0.0, 1.0)
+    theta, l1, l2 = dressed_block(-0.0, 1.0)
     # block [[0, 1], [1, 0]]: eigenvalues +-1, equal-weight mixing
     assert abs(theta - math.pi / 4) < 1e-15
     assert abs(l1 - 1.0) < 1e-15 and abs(l2 + 1.0) < 1e-15
@@ -54,16 +53,16 @@ def test_mixing_angle_fig1_resonant():
 
 def test_mixing_angle_fig1_weak_drive_limit():
     # with delta3 < 0 the upper dressed state turns into bare level 3
-    theta, l1, _ = mixing_angle_fig1(-2.0, 1e-8)
+    theta, l1, _ = dressed_block(2.0, 1e-8)
     assert abs(theta - math.pi / 2) < 1e-7
     assert abs(l1 - 2.0) < 1e-7
-    theta0, _, _ = mixing_angle_fig1(2.0, 1e-8)
+    theta0, _, _ = dressed_block(-2.0, 1e-8)
     assert theta0 < 1e-7
 
 
 def test_mixing_angle_fig1_degenerate_raises():
     with pytest.raises(DegenerateBasisError):
-        mixing_angle_fig1(0.0, 0.0)
+        dressed_block(-0.0, 0.0)
 
 
 def test_mixing_angle_fig1_diagonalizes_block():
@@ -71,7 +70,7 @@ def test_mixing_angle_fig1_diagonalizes_block():
     for _ in range(100):
         delta3 = rng.uniform(-5, 5)
         omega31 = rng.uniform(0.1, 5)
-        theta, l1, l2 = mixing_angle_fig1(delta3, omega31)
+        theta, l1, l2 = dressed_block(-delta3, omega31)
         h13 = np.zeros((3, 3))
         h13[2, 2] = -delta3
         h13[0, 2] = h13[2, 0] = omega31
@@ -83,18 +82,18 @@ def test_mixing_angle_fig1_diagonalizes_block():
 
 
 def test_mixing_angle_fig2_resonant():
-    theta, l1, l2 = mixing_angle_fig2(0.0, 0.0, 1.0)
+    theta, l1, l2 = dressed_block(0.0, 1.0)
     assert abs(theta - math.pi / 4) < 1e-15
     assert abs(l1 - 1.0) < 1e-15 and abs(l2 + 1.0) < 1e-15
 
 
 def test_mixing_angle_fig2_no_coupling_relabels():
-    theta_hi, _, _ = mixing_angle_fig2(0.3, 2.0, 0.0)
+    theta_hi, _, _ = dressed_block(2.0, 0.0)
     assert theta_hi == math.pi / 2
-    theta_lo, _, _ = mixing_angle_fig2(0.3, -2.0, 0.0)
+    theta_lo, _, _ = dressed_block(-2.0, 0.0)
     assert theta_lo == 0.0
     with pytest.raises(DegenerateBasisError):
-        mixing_angle_fig2(0.3, 0.0, 0.0)
+        dressed_block(0.0, 0.0)
 
 
 def test_mixing_angle_fig2_diagonalizes_block():
@@ -104,7 +103,8 @@ def test_mixing_angle_fig2_diagonalizes_block():
     for _ in range(100):
         delta2, delta3 = rng.uniform(-5, 5, size=2)
         omega23 = rng.uniform(0.1, 5)
-        theta, l1, l2 = mixing_angle_fig2(delta2, delta3, omega23)
+        theta, e1, e2 = dressed_block(delta3, omega23)
+        l1, l2 = e1 - delta2, e2 - delta2
         block = np.array([[-delta2, omega23], [omega23, delta3 - delta2]])
         c, s = math.cos(theta), math.sin(theta)
         r = np.array([[c, s], [s, -c]])
@@ -209,21 +209,18 @@ def test_map_fig1a_parallel_dipole_special_case():
                          gamma23_or_31=0.0, omega_a=rng.uniform(0.1, 5),
                          omega_b=rng.uniform(0.1, 5),
                          delta2=rng.uniform(-5, 5), delta3=rng.uniform(-5, 5))
-        target, emap = map_fig1a_to_fig1b(p)
+        target, emap = map_system(p)
         assert target.phi == 0.0
         assert emap.phi == 0.0
 
 
-@pytest.mark.parametrize("mapper,sampler", [
-    (map_fig1a_to_fig1b, random_fig1a),
-    (map_fig2a_to_fig2b, random_fig2a),
-])
-def test_mapped_pair_dynamics_agree(mapper, sampler):
+@pytest.mark.parametrize("sampler", [random_fig1a, random_fig2a])
+def test_mapped_pair_dynamics_agree(sampler):
     rng = np.random.default_rng(10)
     times = np.linspace(0.0, 20.0, 80)
     for _ in range(10):
         p = sampler(rng)
-        target, emap = mapper(p)
+        target, emap = map_system(p)
         report = verify_equivalence(
             build_model(p), build_model(target), emap.unitary,
             random_density_matrix(rng), times, tol=1e-8)
@@ -234,7 +231,7 @@ def test_map_fig1a_relabeling_limit():
     # omega31 = 0 with delta3 < 0 gives theta = pi/2, a pure relabeling
     p = SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.5,
                      omega_a=1.2, omega_b=0.0, delta2=0.4, delta3=-1.0)
-    target, emap = map_fig1a_to_fig1b(p)
+    target, emap = map_system(p)
     assert emap.theta == math.pi / 2
     report = verify_equivalence(build_model(p), build_model(target),
                                 emap.unitary, ketbra(0, 0),
@@ -245,7 +242,7 @@ def test_map_fig1a_relabeling_limit():
 def test_map_fig2a_symmetric_rates_give_orthogonal_dipoles():
     p = SystemParams(Config.FIG2A, gamma21=0.8, gamma23_or_31=0.8,
                      omega_a=1.0, omega_b=0.7, delta2=0.2, delta3=0.5)
-    target, emap = map_fig2a_to_fig2b(p)
+    target, emap = map_system(p)
     assert emap.gamma_cross == 0.0
     assert target.phi == math.pi / 2
 
@@ -253,7 +250,7 @@ def test_map_fig2a_symmetric_rates_give_orthogonal_dipoles():
 def test_map_fig2a_dark_shelf_gives_parallel_dipoles():
     p = SystemParams(Config.FIG2A, gamma21=1.0, gamma23_or_31=0.0,
                      omega_a=1.0, omega_b=0.1)
-    target, _ = map_fig2a_to_fig2b(p)
+    target, _ = map_system(p)
     assert target.phi == 0.0
 
 
@@ -266,10 +263,9 @@ def test_map_rejects_unmappable_config():
 
 def test_equivalence_map_invariants():
     rng = np.random.default_rng(12)
-    for sampler, mapper in ((random_fig1a, map_fig1a_to_fig1b),
-                            (random_fig2a, map_fig2a_to_fig2b)):
+    for sampler in (random_fig1a, random_fig2a):
         for _ in range(50):
-            _, emap = mapper(sampler(rng))
+            _, emap = map_system(sampler(rng))
             u = emap.unitary
             assert frob_dist(u @ u.conj().T, np.eye(3)) < 1e-12
             prod = emap.gamma_p21 * emap.gamma_p23_or_31
@@ -291,7 +287,7 @@ def test_verify_equivalence_identity():
 
 def test_verify_equivalence_detects_broken_map():
     p = random_fig1a(np.random.default_rng(15))
-    target, emap = map_fig1a_to_fig1b(p)
+    target, emap = map_system(p)
     broken = SystemParams(
         Config.FIG1B, gamma21=target.gamma21,
         gamma23_or_31=target.gamma23_or_31, omega_a=target.omega_a,
@@ -317,7 +313,7 @@ def test_branch_independence_of_dressed_root():
     # rotated-frame model by hand from that branch must also certify
     rng = np.random.default_rng(17)
     p = random_fig1a(rng)
-    theta, l1, l2 = mixing_angle_fig1(p.delta3, p.omega_b)
+    theta, l1, l2 = dressed_block(-p.delta3, p.omega_b)
     # minus-branch eigenvector (omega, lambda2) gives a negative angle
     theta_alt = math.atan2(l2, p.omega_b)
     c, s = math.cos(theta_alt), math.sin(theta_alt)
@@ -335,3 +331,91 @@ def test_branch_independence_of_dressed_root():
                                 random_density_matrix(rng),
                                 np.linspace(0, 15, 60), tol=1e-8)
     assert report.passed
+
+
+# ------------------------------------------- generator identity of the map
+
+def generator_distance(p):
+    """||S L_a S^+ - L_b|| / ||L_a|| with S = kron(conj(U), U): the mapped
+    pair has identical dynamics iff this vanishes."""
+    target, emap = map_system(p)
+    la = liouvillian(build_model(p))
+    lb = liouvillian(build_model(target))
+    s = np.kron(emap.unitary.conj(), emap.unitary)
+    return np.linalg.norm(s @ la @ s.conj().T - lb) / np.linalg.norm(la)
+
+
+# omega_b << |delta3| with the sign at which (delta -+ disc)/2 cancels,
+# where theta = omega_b / |delta3|; and delta3 = +-0.0, where one family
+# hands the block delta = -0.0 and it must still mix equally
+_CANCELLING = [(config, delta3, omega_b, omega_b / 5.0)
+               for config, delta3 in ((Config.FIG1A, 5.0),
+                                      (Config.FIG2A, -5.0))
+               for omega_b in (1e-7, 3.2e-8, 1e-8)]
+_RESONANT = [(config, delta3, 1.0, math.pi / 4)
+             for config in (Config.FIG1A, Config.FIG2A)
+             for delta3 in (0.0, -0.0)]
+
+
+@pytest.mark.parametrize("config, delta3, omega_b, theta",
+                         _CANCELLING + _RESONANT)
+def test_map_angle_keeps_full_precision(config, delta3, omega_b, theta):
+    p = SystemParams(config, gamma21=1.0, gamma23_or_31=0.5, omega_a=1.0,
+                     omega_b=omega_b, delta2=0.3, delta3=delta3)
+    _, emap = map_system(p)
+    assert abs(emap.theta - theta) <= 1e-12 * theta
+    assert generator_distance(p) <= 1e-14
+
+
+# rates and drives in {0} u [1e-6, 10], log-uniform; detunings of either
+# sign, including both zeros
+_RATES = st.one_of(st.just(0.0),
+                   st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e))
+_DETUNINGS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 1.0))
+    .map(lambda se: se[0] * 10.0 ** se[1]),
+)
+
+
+@given(delta=_DETUNINGS, omega=_RATES)
+def test_dressed_block_diagonalizes_over_the_box(delta, omega):
+    if delta == 0.0 and omega == 0.0:
+        with pytest.raises(DegenerateBasisError):
+            dressed_block(delta, omega)
+        return
+    theta, l1, l2 = dressed_block(delta, omega)
+    assert 0.0 <= theta <= math.pi / 2 and l2 <= 0.0 <= l1
+    c, s = math.cos(theta), math.sin(theta)
+    r = np.array([[c, s], [s, -c]])
+    d = r @ np.array([[0.0, omega], [omega, delta]]) @ r.T
+    scale = math.hypot(delta, 2.0 * omega)
+    assert abs(d[0, 1]) <= 1e-15 * scale
+    assert abs(d[0, 0] - l1) <= 1e-15 * scale
+    assert abs(d[1, 1] - l2) <= 1e-15 * scale
+
+
+@given(config=st.sampled_from([Config.FIG1A, Config.FIG2A]),
+       gamma21=_RATES, gamma=_RATES, omega_a=_RATES, omega_b=_RATES,
+       delta2=_DETUNINGS, delta3=_DETUNINGS)
+def test_map_over_the_whole_box(config, gamma21, gamma, omega_a, omega_b,
+                                delta2, delta3):
+    p = SystemParams(config, gamma21=gamma21, gamma23_or_31=gamma,
+                     omega_a=omega_a, omega_b=omega_b, delta2=delta2,
+                     delta3=delta3)
+    try:
+        target, emap = map_system(p)
+    except DegenerateBasisError:
+        assert delta3 == 0.0 and omega_b == 0.0
+        return
+    except UndefinedAngleError:
+        theta, _, _ = dressed_block(
+            -delta3 if config is Config.FIG1A else delta3, omega_b)
+        gpa, gpb, _ = map_rates(theta, gamma21, gamma)
+        assert gpa * gpb == 0.0
+        return
+    assert generator_distance(p) <= 1e-14
+    total = gamma21 + gamma
+    assert abs(emap.gamma_p21 + emap.gamma_p23_or_31 - total) <= 1e-15 * total
+    assert emap.gamma_cross ** 2 <= (emap.gamma_p21 * emap.gamma_p23_or_31
+                                     * (1 + 1e-13))

@@ -9,10 +9,6 @@ from trilevel.systems import (
     Config,
     LindbladModel,
     SystemParams,
-    build_fig1a,
-    build_fig1b,
-    build_fig2a,
-    build_fig2b,
     build_model,
 )
 
@@ -49,19 +45,12 @@ def test_params_require_phi_for_single_laser_configs():
                      phi=4.0)
 
 
-def test_builders_reject_wrong_config():
-    p = random_params(Config.FIG1A)
-    for builder in (build_fig1b, build_fig2a, build_fig2b):
-        with pytest.raises(ValueError, match="config"):
-            builder(p)
-
-
 # ---------------------------------------------------------------- fig1a
 
 def test_fig1a_printed_structure():
     p = SystemParams(Config.FIG1A, gamma21=1.2, gamma23_or_31=0.7,
                      omega_a=0.9, omega_b=0.4, delta2=0.3, delta3=-1.1)
-    m = build_fig1a(p)
+    m = build_model(p)
     h = m.hamiltonian
     np.testing.assert_allclose(np.diag(h), [0.0, -0.3, 1.1], atol=0)
     # drive sign: the 2<->1 coupling enters with +omega
@@ -77,7 +66,7 @@ def test_fig1a_printed_structure():
 def test_fig1a_decoupling_limit():
     p = SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.0,
                      omega_a=1.0, omega_b=0.0)
-    m = build_fig1a(p)
+    m = build_model(p)
     assert m.hamiltonian[0, 2] == 0.0 and m.hamiltonian[1, 2] == 0.0
     assert m.rate_matrix[1, 1] == 0.0  # nothing feeds level 3
 
@@ -88,7 +77,7 @@ def test_fig1a_undriven_decay_closed_form():
     g21, g23 = 0.8, 0.3
     p = SystemParams(Config.FIG1A, gamma21=g21, gamma23_or_31=g23,
                      omega_a=0.0, omega_b=0.0)
-    lm = liouvillian(build_fig1a(p))
+    lm = liouvillian(build_model(p))
     total = 2 * (g21 + g23)
     for t in (0.0, 0.1, 0.5, 2.0):
         rho = propagate_series(lm, ketbra(1, 1), [t])[-1]
@@ -105,7 +94,7 @@ def test_fig1a_undriven_decay_closed_form():
 def test_fig1b_orthogonal_dipoles_no_cross_damping():
     p = SystemParams(Config.FIG1B, gamma21=1.0, gamma23_or_31=0.5,
                      omega_a=1.0, omega_b=0.5, phi=math.pi / 2)
-    m = build_fig1b(p)
+    m = build_model(p)
     assert m.rate_matrix[0, 1] == 0.0
 
 
@@ -113,7 +102,7 @@ def test_fig1b_parallel_dipoles_maximal_interference():
     g = 0.7
     p = SystemParams(Config.FIG1B, gamma21=g, gamma23_or_31=g,
                      omega_a=1.0, omega_b=0.5, phi=0.0)
-    m = build_fig1b(p)
+    m = build_model(p)
     # cross weight equals the diagonal weight, 2*sqrt(g*g)*cos(0) = 2g
     np.testing.assert_allclose(m.rate_matrix,
                                2 * g * np.ones((2, 2)), atol=1e-15)
@@ -123,7 +112,7 @@ def test_fig1b_hamiltonian_structure():
     p = SystemParams(Config.FIG1B, gamma21=1.0, gamma23_or_31=0.5,
                      omega_a=0.8, omega_b=0.6, delta2=0.4, delta3=-0.9,
                      phi=1.0)
-    h = build_fig1b(p).hamiltonian
+    h = build_model(p).hamiltonian
     np.testing.assert_allclose(np.diag(h), [0.0, -0.4, -1.3], atol=1e-15)
     assert h[1, 0] == p.omega_a and h[1, 2] == p.omega_b
     assert h[2, 0] == 0.0  # no 1'<->3' coupling in a Lambda system
@@ -132,9 +121,11 @@ def test_fig1b_hamiltonian_structure():
 # ---------------------------------------------------------------- fig2a
 
 def test_fig2a_printed_structure():
+    # a two-laser system may carry a phi; its channels still do not interfere
     p = SystemParams(Config.FIG2A, gamma21=1.0, gamma23_or_31=0.2,
-                     omega_a=1.5, omega_b=0.3, delta2=0.7, delta3=-0.5)
-    m = build_fig2a(p)
+                     omega_a=1.5, omega_b=0.3, delta2=0.7, delta3=-0.5,
+                     phi=0.0)
+    m = build_model(p)
     h = m.hamiltonian
     assert h[1, 1] == -0.7
     assert h[2, 2] == p.delta3 - p.delta2  # detuning placement
@@ -147,7 +138,7 @@ def test_fig2a_printed_structure():
 def test_fig2a_two_level_reduction():
     p = SystemParams(Config.FIG2A, gamma21=1.0, gamma23_or_31=0.0,
                      omega_a=1.0, omega_b=0.0)
-    m = build_fig2a(p)
+    m = build_model(p)
     assert m.hamiltonian[2, 1] == 0.0 and m.rate_matrix[1, 1] == 0.0
 
 
@@ -155,7 +146,7 @@ def test_fig2a_undriven_level3_decay():
     g31 = 0.45
     p = SystemParams(Config.FIG2A, gamma21=1.0, gamma23_or_31=g31,
                      omega_a=0.0, omega_b=0.0)
-    lm = liouvillian(build_fig2a(p))
+    lm = liouvillian(build_model(p))
     for t in (0.2, 1.0, 3.0):
         rho = propagate_series(lm, ketbra(2, 2), [t])[-1]
         np.testing.assert_allclose(rho[2, 2].real, math.exp(-2 * g31 * t),
@@ -167,20 +158,20 @@ def test_fig2a_undriven_level3_decay():
 def test_fig2b_orthogonal_dipoles_independent_channels():
     p = SystemParams(Config.FIG2B, gamma21=1.0, gamma23_or_31=0.4,
                      omega_a=1.0, omega_b=0.5, phi=math.pi / 2)
-    assert build_fig2b(p).rate_matrix[0, 1] == 0.0
+    assert build_model(p).rate_matrix[0, 1] == 0.0
 
 
 def test_fig2b_dark_channel_kills_cross_terms():
     p = SystemParams(Config.FIG2B, gamma21=1.0, gamma23_or_31=0.0,
                      omega_a=1.0, omega_b=0.5, phi=0.3)
-    assert build_fig2b(p).rate_matrix[0, 1] == 0.0
+    assert build_model(p).rate_matrix[0, 1] == 0.0
 
 
 def test_fig2b_hamiltonian_structure():
     p = SystemParams(Config.FIG2B, gamma21=1.0, gamma23_or_31=0.4,
                      omega_a=0.9, omega_b=0.2, delta2=1.1, delta3=0.9,
                      phi=0.5)
-    h = build_fig2b(p).hamiltonian
+    h = build_model(p).hamiltonian
     np.testing.assert_allclose(np.diag(h), [0.0, -1.1, -0.9], atol=0)
     assert h[1, 0] == p.omega_a and h[2, 0] == p.omega_b
     assert h[2, 1] == 0.0  # no 2'<->3' coupling in a V system
