@@ -1,40 +1,37 @@
 """Command-line front end.
 
-Scenarios are JSON files with a versioned schema; results go to delimited
-text files with '#'-prefixed headers plus a machine-readable report.json.
-Verbs: simulate, equiv-check, spectrum, g2, waiting-time, trajectories,
+Scenarios are JSON files with a versioned schema; each task verb is one
+function in ``_TASKS`` whose data goes to one delimited text file with
+'#'-prefixed headers, next to a machine-readable report.json.  Verbs:
+simulate, equiv-check, spectrum, g2, waiting-time, trajectories,
 describe-map.  Exit status is 0 iff every check in the scenario passed, 1
 if a check failed, 2 if the scenario or its input was rejected and 3 on an
-internal failure.  Task options: compare_mapped, detect_weights,
-normalized, n_traj and dark_threshold (jump times need no step size).
+internal failure.  ``_OPTIONS`` lists the task options with their defaults.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .defaults import (
-    DEFAULT_DARK_THRESHOLD,
-    DEFAULT_N_TRAJ,
-    DEFAULT_OMEGA_GRID,
-    DEFAULT_TIME_GRID,
-    DEFAULT_TOLERANCES,
-)
+from .defaults import DEFAULT_OMEGA_GRID, DEFAULT_TIME_GRID, DEFAULT_TOLERANCES
 from .equivalence import EquivalenceMap, map_system, verify_equivalence
 from .errors import ScenarioError
-from .linalg import level_projector
+from .linalg import check_density_matrix, level_projector
 from .observables import (
     bright_dark_stats,
     emission_spectrum,
@@ -43,14 +40,11 @@ from .observables import (
     populations,
     waiting_time,
 )
-from .systems import Config, SystemParams, build_model
+from .systems import Config, LindbladModel, SystemParams, build_model
 
 log = logging.getLogger("trilevel")
 
 SCHEMA_VERSION = 1
-
-TASKS = ("simulate", "equiv-check", "spectrum", "g2", "waiting-time",
-         "trajectories")
 
 _GAMMA_ALIAS = {Config.FIG1A: "gamma23", Config.FIG1B: "gamma23",
                 Config.FIG2A: "gamma31", Config.FIG2B: "gamma31"}
@@ -62,8 +56,16 @@ _SCENARIO_KEYS = {"schema_version", "task", "system", "target", "time_grid",
                   "omega_grid", "initial_state", "seed", "tolerances",
                   "options"}
 
-_OPTION_KEYS = {"compare_mapped", "detect_weights", "n_traj",
-                "dark_threshold", "normalized"}
+# task option -> default; a given value must have the default's type
+_OPTIONS = {
+    "compare_mapped": False,        # run the target or mapped twin alongside
+    "normalized": False,            # g2 divided by the long-time rate
+    "detect_weights": (1.0, 0.0),   # plain spectrum: w0 A_0 + w1 A_1
+    "n_traj": 1000,
+    "dark_threshold": 10.0,         # gaps longer than this are dark periods
+}
+_KINDS = {bool: "true or false", int: "an integer >= 1",
+          float: "a finite number > 0", tuple: "a pair of finite numbers"}
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,7 @@ class Scenario:
 
     ``initial_state`` is either a 1-based level index or an explicit 3x3
     density matrix as nested lists (each entry a number or an [re, im]
-    pair).
+    pair).  ``option(key)`` reads ``options``, falling back on ``_OPTIONS``.
     """
 
     task: str
@@ -85,6 +87,9 @@ class Scenario:
     tolerances: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
+
+    def option(self, key: str):
+        return self.options.get(key, _OPTIONS[key])
 
 
 def _system_from_dict(raw: dict, where: str) -> SystemParams:
@@ -141,14 +146,33 @@ def _grid_from(raw, where: str, default: tuple) -> tuple[float, float, int]:
     return (start, stop, count)
 
 
+def _finite(value) -> bool:  # JSON true and false are no numbers here
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _tolerance(where: str, raw) -> float:
-    try:
-        tol = float(raw)
-    except (TypeError, ValueError):
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0):
+    if not (_finite(raw) and raw > 0):
         raise ScenarioError(where, f"must be a finite number > 0, got {raw!r}")
-    return tol
+    return float(raw)
+
+
+def _option(key: str, value):
+    """``value`` checked against the type of the option's default."""
+    if key not in _OPTIONS:
+        raise ScenarioError(f"options.{key}", "unknown option")
+    kind = type(_OPTIONS[key])
+    if kind is float:
+        ok = _finite(value) and value > 0
+    elif kind is tuple:
+        ok = (isinstance(value, list) and len(value) == 2
+              and all(map(_finite, value)))
+    else:  # bool or int, and true is no integer here
+        ok = type(value) is kind and (kind is bool or value >= 1)
+    if not ok:
+        raise ScenarioError(f"options.{key}",
+                            f"must be {_KINDS[kind]}, got {value!r}")
+    return tuple(map(float, value)) if kind is tuple else kind(value)
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -178,8 +202,10 @@ def parse_scenario(path: str | Path) -> Scenario:
     target = None
     if raw.get("target") is not None:
         target = _system_from_dict(raw["target"], "target")
+    time_grid = _grid_from(raw.get("time_grid"), "time_grid",
+                           DEFAULT_TIME_GRID)
     initial = raw.get("initial_state", 1)
-    if isinstance(initial, int):
+    if type(initial) is int:  # true is no level index
         if not (1 <= initial <= 3):
             raise ScenarioError("initial_state", "level index must be 1..3")
     elif isinstance(initial, list):
@@ -192,31 +218,37 @@ def parse_scenario(path: str | Path) -> Scenario:
     else:
         raise ScenarioError("initial_state",
                             "must be a level index 1..3 or a 3x3 matrix")
+    if task == "trajectories" and not isinstance(initial, int):
+        raise ScenarioError("initial_state", "trajectories start from a pure "
+                                             "state; use a level index")
+    if task == "trajectories" and time_grid[1] <= 0:
+        raise ScenarioError("time_grid", f"trajectories need a last point "
+                                         f"> 0, got {time_grid[1]}")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ScenarioError("seed", "must be a non-negative integer")
+    if type(seed) is not int or seed < 0:
+        raise ScenarioError("seed", f"must be a non-negative integer, got "
+                                    f"{seed!r}")
+    for key in ("tolerances", "options"):
+        if not isinstance(raw.get(key) or {}, dict):
+            raise ScenarioError(key, "must be an object")
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, val in (raw.get("tolerances") or {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"tolerances.{key}", "unknown tolerance")
         tolerances[key] = _tolerance(f"tolerances.{key}", val)
-    options = dict(raw.get("options") or {})
-    unknown = set(options) - _OPTION_KEYS
-    if unknown:
-        raise ScenarioError(f"options.{sorted(unknown)[0]}", "unknown option")
+    options = {key: _option(key, val)
+               for key, val in (raw.get("options") or {}).items()}
     return Scenario(
         task=task,
         system=system,
         target=target,
-        time_grid=_grid_from(raw.get("time_grid"), "time_grid",
-                             DEFAULT_TIME_GRID),
+        time_grid=time_grid,
         omega_grid=_grid_from(raw.get("omega_grid"), "omega_grid",
                               DEFAULT_OMEGA_GRID),
         initial_state=initial,
         seed=seed,
         tolerances=tolerances,
         options=options,
-        schema_version=SCHEMA_VERSION,
     )
 
 
@@ -269,10 +301,6 @@ class RunReport:
         return all(c["passed"] for c in self.checks)
 
 
-def _emap_to_dict(emap: EquivalenceMap) -> dict:
-    return dataclasses.asdict(emap) | {"unitary": emap.unitary.tolist()}
-
-
 def describe_map(p: SystemParams) -> str:
     """Human-readable dressed-basis map for a fig1a/fig2a system."""
     target, emap = map_system(p)
@@ -311,14 +339,8 @@ def _matrix_from_spec(rows) -> np.ndarray:
                 out[i, j] = complex(entry[0], entry[1])
             else:
                 out[i, j] = complex(entry)
-    from .linalg import check_density_matrix
     check_density_matrix(out, herm_tol=1e-9, trace_tol=1e-9)
     return out
-
-
-def _grid_array(grid: tuple[float, float, int]) -> np.ndarray:
-    start, stop, count = grid
-    return np.linspace(start, stop, count)
 
 
 def _initial_rho(s: Scenario) -> np.ndarray:
@@ -327,197 +349,173 @@ def _initial_rho(s: Scenario) -> np.ndarray:
     return _matrix_from_spec(s.initial_state)
 
 
-def _write_columns(path: Path, header_lines: list[str],
-                   columns: list[np.ndarray]) -> None:
-    data = np.column_stack(columns)
-    header = "\n".join(header_lines)
-    np.savetxt(path, data, fmt="%.12e", header=header)
+# ------------------------------------------------------------------ tasks
+
+class _Output(NamedTuple):
+    """What a task hands to ``run``: one data file and its report entries."""
+
+    fname: str
+    header: list[str]
+    columns: list[np.ndarray]
+    checks: tuple[dict, ...] = ()
+    emap: EquivalenceMap | None = None
+    extras: dict | None = None
 
 
-def _detect_pair(model_a, model_b, emap, weights=None):
+def _check(name: str, value: float, tol: float) -> dict:
+    return {"name": name, "value": float(value), "tol": tol,
+            "passed": bool(value < tol)}
+
+
+def _twin(s: Scenario) -> tuple[LindbladModel, EquivalenceMap]:
+    """The model to compare with (the target, else the mapped twin)."""
+    mapped, emap = map_system(s.system)
+    return build_model(s.target or mapped), emap
+
+
+def _simulate(s: Scenario, model: LindbladModel) -> _Output:
+    times = np.linspace(*s.time_grid)
+    pops = populations(model, _initial_rho(s), times)
+    return _Output(
+        "populations.dat",
+        [f"trilevel simulate ({s.system.config.value})",
+         "time [1/Gamma_ref], pop_level1, pop_level2, pop_level3 [1]"],
+        [times] + [p.values for p in pops])
+
+
+def _equiv_check(s: Scenario, model: LindbladModel) -> _Output:
+    model_b, emap = _twin(s)
+    tol = s.tolerances["equivalence"]
+    rep = verify_equivalence(model, model_b, emap.unitary, _initial_rho(s),
+                             np.linspace(*s.time_grid), tol=tol)
+    return _Output(
+        "equivalence.dat",
+        ["trilevel equiv-check (rotated-frame trajectory distance)",
+         "time [1/Gamma_ref], frobenius_distance [1]"],
+        [rep.times, rep.distances],
+        (_check("equivalence_max_frobenius_distance", rep.max_dist, tol),
+         _check("trace_error", rep.max_trace_error, s.tolerances["trace"])),
+        emap)
+
+
+def _photon_curve(s: Scenario, model: LindbladModel) -> _Output:
+    """g2 or waiting time; with compare_mapped, also the twin's curve."""
+    times = np.linspace(*s.time_grid)
+    normalized = s.task == "g2" and s.option("normalized")
+    curve = (functools.partial(g2_curve, normalized=normalized)
+             if s.task == "g2" else waiting_time)
+    unit = "[1]" if normalized else "[Gamma_ref]"
+    values = curve(model, times).values
+    head = [f"trilevel {s.task} ({s.system.config.value})",
+            f"tau [1/Gamma_ref], value {unit}"]
+    fname = s.task.replace("-", "_") + ".dat"
+    if not s.option("compare_mapped"):
+        return _Output(fname, head, [times, values])
+    model_b, emap = _twin(s)
+    # the twin's detection reset is the rotated ground state
+    u = emap.unitary
+    other = curve(model_b, times,
+                  reset_state=u @ level_projector(0) @ u.conj().T).values
+    head[1] += f", mapped value {unit}"
+    return _Output(
+        fname, head, [times, values, other],
+        (_check(f"{s.task}_mapped_pair_max_diff",
+                np.max(np.abs(values - other)),
+                s.tolerances["photon_statistics"]),),
+        emap)
+
+
+def _spectrum(s: Scenario, model: LindbladModel) -> _Output:
+    omegas = np.linspace(*s.omega_grid)
+
+    def spectrum(m: LindbladModel, w0: float, w1: float):
+        detect = w0 * m.collapse_ops[0] + w1 * m.collapse_ops[1]
+        return emission_spectrum(m, detect, omegas)
+
+    if not s.option("compare_mapped"):
+        spec = spectrum(model, *s.option("detect_weights"))
+        return _Output(
+            "spectrum.dat",
+            [f"trilevel spectrum ({s.system.config.value}), "
+             f"coherent_weight = {spec.meta['coherent_weight']:.12e}",
+             "omega [Gamma_ref], S [1/Gamma_ref]"],
+            [omegas, spec.values])
+    model_b, emap = _twin(s)
     # polarization-aligned detection: bare 2->1 dipole of the (a) system and
     # the (cos, sin)-weighted combination on the (b) side
-    if weights is None:
-        weights = (math.cos(emap.theta), math.sin(emap.theta))
-    det_a = model_a.collapse_ops[0]
-    det_b = (weights[0] * model_b.collapse_ops[0]
-             + weights[1] * model_b.collapse_ops[1])
-    return det_a, det_b
+    spec_a = spectrum(model, 1.0, 0.0).values
+    spec_b = spectrum(model_b, math.cos(emap.theta),
+                      math.sin(emap.theta)).values
+    scale = max(float(np.max(np.abs(spec_a))), 1e-300)
+    return _Output(
+        "spectrum.dat",
+        ["trilevel spectrum (mapped pair)",
+         "omega [Gamma_ref], S_a [1/Gamma_ref], S_b [1/Gamma_ref]"],
+        [omegas, spec_a, spec_b],
+        (_check("spectrum_mapped_pair_rel_diff",
+                float(np.max(np.abs(spec_a - spec_b))) / scale,
+                s.tolerances["spectrum_rel"]),),
+        emap)
+
+
+def _trajectories(s: Scenario, model: LindbladModel) -> _Output:
+    n_traj, threshold = s.option("n_traj"), s.option("dark_threshold")
+    records = mc_trajectories(model, n_traj, s.time_grid[1], s.seed,
+                              np.eye(3)[s.initial_state - 1]).records
+    stats = bright_dark_stats(records, threshold)
+    return _Output(
+        "jumps.dat",
+        [f"trilevel trajectories ({s.system.config.value}), "
+         f"seed = {s.seed}, n_traj = {n_traj}",
+         "trajectory [1], jump_time [1/Gamma_ref], channel [1]"],
+        [np.repeat([r.trajectory for r in records],
+                   [r.times.size for r in records]).astype(float),
+         np.concatenate([r.times for r in records]),
+         np.concatenate([r.channels for r in records]).astype(float)],
+        extras={"bright_dark": {"threshold": threshold}
+                | dataclasses.asdict(stats)})
+
+
+# verb -> (task, the tolerance key that --tol overrides)
+_TASKS = {
+    "simulate": (_simulate, None),
+    "equiv-check": (_equiv_check, "equivalence"),
+    "spectrum": (_spectrum, "spectrum_rel"),
+    "g2": (_photon_curve, "photon_statistics"),
+    "waiting-time": (_photon_curve, "photon_statistics"),
+    "trajectories": (_trajectories, None),
+}
+TASKS = tuple(_TASKS)
+_MAIN_TOL = {verb: key for verb, (_, key) in _TASKS.items() if key}
 
 
 def run(s: Scenario, out_dir: str | Path) -> RunReport:
-    """Execute a scenario, writing data files and report.json."""
+    """Execute a scenario, writing its data file and report.json."""
     t0 = _time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    checks: list[dict] = []
-    outputs: list[str] = []
-    extras: dict = {}
-    emap_dict = None
-
-    times = _grid_array(s.time_grid)
-    model = build_model(s.system)
-
-    if s.task == "simulate":
-        pops = populations(model, _initial_rho(s), times)
-        path = out_dir / "populations.dat"
-        _write_columns(
-            path,
-            [f"trilevel simulate ({s.system.config.value})",
-             "time [1/Gamma_ref], pop_level1, pop_level2, pop_level3 [1]"],
-            [times] + [p.values for p in pops],
-        )
-        outputs.append(path.name)
-
-    elif s.task == "equiv-check":
-        if s.target is None:
-            target, emap = map_system(s.system)
-        else:
-            _, emap = map_system(s.system)
-            target = s.target
-        emap_dict = _emap_to_dict(emap)
-        tol = s.tolerances["equivalence"]
-        report = verify_equivalence(model, build_model(target), emap.unitary,
-                                    _initial_rho(s), times, tol=tol)
-        checks.append({"name": "equivalence_max_frobenius_distance",
-                       "value": float(report.max_dist), "tol": tol,
-                       "passed": bool(report.passed)})
-        checks.append({"name": "trace_error",
-                       "value": float(report.max_trace_error),
-                       "tol": s.tolerances["trace"],
-                       "passed": bool(report.max_trace_error
-                                      < s.tolerances["trace"])})
-        path = out_dir / "equivalence.dat"
-        _write_columns(
-            path,
-            ["trilevel equiv-check (rotated-frame trajectory distance)",
-             "time [1/Gamma_ref], frobenius_distance [1]"],
-            [report.times, report.distances],
-        )
-        outputs.append(path.name)
-
-    elif s.task in ("g2", "waiting-time"):
-        curve_fn = g2_curve if s.task == "g2" else waiting_time
-        fname = "g2.dat" if s.task == "g2" else "waiting_time.dat"
-        kwargs = {}
-        if s.task == "g2" and s.options.get("normalized"):
-            kwargs["normalized"] = True
-        unit = "[1]" if kwargs else "[Gamma_ref]"
-        curve = curve_fn(model, times, **kwargs)
-        cols = [times, curve.values]
-        head = [f"trilevel {s.task} ({s.system.config.value})",
-                f"tau [1/Gamma_ref], value {unit}"]
-        if s.options.get("compare_mapped"):
-            target, emap = map_system(s.system)
-            emap_dict = _emap_to_dict(emap)
-            # the twin's detection reset is the rotated ground state
-            u = emap.unitary
-            other = curve_fn(build_model(target), times,
-                             reset_state=u @ level_projector(0) @ u.conj().T,
-                             **kwargs)
-            diff = float(np.max(np.abs(curve.values - other.values)))
-            tol = s.tolerances["photon_statistics"]
-            checks.append({"name": f"{s.task}_mapped_pair_max_diff",
-                           "value": diff, "tol": tol, "passed": diff < tol})
-            cols.append(other.values)
-            head[1] += f", mapped value {unit}"
-        path = out_dir / fname
-        _write_columns(path, head, cols)
-        outputs.append(path.name)
-
-    elif s.task == "spectrum":
-        omegas = _grid_array(s.omega_grid)
-        if s.options.get("compare_mapped"):
-            target, emap = map_system(s.system)
-            emap_dict = _emap_to_dict(emap)
-            model_b = build_model(target)
-            det_a, det_b = _detect_pair(model, model_b, emap)
-            spec_a = emission_spectrum(model, det_a, omegas)
-            spec_b = emission_spectrum(model_b, det_b, omegas)
-            scale = max(float(np.max(np.abs(spec_a.values))), 1e-300)
-            diff = float(np.max(np.abs(spec_a.values - spec_b.values))) / scale
-            tol = s.tolerances["spectrum_rel"]
-            checks.append({"name": "spectrum_mapped_pair_rel_diff",
-                           "value": diff, "tol": tol, "passed": diff < tol})
-            path = out_dir / "spectrum.dat"
-            _write_columns(
-                path,
-                ["trilevel spectrum (mapped pair)",
-                 "omega [Gamma_ref], S_a [1/Gamma_ref], S_b [1/Gamma_ref]"],
-                [omegas, spec_a.values, spec_b.values],
-            )
-            outputs.append(path.name)
-        else:
-            weights = s.options.get("detect_weights", [1.0, 0.0])
-            try:
-                w0, w1 = float(weights[0]), float(weights[1])
-            except (TypeError, ValueError, IndexError):
-                raise ScenarioError("options.detect_weights",
-                                    "must be a pair of numbers") from None
-            detect = w0 * model.collapse_ops[0] + w1 * model.collapse_ops[1]
-            spec = emission_spectrum(model, detect, omegas)
-            path = out_dir / "spectrum.dat"
-            _write_columns(
-                path,
-                [f"trilevel spectrum ({s.system.config.value}), "
-                 f"coherent_weight = {spec.meta['coherent_weight']:.12e}",
-                 "omega [Gamma_ref], S [1/Gamma_ref]"],
-                [omegas, spec.values],
-            )
-            outputs.append(path.name)
-
-    elif s.task == "trajectories":
-        if not isinstance(s.initial_state, int):
-            raise ScenarioError("initial_state",
-                                "trajectories start from a pure state; "
-                                "use a level index")
-        n_traj = int(s.options.get("n_traj", DEFAULT_N_TRAJ))
-        threshold = float(s.options.get("dark_threshold",
-                                        DEFAULT_DARK_THRESHOLD))
-        run_mc = mc_trajectories(model, n_traj, float(times[-1]), s.seed,
-                                 initial_state=np.eye(3)[s.initial_state - 1])
-        rows_traj, rows_t, rows_ch = [], [], []
-        for rec in run_mc.records:
-            rows_traj.extend([rec.trajectory] * rec.times.size)
-            rows_t.extend(rec.times.tolist())
-            rows_ch.extend(rec.channels.tolist())
-        path = out_dir / "jumps.dat"
-        _write_columns(
-            path,
-            [f"trilevel trajectories ({s.system.config.value}), "
-             f"seed = {s.seed}, n_traj = {n_traj}",
-             "trajectory [1], jump_time [1/Gamma_ref], channel [1]"],
-            [np.array(rows_traj, dtype=float), np.array(rows_t),
-             np.array(rows_ch, dtype=float)],
-        )
-        outputs.append(path.name)
-        stats = bright_dark_stats(run_mc.records, threshold)
-        extras["bright_dark"] = {
-            "threshold": threshold,
-            "mean_bright": stats.mean_bright,
-            "mean_dark": stats.mean_dark,
-            "n_dark_periods": stats.n_dark_periods,
-            "n_gaps": stats.n_gaps,
-        }
-
-    else:  # pragma: no cover - parse_scenario already rejects this
-        raise ScenarioError("task", f"unhandled task {s.task}")
-
+    task, _ = _TASKS[s.task]
+    out = task(s, build_model(s.system))
+    np.savetxt(out_dir / out.fname, np.column_stack(out.columns),
+               fmt="%.12e", header="\n".join(out.header))
+    emap = None if out.emap is None else (
+        dataclasses.asdict(out.emap) | {"unitary": out.emap.unitary.tolist()})
     report = RunReport(
         scenario=serialize_scenario(s),
         task=s.task,
-        checks=checks,
-        outputs=outputs,
-        equivalence_map=emap_dict,
-        extras=extras,
+        checks=list(out.checks),
+        outputs=[out.fname],
+        equivalence_map=emap,
+        extras=out.extras or {},
         duration_seconds=_time.perf_counter() - t0,
     )
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(report) | {"passed": report.all_passed},
                   fh, indent=2)
         fh.write("\n")
-    for name, passed in [(c["name"], c["passed"]) for c in checks]:
-        log.info("check %s: %s", name, "pass" if passed else "FAIL")
+    for check in report.checks:
+        log.info("check %s: %s", check["name"],
+                 "pass" if check["passed"] else "FAIL")
     return report
 
 
@@ -535,13 +533,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=".", help="output directory")
             p.add_argument("--seed", type=int, default=None,
                            help="override the scenario seed")
+        if verb in _MAIN_TOL:
             p.add_argument("--tol", type=float, default=None,
-                           help="override the task's main tolerance")
+                           help=f"override the '{_MAIN_TOL[verb]}' tolerance")
     return parser
-
-
-_MAIN_TOL = {"equiv-check": "equivalence", "g2": "photon_statistics",
-             "waiting-time": "photon_statistics", "spectrum": "spectrum_rel"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -561,10 +556,10 @@ def main(argv: list[str] | None = None) -> int:
                 f"{args.verb!r} verb was invoked")
         if args.seed is not None:
             scenario = dataclasses.replace(scenario, seed=args.seed)
-        if args.tol is not None and args.verb in _MAIN_TOL:
-            tols = dict(scenario.tolerances)
-            tols[_MAIN_TOL[args.verb]] = _tolerance("--tol", args.tol)
-            scenario = dataclasses.replace(scenario, tolerances=tols)
+        if getattr(args, "tol", None) is not None:
+            tols = {_MAIN_TOL[args.verb]: _tolerance("--tol", args.tol)}
+            scenario = dataclasses.replace(
+                scenario, tolerances=scenario.tolerances | tols)
         report = run(scenario, args.out)
     except (ValueError, TypeError, OSError) as err:  # rejected input
         print(f"error: {err}", file=sys.stderr)

@@ -20,7 +20,3 @@ DEFAULT_TOLERANCES = {
 
 DEFAULT_TIME_GRID = (0.0, 20.0, 201)     # units of 1/Gamma_ref
 DEFAULT_OMEGA_GRID = (-10.0, 10.0, 2001)  # units of Gamma_ref
-
-# quantum-jump ensembles
-DEFAULT_N_TRAJ = 1000
-DEFAULT_DARK_THRESHOLD = 10.0

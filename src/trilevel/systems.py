@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,11 +107,15 @@ class SystemParams:
     def __post_init__(self):
         object.__setattr__(self, "config", Config(self.config))
         for name in ("gamma21", "gamma23_or_31", "omega_a", "omega_b",
-                     "delta2", "delta3"):
+                     "delta2", "delta3", "phi"):
             value = getattr(self, name)
+            if value is None and name == "phi":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ScenarioError(name, f"must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ScenarioError(name, f"must be finite, got {value}")
-            if value < 0 and not name.startswith("delta"):
+            if value < 0 and name.startswith(("gamma", "omega")):
                 raise ScenarioError(name, f"must be >= 0, got {value}")
         if self.config in _NEEDS_PHI:
             if self.phi is None:

@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from trilevel import cli
 from trilevel.cli import describe_map, main, parse_scenario, serialize_scenario
 from trilevel.errors import ScenarioError
+from trilevel.observables import emission_spectrum
+from trilevel.systems import build_model
 
 
 def write_scenario(tmp_path, payload, name="scenario.json"):
@@ -216,7 +219,9 @@ def test_non_finite_numbers_are_rejected_input(tmp_path, capsys, verb, extra,
     ("system", {"gamma21": -1}, "must be >= 0, got -1"),
     ("target", {"config": "fig2b", "gamma21": 1.0, "gamma31": 0.1,
                 "omega_a": 1.0}, "required for config fig2b"),
-], ids=["negative-rate", "missing-phi"])
+    ("system", {"gamma21": "abc"}, "must be a number, got 'abc'"),
+    ("system", {"gamma21": True}, "must be a number, got True"),
+], ids=["negative-rate", "missing-phi", "text-rate", "bool-rate"])
 def test_parameter_errors_name_their_field(tmp_path, capsys, where, entry,
                                            message):
     payload = minimal_fig2a(task="equiv-check", time_grid=[0.0, 1.0, 3])
@@ -387,3 +392,124 @@ def test_matrix_initial_state_rejects_invalid(tmp_path):
     payload["initial_state"] = [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0]]  # trace 2
     with pytest.raises(ScenarioError, match="initial_state"):
         parse_scenario(write_scenario(tmp_path, payload))
+
+
+# ------------------------------------------------------- typed task options
+
+@pytest.mark.parametrize("verb, entry, field", [
+    ("g2", {"options": {"compare_mapped": "no"}}, "options.compare_mapped"),
+    ("g2", {"options": {"normalized": "yes"}}, "options.normalized"),
+    ("trajectories", {"options": {"n_traj": 2.7}}, "options.n_traj"),
+    ("trajectories", {"options": {"n_traj": True}}, "options.n_traj"),
+    ("trajectories", {"options": {"n_traj": 0}}, "options.n_traj"),
+    ("trajectories", {"options": {"dark_threshold": "abc"}},
+     "options.dark_threshold"),
+    ("trajectories", {"options": {"dark_threshold": math.inf}},
+     "options.dark_threshold"),
+    ("spectrum", {"options": {"detect_weights": [0.6, "0.8"]}},
+     "options.detect_weights"),
+    ("spectrum", {"options": {"detect_weights": [1.0, math.inf]}},
+     "options.detect_weights"),
+    ("simulate", {"seed": True}, "seed"),
+    ("simulate", {"initial_state": True}, "initial_state"),
+    ("simulate", {"tolerances": {"trace": True}}, "tolerances.trace"),
+    ("simulate", {"tolerances": [1e-9]}, "tolerances"),
+], ids=["text-flag", "text-normalized", "fractional-n-traj", "bool-n-traj",
+        "zero-n-traj", "text-threshold", "inf-threshold", "text-weight",
+        "inf-weight", "bool-seed", "bool-level", "bool-tolerance",
+        "list-tolerances"])
+def test_wrongly_typed_entries_are_named(tmp_path, capsys, verb, entry,
+                                         field):
+    payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
+                            omega_grid=[-1.0, 1.0, 5], **entry)
+    code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "trajectories"])
+def test_tol_flag_only_on_verbs_that_read_it(tmp_path, verb):
+    cfg = write_scenario(tmp_path, minimal_fig2a(task=verb))
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", str(cfg), "--tol", "1e-3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["g2", "waiting-time", "spectrum"])
+def test_compare_mapped_honours_target(tmp_path, verb):
+    # the fig2b target of test_equiv_check_detects_wrong_target is no twin
+    payload = minimal_fig2a(task=verb, time_grid=[0.0, 5.0, 26],
+                            omega_grid=[-4.0, 4.0, 41],
+                            options={"compare_mapped": True})
+    payload["target"] = {"config": "fig2b", "gamma21": 0.55, "gamma31": 0.55,
+                         "omega_a": 1.4, "omega_b": 1.4, "delta2": -0.6,
+                         "delta3": 0.6, "phi": 1.0}
+    code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"initial_state": [[1.0, 0, 0], [0, 0, 0], [0, 0, 0]]}, "initial_state"),
+    ({"time_grid": [0.0, 0.0, 1]}, "time_grid"),
+], ids=["matrix-state", "zero-horizon"])
+def test_trajectories_input_is_rejected_at_parse_time(tmp_path, capsys,
+                                                      entry, field):
+    payload = minimal_fig2a(task="trajectories", options={"n_traj": 5},
+                            **entry)
+    code = main(["trajectories", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_detect_weights(tmp_path):
+    payload = minimal_fig2a(task="spectrum", omega_grid=[-5.0, 5.0, 41],
+                            options={"detect_weights": [0.6, 0.8]})
+    cfg = write_scenario(tmp_path, payload)
+    assert main(["spectrum", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    path = tmp_path / "out" / "spectrum.dat"
+    assert "coherent_weight = " in path.read_text().splitlines()[0]
+    data = np.loadtxt(path, ndmin=2)
+    assert data.shape == (41, 2)
+    model = build_model(parse_scenario(cfg).system)
+    a0, a1 = model.collapse_ops[:2]
+    expected = emission_spectrum(model, 0.6 * a0 + 0.8 * a1, data[:, 0])
+    np.testing.assert_allclose(data[:, 1], expected.values, rtol=1e-11,
+                               atol=1e-14)
+
+
+def test_g2_normalized(tmp_path):
+    payload = minimal_fig2a(task="g2", time_grid=[0.0, 30.0, 61],
+                            options={"normalized": True})
+    assert main(["g2", "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")]) == 0
+    path = tmp_path / "out" / "g2.dat"
+    assert path.read_text().splitlines()[1].endswith("value [1]")
+    data = np.loadtxt(path, ndmin=2)
+    assert data[-1, 1] == pytest.approx(1.0, abs=1e-9)
+
+
+DATA_FILES = {"simulate": "populations.dat", "equiv-check": "equivalence.dat",
+              "spectrum": "spectrum.dat", "g2": "g2.dat",
+              "waiting-time": "waiting_time.dat", "trajectories": "jumps.dat"}
+
+
+@pytest.mark.parametrize("verb", cli.TASKS)
+def test_each_verb_writes_one_data_file(tmp_path, verb):
+    payload = minimal_fig2a(task=verb, time_grid=[0.0, 5.0, 11],
+                            omega_grid=[-2.0, 2.0, 11], options={})
+    if verb == "trajectories":
+        payload["options"]["n_traj"] = 5
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [DATA_FILES[verb], "report.json"])
+    report = json.loads((out / "report.json").read_text())
+    assert report["outputs"] == [DATA_FILES[verb]]
