@@ -21,7 +21,6 @@ from .equivalence import (
 from .dynamics import (
     liouvillian,
     propagate_series,
-    slowest_decay_rate,
     steady_state,
 )
 from .observables import (
@@ -54,7 +53,7 @@ __all__ = [
     "basis_unitary", "map_rates", "dipole_angle", "map_system",
     "verify_equivalence",
     "liouvillian", "propagate_series",
-    "steady_state", "slowest_decay_rate",
+    "steady_state",
     "SampledFunction", "Kind", "JumpRecord", "McRun", "BrightDarkStats",
     "g2", "waiting_time", "emission_spectrum", "populations",
     "mc_trajectories", "interjump_gaps", "bright_dark_stats",

@@ -6,7 +6,8 @@ function in ``_TASKS`` whose data goes to one delimited text file with
 simulate, equiv-check, spectrum, g2, waiting-time, trajectories,
 describe-map.  Exit status is 0 iff every check in the scenario passed, 1
 if a check failed, 2 if the scenario or its input was rejected and 3 on an
-internal failure.  ``_OPTIONS`` lists the task options with their defaults.
+internal failure.  ``_OPTIONS`` lists the task options with their defaults;
+a scenario may set only the options and ``target`` its task reads.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,6 +158,13 @@ def _tolerance(where: str, raw) -> float:
     return float(raw)
 
 
+def _seed(raw) -> int:
+    if type(raw) is not int or raw < 0:  # true is no seed
+        raise ScenarioError("seed", f"must be a non-negative integer, got "
+                                    f"{raw!r}")
+    return raw
+
+
 def _option(key: str, value):
     """``value`` checked against the type of the option's default."""
     if key not in _OPTIONS:
@@ -224,10 +232,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     if task == "trajectories" and time_grid[1] <= 0:
         raise ScenarioError("time_grid", f"trajectories need a last point "
                                          f"> 0, got {time_grid[1]}")
-    seed = raw.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise ScenarioError("seed", f"must be a non-negative integer, got "
-                                    f"{seed!r}")
+    seed = _seed(raw.get("seed", 0))
     for key in ("tolerances", "options"):
         if not isinstance(raw.get(key) or {}, dict):
             raise ScenarioError(key, "must be an object")
@@ -238,6 +243,7 @@ def parse_scenario(path: str | Path) -> Scenario:
         tolerances[key] = _tolerance(f"tolerances.{key}", val)
     options = {key: _option(key, val)
                for key, val in (raw.get("options") or {}).items()}
+    _require_read(task, options, target)
     return Scenario(
         task=task,
         system=system,
@@ -250,6 +256,22 @@ def parse_scenario(path: str | Path) -> Scenario:
         tolerances=tolerances,
         options=options,
     )
+
+
+def _require_read(task: str, options: dict,
+                  target: SystemParams | None) -> None:
+    """Reject an option or target that ``task`` would never read."""
+    spec, mapped = _TASKS[task], options.get("compare_mapped", False)
+    for key in options:
+        if key not in spec.options:
+            raise ScenarioError(f"options.{key}", f"not read by {task}")
+        if key == "detect_weights" and mapped:
+            raise ScenarioError(f"options.{key}", "not read with "
+                                                 "compare_mapped")
+    if target is not None and not (spec.target or mapped):
+        raise ScenarioError("target", f"not read by {task}" + (
+            " without compare_mapped" if "compare_mapped" in spec.options
+            else ""))
 
 
 def _system_to_dict(p: SystemParams) -> dict:
@@ -476,17 +498,31 @@ def _trajectories(s: Scenario, model: LindbladModel) -> _Output:
                 | dataclasses.asdict(stats)})
 
 
-# verb -> (task, the tolerance key that --tol overrides)
+class _Task(NamedTuple):
+    """A verb: its function, the tolerance key ``--tol`` overrides, the
+    options it reads, and whether it reads ``target`` and the seed.  With
+    compare_mapped set, a task reads ``target`` and not detect_weights."""
+
+    run: Callable[[Scenario, LindbladModel], _Output]
+    tol: str | None = None
+    options: tuple[str, ...] = ()
+    target: bool = False
+    seed: bool = False
+
+
 _TASKS = {
-    "simulate": (_simulate, None),
-    "equiv-check": (_equiv_check, "equivalence"),
-    "spectrum": (_spectrum, "spectrum_rel"),
-    "g2": (_photon_curve, "photon_statistics"),
-    "waiting-time": (_photon_curve, "photon_statistics"),
-    "trajectories": (_trajectories, None),
+    "simulate": _Task(_simulate),
+    "equiv-check": _Task(_equiv_check, "equivalence", target=True),
+    "spectrum": _Task(_spectrum, "spectrum_rel",
+                      ("compare_mapped", "detect_weights")),
+    "g2": _Task(_photon_curve, "photon_statistics",
+                ("compare_mapped", "normalized")),
+    "waiting-time": _Task(_photon_curve, "photon_statistics",
+                          ("compare_mapped",)),
+    "trajectories": _Task(_trajectories,
+                          options=("n_traj", "dark_threshold"), seed=True),
 }
 TASKS = tuple(_TASKS)
-_MAIN_TOL = {verb: key for verb, (_, key) in _TASKS.items() if key}
 
 
 def run(s: Scenario, out_dir: str | Path) -> RunReport:
@@ -494,8 +530,7 @@ def run(s: Scenario, out_dir: str | Path) -> RunReport:
     t0 = _time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    task, _ = _TASKS[s.task]
-    out = task(s, build_model(s.system))
+    out = _TASKS[s.task].run(s, build_model(s.system))
     np.savetxt(out_dir / out.fname, np.column_stack(out.columns),
                fmt="%.12e", header="\n".join(out.header))
     emap = None if out.emap is None else (
@@ -529,13 +564,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for verb in TASKS + ("describe-map",):
         p = sub.add_parser(verb)
         p.add_argument("--config", required=True, help="scenario JSON file")
-        if verb != "describe-map":
+        spec = _TASKS.get(verb)
+        if spec:
             p.add_argument("--out", default=".", help="output directory")
+        if spec and spec.seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the scenario seed")
-        if verb in _MAIN_TOL:
+        if spec and spec.tol:
             p.add_argument("--tol", type=float, default=None,
-                           help=f"override the '{_MAIN_TOL[verb]}' tolerance")
+                           help=f"override the '{spec.tol}' tolerance")
     return parser
 
 
@@ -554,10 +591,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioError(
                 "task", f"scenario declares {scenario.task!r} but the "
                 f"{args.verb!r} verb was invoked")
-        if args.seed is not None:
-            scenario = dataclasses.replace(scenario, seed=args.seed)
+        if getattr(args, "seed", None) is not None:
+            scenario = dataclasses.replace(scenario, seed=_seed(args.seed))
         if getattr(args, "tol", None) is not None:
-            tols = {_MAIN_TOL[args.verb]: _tolerance("--tol", args.tol)}
+            tols = {_TASKS[args.verb].tol: _tolerance("--tol", args.tol)}
             scenario = dataclasses.replace(
                 scenario, tolerances=scenario.tolerances | tols)
         report = run(scenario, args.out)

@@ -107,18 +107,3 @@ def steady_state(l: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     if abs(tr) < 1e-8:
         raise NonUniqueSteadyStateError(dimension=len(basis))
     return rho / tr
-
-
-def slowest_decay_rate(l: np.ndarray) -> float:
-    """Smallest nonzero damping rate |Re(lambda)| of the generator.
-
-    Eigenvalues in the stationary cluster (|lambda| below 1e-10 of the
-    generator norm) are excluded.  Raises ValueError when nothing decays.
-    """
-    eigs = np.linalg.eigvals(l)
-    scale = max(1.0, float(np.linalg.norm(l)))
-    rates = [-ev.real for ev in eigs
-             if abs(ev) > 1e-10 * scale and -ev.real > 1e-12 * scale]
-    if not rates:
-        raise ValueError("generator has no decaying modes")
-    return min(rates)

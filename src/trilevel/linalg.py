@@ -75,15 +75,6 @@ def null_space(m: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
     return [vh[k].conj() for k in range(len(s)) if s[k] <= tol * smax]
 
 
-def frob_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius-norm distance between two equal-shaped matrices."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
 def check_density_matrix(
     rho: np.ndarray,
     herm_tol: float = 1e-12,

@@ -33,6 +33,12 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 # emission_spectrum holds at once to about 1.3 MB
 _SPECTRUM_BLOCK = 1024
 
+# jumps per read of a trajectory's random stream
+_JUMP_BLOCK = 16
+
+# no-jump table points per product with the step's powers
+_TABLE_BLOCK = 64
+
 
 class Kind(str, enum.Enum):
     G2 = "g2"
@@ -245,53 +251,90 @@ class McRun:
 
 class _NoJumpEvolution:
     """exp(-i H_eff tau) psi_j of a few start states, 0 <= tau <= t_max:
-    tabulated at multiples of h = min(t_max, 1/||H_eff||), in between a
-    17-term Taylor polynomial from the nearest table point, exact to about
-    2**-17 / 17! ~ 2e-20 at |delta| ||H_eff|| <= 1/2."""
+    tabulated at multiples of h = min(t_max, 1/(8 ||H_eff||)), in between
+    an 11-term Taylor polynomial from the nearest table point, exact to
+    about 16**-11 / 11! ~ 1e-21 at |delta| ||H_eff|| <= 1/16.  The table
+    also holds each start's survival ||psi||^2 and its exact slope
+    -<psi|K|psi>.  It stops at the first point where every survival is
+    below 2**-53, the smallest threshold a trajectory draws, so a model
+    that keeps emitting needs a bounded table whatever t_max; a dark state,
+    whose survival levels off above that, keeps the whole table."""
 
     def __init__(self, h_eff: np.ndarray, starts: np.ndarray, t_max: float):
         norm = np.linalg.norm(h_eff, 2)
-        self.h = min(t_max, 1.0 / norm) if norm > 0 else t_max
+        scale = 1.0 / norm if norm > 0 else np.inf
+        self.h = min(t_max, scale / 8)
+        self.tol = 1e-13 * min(t_max, scale)  # Newton's last step
         self.gen_t = -1j * h_eff.T  # psi @ gen_t = -i H_eff psi for rows psi
         self.decay_t = (1j * (h_eff - dagger(h_eff))).T  # K
-        step_t = mat_exp(-1j * h_eff, self.h).T
-        table = [starts]
-        for _ in range(int(np.ceil(t_max / self.h))):
-            table.append(table[-1] @ step_t)
-        self.table = np.stack(table, axis=1)
+        # the table grows _TABLE_BLOCK points at a time: the last row times
+        # the step's first _TABLE_BLOCK powers
+        powers = [mat_exp(-1j * h_eff, self.h).T]
+        for _ in range(_TABLE_BLOCK - 1):
+            powers.append(powers[-1] @ powers[0])
+        n = int(np.ceil(t_max / self.h))
+        blocks = [starts[:, None]]
+        while ((len(blocks) - 1) * _TABLE_BLOCK < n and (np.abs(
+                blocks[-1][:, -1]) ** 2).sum(axis=1).max() >= 2.0 ** -53):
+            blocks.append(np.einsum("ji,bik->jbk", blocks[-1][:, -1], powers))
+        table = np.concatenate(blocks, axis=1)[:, :n + 1]
+        del blocks  # a dark state keeps the whole table: hold it only once
+        survival = (np.abs(table) ** 2).sum(axis=2)
+        below = survival.max(axis=0) < 2.0 ** -53
+        end = np.argmax(below) + 1 if below.any() else table.shape[1]
+        self.table = table[:, :end]
         # the survival is non-increasing: clip roundoff so it can be searched
-        self.neg_survival = -np.minimum.accumulate(
-            (np.abs(self.table) ** 2).sum(axis=2), axis=1)
+        self.survival = np.minimum.accumulate(survival[:, :end], axis=1)
+        self.slope = -np.einsum("jmi,ki,jmk->jm", self.table.conj(),
+                                self.decay_t, self.table).real
 
     def states(self, start: np.ndarray, tau: np.ndarray) -> np.ndarray:
         """Rows exp(-i H_eff tau_r) psi_{start_r}."""
         m = np.rint(tau / self.h).astype(int)
         delta = (tau - m * self.h)[:, None]
         base = out = self.table[start, m]
-        for n in range(16, 0, -1):  # Horner
+        for n in range(10, 0, -1):  # Horner
             out = out @ self.gen_t
             out *= delta / n
             out += base
         return out
 
     def jump_times(self, start, u, t_left):
-        """Times at which the survival ||psi(tau)||^2 falls to u; NaN where
-        it stays >= u on [0, t_left]."""
+        """Times at which the survival ||psi(tau)||^2 falls to u, NaN where
+        it stays >= u on [0, t_left], and the states psi(tau) there."""
         m = np.empty(u.size, dtype=int)
-        for j, neg in enumerate(self.neg_survival):
-            m[start == j] = np.searchsorted(neg, -u[start == j], side="right")
-        # table point m is the first below u; Newton with the exact slope
-        # -<psi|K|psi> polishes the root in [lo, hi] and bisects where a step
-        # would leave it or not halve the step before last (rtsafe)
-        lo = np.maximum(m - 1, 0) * self.h
+        for j, survival in enumerate(self.survival):
+            m[start == j] = np.searchsorted(-survival, -u[start == j],
+                                            side="right")
+        # table point m is the first below u, so the root lies in [lo, hi]
+        k = np.maximum(m - 1, 0)
         tau = np.full(u.size, np.nan)
-        rows = np.flatnonzero((m < self.table.shape[1]) & (lo < t_left))
-        start, u, lo, hi = start[rows], u[rows], lo[rows], m[rows] * self.h
-        t = 0.5 * (lo + hi)
+        psi_at = np.full((u.size, 3), np.nan, dtype=complex)
+        rows = np.flatnonzero((m < self.table.shape[1])
+                              & (k * self.h < t_left))
+        start, u, k, m = start[rows], u[rows], k[rows], m[rows]
+        lo, hi = k * self.h, m * self.h
+        # start from the root of the cubic Hermite interpolant of the
+        # survival and its slope on [lo, hi], in x = (t - lo) / (hi - lo):
+        # from the secant root, two Newton steps on the cubic, clipped to
+        # the bracket
+        s0, s1 = self.survival[start, k], self.survival[start, m]
+        d0, d1 = (self.slope[start, k] * (hi - lo),
+                  self.slope[start, m] * (hi - lo))
+        c2, c3 = 3 * (s1 - s0) - 2 * d0 - d1, d0 + d1 - 2 * (s1 - s0)
+        x = np.clip((s0 - u) / np.maximum(s0 - s1, 1e-300), 0.0, 1.0)
+        for _ in range(2):
+            f = s0 - u + x * (d0 + x * (c2 + x * c3))
+            df = d0 + x * (2 * c2 + 3 * x * c3)
+            x = np.clip(x - f / np.minimum(df, -1e-300), 0.0, 1.0)
+        t = lo + x * (hi - lo)
+        # Newton with the exact slope -<psi|K|psi> polishes the root in
+        # [lo, hi] and bisects where a step would leave it or not halve the
+        # step before last (rtsafe)
         step = before = hi - lo
         for _ in range(100):  # the step halves at least every other time
             if not rows.size:
-                return np.where(tau <= t_left, tau, np.nan)
+                return np.where(tau <= t_left, tau, np.nan), psi_at
             psi = self.states(start, t)
             f = (np.abs(psi) ** 2).sum(axis=1) - u
             slope = -np.einsum("ri,ri->r", psi.conj(), psi @ self.decay_t).real
@@ -301,10 +344,11 @@ class _NoJumpEvolution:
                        & (2.0 * np.abs(newton) <= np.abs(before)))
             before, step = step, np.where(bisect, t - 0.5 * (lo + hi), newton)
             t = t - step
-            done = np.abs(step) <= 1e-13 * self.h  # |step| <= hi - lo
+            done = np.abs(step) <= self.tol  # |step| <= hi - lo
             tau[rows[done]] = t[done]
+            psi_at[rows[done]] = psi[done]
             rows, start, u, lo, hi, t, step, before = (
-                x[~done] for x in (rows, start, u, lo, hi, t, step, before))
+                a[~done] for a in (rows, start, u, lo, hi, t, step, before))
         raise RuntimeError("jump-time root search did not converge")
 
 
@@ -323,9 +367,12 @@ def mc_trajectories(
     under H_eff = H - i K / 2 until its survival ||psi||^2 falls to a
     uniform threshold, a root found without any time grid.  The channel
     is drawn from the rates ||c_k psi||^2 of the diagonalized dissipator
-    modes, so cross-damping models unravel correctly.  Trajectory i draws
-    from its own stream spawned from (seed, i): a threshold, then a
-    channel and the next threshold at each jump.  ``sample_times`` (any
+    modes at that root, so cross-damping models unravel correctly.
+    Trajectory i draws from its own stream spawned from (seed, i), in this
+    order: a threshold, then a channel draw and the next threshold at each
+    jump.  The stream is read 16 jumps at a time, which leaves the values
+    and their order unchanged, so a fixed seed gives the same records and
+    trajectory i does not depend on ``n_traj``.  ``sample_times`` (any
     within [0, t_final]) requests ensemble populations with standard
     errors, for comparison against the master equation.
     """
@@ -352,13 +399,18 @@ def mc_trajectories(
 
     rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
             for i in range(n_traj)]
-    # thresholds lie in (0, 1]; without jump channels they are 0, never met
-    thresholds = np.array([1.0 - rng.random() for rng in rngs]) * bool(len(ops))
+    # a threshold, then a (channel draw, next threshold) pair per jump
+    first = np.array([rng.random(1 + 2 * _JUMP_BLOCK) for rng in rngs])
+    # thresholds lie in [2**-53, 1]; without jump channels they are 0, which
+    # no survival falls to
+    thresholds = (1.0 - first[:, 0]) * bool(len(ops))
+    draws = first[:, 1:].reshape(n_traj, _JUMP_BLOCK, 2)
+    read = np.zeros(n_traj, dtype=int)  # jumps drawn from the current block
     traj, t0 = np.arange(n_traj), np.zeros(n_traj)
     start = np.zeros(n_traj, dtype=int)
     found = [(traj[:0], t0[:0], start[:0])]
     while traj.size:
-        tau = evo.jump_times(start, thresholds[traj], t_final - t0)
+        tau, psi = evo.jump_times(start, thresholds[traj], t_final - t0)
         jumped = ~np.isnan(tau)
         t_end = np.where(jumped, np.minimum(t0 + tau, t_final), np.inf)
         if sample_times is not None:  # samples within each segment [t0, t_end)
@@ -367,12 +419,16 @@ def mc_trajectories(
             p = np.abs(evo.states(start[r], sample_times[j] - t0[r])) ** 2
             p /= p.sum(axis=1, keepdims=True)
             np.add.at(moments, j, np.stack([p, p ** 2], axis=1))
-        traj, t0 = traj[jumped], t_end[jumped]
+        traj, t0, psi = traj[jumped], t_end[jumped], psi[jumped]
         if not traj.size:
             break
-        psi = evo.states(start[jumped], tau[jumped])
         rates = (np.abs(np.einsum("kij,rj->rki", ops, psi)) ** 2).sum(axis=2)
-        draw, next_u = np.array([rngs[i].random(2) for i in traj]).T
+        spent = traj[read[traj] == _JUMP_BLOCK]
+        for i in spent:
+            draws[i] = rngs[i].random(2 * _JUMP_BLOCK).reshape(_JUMP_BLOCK, 2)
+        read[spent] = 0
+        draw, next_u = draws[traj, read[traj]].T
+        read[traj] += 1
         thresholds[traj] = 1.0 - next_u
         total = rates.sum(axis=1)
         channel = (np.cumsum(rates, axis=1) <= (draw * total)[:, None]).sum(1)

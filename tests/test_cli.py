@@ -72,7 +72,7 @@ def test_parse_missing_file():
 
 def test_scenario_round_trip_is_identity(tmp_path):
     payload = minimal_fig2a(
-        task="equiv-check",
+        task="g2",
         time_grid=[0.0, 10.0, 101],
         seed=7,
         tolerances={"equivalence": 1e-9},
@@ -435,6 +435,64 @@ def test_tol_flag_only_on_verbs_that_read_it(tmp_path, verb):
     with pytest.raises(SystemExit) as exc:
         main([verb, "--config", str(cfg), "--tol", "1e-3"])
     assert exc.value.code == 2
+
+
+TARGET = {"config": "fig2b", "gamma21": 0.55, "gamma31": 0.55,
+          "omega_a": 1.4, "omega_b": 1.4, "delta2": -0.6, "delta3": 0.6,
+          "phi": 1.0}
+
+
+@pytest.mark.parametrize("verb, entry, field", [
+    ("simulate", {"options": {"n_traj": 5}}, "options.n_traj"),
+    ("simulate", {"options": {"compare_mapped": True}},
+     "options.compare_mapped"),
+    ("simulate", {"target": TARGET}, "target"),
+    ("equiv-check", {"options": {"compare_mapped": True}},
+     "options.compare_mapped"),
+    ("waiting-time", {"options": {"normalized": True}}, "options.normalized"),
+    ("g2", {"target": TARGET}, "target"),
+    ("spectrum", {"options": {"compare_mapped": True,
+                              "detect_weights": [0.6, 0.8]}},
+     "options.detect_weights"),
+    ("trajectories", {"options": {"compare_mapped": True}},
+     "options.compare_mapped"),
+], ids=["n-traj-on-simulate", "compare-on-simulate", "target-on-simulate",
+        "compare-on-equiv-check", "normalized-on-waiting-time",
+        "target-without-compare", "weights-with-compare",
+        "compare-on-trajectories"])
+def test_entries_the_task_never_reads_are_rejected(tmp_path, capsys, verb,
+                                                   entry, field):
+    payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
+                            omega_grid=[-1.0, 1.0, 5], **entry)
+    code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", ["simulate", "equiv-check", "spectrum",
+                                  "g2", "waiting-time"])
+def test_seed_flag_only_on_trajectories(tmp_path, verb):
+    cfg = write_scenario(tmp_path, minimal_fig2a(task=verb))
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", str(cfg), "--seed", "99"])
+    assert exc.value.code == 2
+
+
+def test_seed_flag_is_checked_like_the_scenario_seed(tmp_path, capsys):
+    payload = minimal_fig2a(task="trajectories", time_grid=[0.0, 1.0, 2],
+                            options={"n_traj": 5})
+    cfg = str(write_scenario(tmp_path, payload))
+    assert main(["trajectories", "--config", cfg, "--seed", "-1",
+                 "--out", str(tmp_path / "bad")]) == 2
+    assert ("error: seed: must be a non-negative integer, got -1"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "bad").exists()
+    assert main(["trajectories", "--config", cfg, "--seed", "99",
+                 "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["scenario"]["seed"] == 99
 
 
 @pytest.mark.parametrize("verb", ["g2", "waiting-time", "spectrum"])

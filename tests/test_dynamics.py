@@ -8,11 +8,10 @@ from trilevel.dynamics import (
     liouvillian,
     no_jump_generator,
     propagate_series,
-    slowest_decay_rate,
     steady_state,
 )
 from trilevel.errors import NonUniqueSteadyStateError, PropagationError
-from trilevel.linalg import frob_dist, ketbra, mat_exp, vec
+from trilevel.linalg import ketbra, mat_exp, vec
 from trilevel.systems import Config, LindbladModel, SystemParams, build_model
 
 RNG = np.random.default_rng(555)
@@ -77,7 +76,7 @@ def test_liouvillian_matches_direct_action(config):
             via_l = (lm @ vec(e)).reshape((3, 3), order="F")
             h = m.hamiltonian
             direct = -1j * (h @ e - e @ h) + dissipator_action(m, e)
-            assert frob_dist(via_l, direct) < 1e-12
+            assert np.linalg.norm(via_l - direct) < 1e-12
 
 
 @pytest.mark.parametrize("config", list(Config))
@@ -119,7 +118,7 @@ def test_propagate_zero_time_is_identity():
     m = build_model(random_driven_params(Config.FIG1A))
     rho0 = np.diag([0.2, 0.5, 0.3]).astype(complex)
     rho = propagate_series(liouvillian(m), rho0, [0.0])[-1]
-    assert frob_dist(rho, rho0) == 0.0
+    assert np.array_equal(rho, rho0)
 
 
 def test_propagate_undriven_two_level_decay():
@@ -156,7 +155,8 @@ def test_propagate_series_consistency():
     times = np.linspace(0.0, 5.0, 11)
     series = propagate_series(lm, rho0, times)
     for t, rho in zip(times, series):
-        assert frob_dist(rho, propagate_series(lm, rho0, [t])[-1]) < 1e-10
+        rho_t = propagate_series(lm, rho0, [t])[-1]
+        assert np.linalg.norm(rho - rho_t) < 1e-10
 
 
 def test_propagate_series_single_point():
@@ -164,7 +164,7 @@ def test_propagate_series_single_point():
     rho0 = np.diag([0.5, 0.25, 0.25]).astype(complex)
     series = propagate_series(liouvillian(m), rho0, np.array([0.0]))
     assert series.shape == (1, 3, 3)
-    assert frob_dist(series[0], rho0) == 0.0
+    assert np.array_equal(series[0], rho0)
 
 
 def test_propagate_series_uniform_vs_nonuniform():
@@ -173,9 +173,9 @@ def test_propagate_series_uniform_vs_nonuniform():
     rho0 = ketbra(0, 0)
     uniform = propagate_series(lm, rho0, np.linspace(0, 4, 9))
     ragged = propagate_series(lm, rho0, np.array([0.5, 2.0, 3.0, 4.0]))
-    assert frob_dist(uniform[1], ragged[0]) < 1e-10
-    assert frob_dist(uniform[4], ragged[1]) < 1e-10
-    assert frob_dist(uniform[8], ragged[3]) < 1e-10
+    assert np.linalg.norm(uniform[1] - ragged[0]) < 1e-10
+    assert np.linalg.norm(uniform[4] - ragged[1]) < 1e-10
+    assert np.linalg.norm(uniform[8] - ragged[3]) < 1e-10
 
 
 def test_linspace_grid_costs_one_exponential(monkeypatch):
@@ -212,7 +212,7 @@ def test_steady_state_undriven_v_system():
     p = SystemParams(Config.FIG2B, gamma21=1.0, gamma23_or_31=0.5,
                      omega_a=0.0, omega_b=0.0, phi=math.pi / 2)
     rho = steady_state(liouvillian(build_model(p)))
-    assert frob_dist(rho, ketbra(0, 0)) < 1e-10
+    assert np.linalg.norm(rho - ketbra(0, 0)) < 1e-10
 
 
 def test_steady_state_lambda_dark_state():
@@ -225,7 +225,7 @@ def test_steady_state_lambda_dark_state():
     rho = steady_state(liouvillian(m))
     dark = np.array([ob, 0.0, -oa], dtype=complex)
     dark /= np.linalg.norm(dark)
-    assert frob_dist(rho, np.outer(dark, dark.conj())) < 1e-8
+    assert np.linalg.norm(rho - np.outer(dark, dark.conj())) < 1e-8
     assert rho[1, 1].real < 1e-10  # no excited population
     rate = (vec(np.eye(3)) @ feeding_superoperator(m) @ vec(rho)).real
     assert rate < 1e-10
@@ -267,21 +267,17 @@ def test_semigroup_property_of_propagation():
     once = propagate_series(lm, rho0, [t1 + t2])[-1]
     half = propagate_series(lm, rho0, [t1])[-1]
     twice = propagate_series(lm, half, [t2])[-1]
-    assert frob_dist(once, twice) < 1e-9
+    assert np.linalg.norm(once - twice) < 1e-9
 
 
 def test_steady_state_is_long_time_limit():
     m = build_model(random_driven_params(Config.FIG2A))
     lm = liouvillian(m)
     rho_ss = steady_state(lm)
-    horizon = 50.0 / slowest_decay_rate(lm)
+    # fifty times the slowest decay time of the generator
+    eigs = np.linalg.eigvals(lm)
+    horizon = 50.0 / min(-eigs.real[-eigs.real > 1e-10])
     rho_t = propagate_series(lm, ketbra(0, 0), [horizon])[-1]
-    assert frob_dist(rho_t, rho_ss) < 1e-6
+    assert np.linalg.norm(rho_t - rho_ss) < 1e-6
 
 
-def test_slowest_decay_rate_two_level():
-    # pure decay at rate 2g: coherences damp at g, populations at 2g
-    p = SystemParams(Config.FIG1A, gamma21=0.7, gamma23_or_31=0.0,
-                     omega_a=0.0, omega_b=0.0)
-    lm = liouvillian(build_model(p))
-    assert abs(slowest_decay_rate(lm) - 0.7) < 1e-10

@@ -14,7 +14,7 @@ from trilevel.equivalence import (
     verify_equivalence,
 )
 from trilevel.errors import DegenerateBasisError, UndefinedAngleError
-from trilevel.linalg import frob_dist, ketbra
+from trilevel.linalg import ketbra
 from trilevel.systems import Config, LindbladModel, SystemParams, build_model
 
 
@@ -128,8 +128,8 @@ def test_basis_unitary_orthogonal():
     for family in ("fig1", "fig2"):
         for _ in range(20):
             u = basis_unitary(rng.uniform(-math.pi, math.pi), family)
-            assert frob_dist(u @ u.T, np.eye(3)) < 1e-15
-            assert frob_dist(u, u.T) == 0.0  # symmetric involution
+            assert np.linalg.norm(u @ u.T - np.eye(3)) < 1e-15
+            assert np.array_equal(u, u.T)  # symmetric involution
 
 
 def test_basis_unitary_rejects_unknown_family():
@@ -267,7 +267,7 @@ def test_equivalence_map_invariants():
         for _ in range(50):
             _, emap = map_system(sampler(rng))
             u = emap.unitary
-            assert frob_dist(u @ u.conj().T, np.eye(3)) < 1e-12
+            assert np.linalg.norm(u @ u.conj().T - np.eye(3)) < 1e-12
             prod = emap.gamma_p21 * emap.gamma_p23_or_31
             # cos^2(phi) * g'_a * g'_b = g_x^2 (the angle correspondence)
             assert abs(math.cos(emap.phi) ** 2 * prod

@@ -3,7 +3,6 @@ import pytest
 
 from trilevel.linalg import (
     check_density_matrix,
-    frob_dist,
     ketbra,
     mat_exp,
     null_space,
@@ -24,13 +23,13 @@ def random_hermitian(rng, dim=3, scale=1.0):
 # ---------------------------------------------------------------- mat_exp
 
 def test_mat_exp_zero_generator_is_identity():
-    assert frob_dist(mat_exp(np.zeros((3, 3)), 7.3), np.eye(3)) == 0.0
+    assert np.array_equal(mat_exp(np.zeros((3, 3)), 7.3), np.eye(3))
 
 
 def test_mat_exp_diagonal_case():
     d = np.diag([0.3 - 1.0j, -2.0, 1.5j])
     expected = np.diag(np.exp(np.diag(d)))
-    assert frob_dist(mat_exp(d, 1.0), expected) < 1e-12
+    assert np.linalg.norm(mat_exp(d, 1.0) - expected) < 1e-12
 
 
 def test_mat_exp_semigroup_property():
@@ -41,14 +40,14 @@ def test_mat_exp_semigroup_property():
         t1, t2 = rng.uniform(0, 2, size=2)
         lhs = mat_exp(m, t1 + t2)
         rhs = mat_exp(m, t1) @ mat_exp(m, t2)
-        assert frob_dist(lhs, rhs) < 1e-9 * max(1.0, np.linalg.norm(lhs))
+        assert np.linalg.norm(lhs - rhs) < 1e-9 * max(1.0, np.linalg.norm(lhs))
 
 
 def test_mat_exp_antihermitian_gives_unitary():
     rng = np.random.default_rng(5)
     for _ in range(10):
         u = mat_exp(-1j * random_hermitian(rng, scale=3.0), rng.uniform(0, 5))
-        assert frob_dist(u @ u.conj().T, np.eye(3)) < 1e-9
+        assert np.linalg.norm(u @ u.conj().T - np.eye(3)) < 1e-9
 
 
 def test_mat_exp_rejects_bad_input():
@@ -68,7 +67,7 @@ def test_null_space_zero_matrix_is_full_basis():
     basis = null_space(np.zeros((4, 4)))
     assert len(basis) == 4
     g = np.array([[np.vdot(a, b) for b in basis] for a in basis])
-    assert frob_dist(g, np.eye(4)) < 1e-12
+    assert np.linalg.norm(g - np.eye(4)) < 1e-12
 
 
 def test_null_space_damped_system_steady_state():
@@ -85,32 +84,12 @@ def test_null_space_damped_system_steady_state():
     assert len(basis) == 1
     rho = unvec(basis[0])
     rho = rho / np.trace(rho)
-    assert frob_dist(rho, ketbra(0, 0)) < 1e-10
+    assert np.linalg.norm(rho - ketbra(0, 0)) < 1e-10
 
 
 def test_null_space_rejects_non_square():
     with pytest.raises(ValueError):
         null_space(np.zeros((2, 3)))
-
-
-# -------------------------------------------------------------- frob_dist
-
-def test_frob_dist_basics():
-    a = np.arange(9, dtype=complex).reshape(3, 3)
-    assert frob_dist(a, a) == 0.0
-    assert abs(frob_dist(np.eye(3), np.zeros((3, 3))) - np.sqrt(3)) < 1e-15
-
-
-def test_frob_dist_triangle_inequality():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        a, b, c = (random_complex(rng, (3, 3)) for _ in range(3))
-        assert frob_dist(a, c) <= frob_dist(a, b) + frob_dist(b, c) + 1e-12
-
-
-def test_frob_dist_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        frob_dist(np.eye(2), np.eye(3))
 
 
 # ----------------------------------------------- vectorization convention

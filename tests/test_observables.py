@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from trilevel.observables import (
     JumpRecord,
     Kind,
     SampledFunction,
+    _NoJumpEvolution,
     bright_dark_stats,
     emission_spectrum,
     g2,
@@ -132,11 +134,8 @@ def test_waiting_time_two_level_analytic():
 
 def test_waiting_time_integrates_to_one():
     m = build_model(fig2a_params())
-    from trilevel.dynamics import feeding_superoperator, slowest_decay_rate
-    lm = liouvillian(m)
-    no_jump = lm - feeding_superoperator(m)
-    horizon = 10.0 / slowest_decay_rate(no_jump)
-    taus = np.linspace(0, horizon, 4001)
+    # ten times the slowest no-jump decay time, 1/0.2405
+    taus = np.linspace(0, 42.0, 4001)
     w = waiting_time(m, taus)
     total = _trapezoid(w.values, taus)
     assert total <= 1.0 + 1e-6
@@ -328,6 +327,77 @@ def test_mc_reproducible_for_fixed_seed():
     for a, b in zip(run1.records, run2.records):
         np.testing.assert_array_equal(a.times, b.times)
         np.testing.assert_array_equal(a.channels, b.channels)
+
+
+# records of the sampler before its stream was read in blocks (seed 8,
+# t_final = 40): trajectory 2 of the fig2a run has 38 jumps, so its stream
+# is refilled twice; the fig1b twin resets to two different states
+_PINNED = {
+    "fig2a": ((23, 18, 38), "11111101111111111111111011111111111111", [
+        0.400560243823, 0.821240134335, 1.468974474935, 2.312851746418,
+        2.797053020810, 3.183208405987, 4.604899581905, 5.555919081918,
+        6.640692562901, 8.472418936093, 9.174436791777, 9.708864410274,
+        10.324312083235, 10.917044996532, 11.637036591868, 13.830399117821,
+        14.407112392295, 15.752636402023, 16.129823603468, 16.745229925074,
+        17.571346004749, 18.295445643472, 19.329847620096, 21.398539770813,
+        21.889013594731, 22.355160602798, 22.849701027419, 23.926490641886,
+        24.996031894306, 25.994572976296, 27.230489198895, 27.593135860062,
+        28.859717051737, 34.619648839604, 35.685292488377, 36.792785652932,
+        37.699940619125, 39.617320524671]),
+    "fig1b": ((14, 13, 24), "011111011101111011111110", [
+        0.984724547259, 2.375002809063, 3.300796628343, 4.569798436291,
+        5.242294584222, 5.770488783169, 8.812937369756, 11.312633258540,
+        13.696846436474, 16.953063141645, 17.967875367693, 19.619998502640,
+        20.494221116703, 21.332683485182, 22.377729160270, 26.104564436247,
+        27.851159041986, 30.847391473367, 31.362614608043, 32.236771747536,
+        33.471437480866, 34.523453915787, 36.353270367371, 39.889027071095]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_mc_fixed_seed_records_are_pinned(name):
+    p = SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.3,
+                     omega_a=1.2, omega_b=0.7, delta2=0.4, delta3=-0.6)
+    m = build_model(fig2a_params()) if name == "fig2a" else mapped_pair(p)[1]
+    counts, channels, times = _PINNED[name]
+    records = mc_trajectories(m, n_traj=3, t_final=40.0, seed=8).records
+    assert tuple(r.times.size for r in records) == counts
+    np.testing.assert_array_equal(records[2].channels,
+                                  [int(c) for c in channels])
+    np.testing.assert_allclose(records[2].times, times, rtol=0, atol=1e-9)
+
+
+def test_mc_trajectory_does_not_depend_on_ensemble_size():
+    m = build_model(fig2a_params())
+    few = mc_trajectories(m, n_traj=5, t_final=40.0, seed=8).records
+    many = mc_trajectories(m, n_traj=50, t_final=40.0, seed=8).records
+    for a, b in zip(few, many[:5], strict=True):
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.channels, b.channels)
+
+
+def test_mc_jump_table_is_bounded_for_emitting_models():
+    # every survival falls below 2**-53 by t ~ 37, so the table stops there
+    # whatever the horizon, and the jumps before a horizon do not depend on
+    # how far beyond it the run goes
+    m = build_model(fig2a_params(gamma23_or_31=0.5, omega_a=2.0,
+                                 omega_b=0.5, delta2=0.0, delta3=0.0))
+    starts = np.eye(3, dtype=complex)[[0, 0, 0]]
+    tracemalloc.start()
+    try:
+        evo = _NoJumpEvolution(m.effective_hamiltonian(), starts, 1e5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert evo.table.shape[1] * evo.h < 40.0
+    assert evo.survival[:, -1].max() < 2.0 ** -53
+    short = mc_trajectories(m, n_traj=20, t_final=10.0, seed=6).records
+    long = mc_trajectories(m, n_traj=20, t_final=100.0, seed=6).records
+    for a, b in zip(short, long):
+        early = b.times <= 10.0
+        np.testing.assert_array_equal(a.times, b.times[early])
+        np.testing.assert_array_equal(a.channels, b.channels[early])
 
 
 def test_mc_first_jump_times_follow_exact_distribution():

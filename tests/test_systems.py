@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trilevel.dynamics import liouvillian, propagate_series
-from trilevel.linalg import frob_dist, ketbra, vec
+from trilevel.linalg import ketbra, vec
 from trilevel.systems import (
     Config,
     LindbladModel,
@@ -58,8 +58,8 @@ def test_fig1a_printed_structure():
     assert h[0, 1] == p.omega_a
     assert h[2, 0] == p.omega_b
     assert h[1, 2] == 0.0
-    assert frob_dist(m.collapse_ops[0], ketbra(0, 1)) == 0.0
-    assert frob_dist(m.collapse_ops[1], ketbra(2, 1)) == 0.0
+    assert np.array_equal(m.collapse_ops[0], ketbra(0, 1))
+    assert np.array_equal(m.collapse_ops[1], ketbra(2, 1))
     np.testing.assert_allclose(m.rate_matrix, np.diag([2.4, 1.4]), atol=0)
 
 
@@ -131,7 +131,7 @@ def test_fig2a_printed_structure():
     assert h[2, 2] == p.delta3 - p.delta2  # detuning placement
     assert h[1, 0] == p.omega_a and h[2, 1] == p.omega_b
     assert h[2, 0] == 0.0
-    assert frob_dist(m.collapse_ops[1], ketbra(0, 2)) == 0.0
+    assert np.array_equal(m.collapse_ops[1], ketbra(0, 2))
     np.testing.assert_allclose(m.rate_matrix, np.diag([2.0, 0.4]), atol=0)
 
 
@@ -210,7 +210,7 @@ def test_jump_operators_reproduce_dissipator():
         jumps = m.jump_operators()
         rebuilt = LindbladModel(
             m.hamiltonian, jumps, np.eye(len(jumps)), config=p.config)
-        assert frob_dist(liouvillian(m), liouvillian(rebuilt)) < 1e-12
+        assert np.linalg.norm(liouvillian(m) - liouvillian(rebuilt)) < 1e-12
 
 
 def test_effective_hamiltonian_consistent_with_jumps():
