@@ -7,7 +7,7 @@ simulate, equiv-check, spectrum, g2, waiting-time, trajectories,
 describe-map.  Exit status is 0 iff every check in the scenario passed, 1
 if a check failed, 2 if the scenario or its input was rejected and 3 on an
 internal failure.  ``_OPTIONS`` lists the task options with their defaults;
-a scenario may set only the options and ``target`` its task reads.
+a scenario may set only the entries its task reads (``_TASKS``).
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .defaults import DEFAULT_OMEGA_GRID, DEFAULT_TIME_GRID, DEFAULT_TOLERANCES
+from .defaults import (DEFAULT_OMEGA_GRID, DEFAULT_TIME_GRID,
+                       DEFAULT_TOLERANCES, TINY)
 from .equivalence import EquivalenceMap, map_system, verify_equivalence
 from .errors import ScenarioError
-from .linalg import check_density_matrix, level_projector
+from .linalg import check_density_matrix, ketbra
 from .observables import (
     bright_dark_stats,
     emission_spectrum,
@@ -50,8 +51,8 @@ SCHEMA_VERSION = 1
 _GAMMA_ALIAS = {Config.FIG1A: "gamma23", Config.FIG1B: "gamma23",
                 Config.FIG2A: "gamma31", Config.FIG2B: "gamma31"}
 
-_SYSTEM_KEYS = {"config", "gamma21", "gamma23", "gamma31", "gamma23_or_31",
-                "omega_a", "omega_b", "delta2", "delta3", "phi"}
+_SYSTEM_KEYS = {"config", "gamma21", "gamma23", "gamma31", "omega_a",
+                "omega_b", "delta2", "delta3", "phi"}
 
 _SCENARIO_KEYS = {"schema_version", "task", "system", "target", "time_grid",
                   "omega_grid", "initial_state", "seed", "tolerances",
@@ -107,27 +108,18 @@ def _system_from_dict(raw: dict, where: str) -> SystemParams:
         raise ScenarioError(f"{where}.config",
                             f"unknown configuration {raw['config']!r}") from None
     alias = _GAMMA_ALIAS[config]
-    second = raw.get("gamma23_or_31", raw.get(alias))
     wrong = "gamma31" if alias == "gamma23" else "gamma23"
     if wrong in raw:
         raise ScenarioError(f"{where}.{wrong}",
                             f"config {config.value} expects '{alias}'")
-    if second is None:
-        raise ScenarioError(f"{where}.{alias}", "missing")
-    kwargs = {
-        "config": config,
-        "gamma21": raw.get("gamma21"),
-        "gamma23_or_31": second,
-        "omega_a": raw.get("omega_a", 0.0),
-        "omega_b": raw.get("omega_b", 0.0),
-        "delta2": raw.get("delta2", 0.0),
-        "delta3": raw.get("delta3", 0.0),
-        "phi": raw.get("phi"),
-    }
-    if kwargs["gamma21"] is None:
-        raise ScenarioError(f"{where}.gamma21", "missing")
+    for key in (alias, "gamma21"):
+        if raw.get(key) is None:
+            raise ScenarioError(f"{where}.{key}", "missing")
+    # what is left are drives, detunings and phi, all with defaults
+    rest = {key: raw[key] for key in raw.keys() - {"config", "gamma21", alias}}
     try:
-        return SystemParams(**kwargs)
+        return SystemParams(config, raw["gamma21"], raw[alias],
+                            **({"omega_a": 0.0} | rest))
     except ScenarioError as err:
         raise ScenarioError(f"{where}.{err.field}", err.message) from None
 
@@ -243,7 +235,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         tolerances[key] = _tolerance(f"tolerances.{key}", val)
     options = {key: _option(key, val)
                for key, val in (raw.get("options") or {}).items()}
-    _require_read(task, options, target)
+    _require_read(task, options, target, raw.get("tolerances") or {},
+                  "seed" in raw)
     return Scenario(
         task=task,
         system=system,
@@ -258,16 +251,19 @@ def parse_scenario(path: str | Path) -> Scenario:
     )
 
 
-def _require_read(task: str, options: dict,
-                  target: SystemParams | None) -> None:
-    """Reject an option or target that ``task`` would never read."""
+def _require_read(task: str, options: dict, target: SystemParams | None,
+                  tolerances: dict, seeded: bool) -> None:
+    """Reject an option, tolerance, seed or target that ``task`` would
+    never read."""
     spec, mapped = _TASKS[task], options.get("compare_mapped", False)
-    for key in options:
-        if key not in spec.options:
-            raise ScenarioError(f"options.{key}", f"not read by {task}")
-        if key == "detect_weights" and mapped:
-            raise ScenarioError(f"options.{key}", "not read with "
-                                                 "compare_mapped")
+    unread = ([f"options.{k}" for k in options if k not in spec.options]
+              + [f"tolerances.{k}" for k in tolerances if k not in spec.tols]
+              + ["seed"] * (seeded and not spec.seed))
+    if unread:
+        raise ScenarioError(unread[0], f"not read by {task}")
+    if "detect_weights" in options and mapped:
+        raise ScenarioError("options.detect_weights",
+                            "not read with compare_mapped")
     if target is not None and not (spec.target or mapped):
         raise ScenarioError("target", f"not read by {task}" + (
             " without compare_mapped" if "compare_mapped" in spec.options
@@ -290,7 +286,9 @@ def _system_to_dict(p: SystemParams) -> dict:
 
 
 def serialize_scenario(s: Scenario) -> dict:
-    """Canonical JSON-ready form; parse(serialize(s)) == s."""
+    """Canonical JSON-ready form; parse(serialize(s)) == s.  Only the seed
+    and tolerances the task reads are echoed."""
+    spec = _TASKS[s.task]
     out = {
         "schema_version": s.schema_version,
         "task": s.task,
@@ -298,8 +296,8 @@ def serialize_scenario(s: Scenario) -> dict:
         "time_grid": list(s.time_grid),
         "omega_grid": list(s.omega_grid),
         "initial_state": s.initial_state,
-        "seed": s.seed,
-        "tolerances": dict(s.tolerances),
+        **({"seed": s.seed} if spec.seed else {}),
+        "tolerances": {key: s.tolerances[key] for key in spec.tols},
         "options": dict(s.options),
     }
     if s.target is not None:
@@ -361,13 +359,13 @@ def _matrix_from_spec(rows) -> np.ndarray:
                 out[i, j] = complex(entry[0], entry[1])
             else:
                 out[i, j] = complex(entry)
-    check_density_matrix(out, herm_tol=1e-9, trace_tol=1e-9)
+    check_density_matrix(out)
     return out
 
 
 def _initial_rho(s: Scenario) -> np.ndarray:
     if isinstance(s.initial_state, int):
-        return level_projector(s.initial_state - 1)
+        return ketbra(s.initial_state - 1, s.initial_state - 1)
     return _matrix_from_spec(s.initial_state)
 
 
@@ -437,7 +435,7 @@ def _photon_curve(s: Scenario, model: LindbladModel) -> _Output:
     # the twin's detection reset is the rotated ground state
     u = emap.unitary
     other = curve(model_b, times,
-                  reset_state=u @ level_projector(0) @ u.conj().T).values
+                  reset_state=u @ ketbra(0, 0) @ u.conj().T).values
     head[1] += f", mapped value {unit}"
     return _Output(
         fname, head, [times, values, other],
@@ -468,7 +466,7 @@ def _spectrum(s: Scenario, model: LindbladModel) -> _Output:
     spec_a = spectrum(model, 1.0, 0.0).values
     spec_b = spectrum(model_b, math.cos(emap.theta),
                       math.sin(emap.theta)).values
-    scale = max(float(np.max(np.abs(spec_a))), 1e-300)
+    scale = max(float(np.max(np.abs(spec_a))), TINY)
     return _Output(
         "spectrum.dat",
         ["trilevel spectrum (mapped pair)",
@@ -499,12 +497,12 @@ def _trajectories(s: Scenario, model: LindbladModel) -> _Output:
 
 
 class _Task(NamedTuple):
-    """A verb: its function, the tolerance key ``--tol`` overrides, the
-    options it reads, and whether it reads ``target`` and the seed.  With
-    compare_mapped set, a task reads ``target`` and not detect_weights."""
+    """A verb: its function, the tolerances it reads (``--tol`` sets the
+    first), its options, and whether it reads ``target`` and the seed.
+    With compare_mapped set, a task reads ``target``, not detect_weights."""
 
     run: Callable[[Scenario, LindbladModel], _Output]
-    tol: str | None = None
+    tols: tuple[str, ...] = ()
     options: tuple[str, ...] = ()
     target: bool = False
     seed: bool = False
@@ -512,12 +510,12 @@ class _Task(NamedTuple):
 
 _TASKS = {
     "simulate": _Task(_simulate),
-    "equiv-check": _Task(_equiv_check, "equivalence", target=True),
-    "spectrum": _Task(_spectrum, "spectrum_rel",
+    "equiv-check": _Task(_equiv_check, ("equivalence", "trace"), target=True),
+    "spectrum": _Task(_spectrum, ("spectrum_rel",),
                       ("compare_mapped", "detect_weights")),
-    "g2": _Task(_photon_curve, "photon_statistics",
+    "g2": _Task(_photon_curve, ("photon_statistics",),
                 ("compare_mapped", "normalized")),
-    "waiting-time": _Task(_photon_curve, "photon_statistics",
+    "waiting-time": _Task(_photon_curve, ("photon_statistics",),
                           ("compare_mapped",)),
     "trajectories": _Task(_trajectories,
                           options=("n_traj", "dark_threshold"), seed=True),
@@ -570,9 +568,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if spec and spec.seed:
             p.add_argument("--seed", type=int, default=None,
                            help="override the scenario seed")
-        if spec and spec.tol:
+        if spec and spec.tols:
             p.add_argument("--tol", type=float, default=None,
-                           help=f"override the '{spec.tol}' tolerance")
+                           help=f"override the '{spec.tols[0]}' tolerance")
     return parser
 
 
@@ -594,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None:
             scenario = dataclasses.replace(scenario, seed=_seed(args.seed))
         if getattr(args, "tol", None) is not None:
-            tols = {_TASKS[args.verb].tol: _tolerance("--tol", args.tol)}
+            tols = {_TASKS[args.verb].tols[0]: _tolerance("--tol", args.tol)}
             scenario = dataclasses.replace(
                 scenario, tolerances=scenario.tolerances | tols)
         report = run(scenario, args.out)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .defaults import ROUNDOFF, TRACE_DRIFT, TRACE_FLOOR
 from .errors import NonUniqueSteadyStateError, PropagationError
 from .linalg import hermitize, mat_exp, null_space, unvec, vec
 from .systems import LindbladModel
@@ -36,7 +37,7 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     l = no_jump_generator(model) + feeding_superoperator(model)
     # trace preservation is an algebraic identity of this construction
     resid = np.linalg.norm(vec(np.eye(3)) @ l)
-    if resid > 1e-12 * max(1.0, np.linalg.norm(l)):
+    if resid > ROUNDOFF * max(1.0, np.linalg.norm(l)):
         raise RuntimeError(f"Liouvillian is not trace preserving ({resid=})")
     return l
 
@@ -85,25 +86,24 @@ def propagate_series(l: np.ndarray, rho0: np.ndarray,
     # row k of vs.T is vec(rho_k), i.e. rho_k transposed in row-major order
     rhos = hermitize(np.swapaxes(vs.T.reshape(-1, 3, 3), -1, -2))
     drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
-    bad = np.flatnonzero(drift > 1e-6)
+    bad = np.flatnonzero(drift > TRACE_DRIFT)
     if bad.size:
         raise PropagationError(f"trace drifted by {drift[bad[0]]:.3e}",
                                time=float(np.asarray(times)[bad[0]]))
     return rhos
 
 
-def steady_state(l: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def steady_state(l: np.ndarray) -> np.ndarray:
     """Unique unit-trace Hermitian null vector of the Liouvillian.
 
-    Raises NonUniqueSteadyStateError when the null space (at singular-value
-    threshold tol * sigma_max) is not one-dimensional, e.g. for decoupled
-    levels or dark-state manifolds.
+    Raises NonUniqueSteadyStateError when the null space is not
+    one-dimensional, e.g. for decoupled levels or dark-state manifolds.
     """
-    basis = null_space(l, tol)
+    basis = null_space(l)
     if len(basis) != 1:
         raise NonUniqueSteadyStateError(dimension=len(basis))
     rho = hermitize(unvec(basis[0]))
     tr = float(np.trace(rho).real)
-    if abs(tr) < 1e-8:
+    if abs(tr) < TRACE_FLOOR:
         raise NonUniqueSteadyStateError(dimension=len(basis))
     return rho / tr

@@ -26,14 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_TOLERANCES, SNAP, UNITARITY
 from .dynamics import liouvillian, propagate_series
 from .errors import DegenerateBasisError, UndefinedAngleError
 from .linalg import hermitize
 from .systems import Config, LindbladModel, SystemParams
-
-# cos(phi) within a few ulp of +-1 counts as exactly parallel/antiparallel:
-# Cauchy-Schwarz saturation up to roundoff.
-_POLE_SNAP = 4 * np.finfo(float).eps
 
 
 def dressed_block(delta: float, omega: float) -> tuple[float, float, float]:
@@ -106,8 +103,8 @@ def dipole_angle(gamma_p_a: float, gamma_p_b: float, gamma_cross: float) -> floa
     """Dipole angle phi reproducing a given cross-damping rate.
 
     cos(phi) = gamma_cross / sqrt(gamma_p_a * gamma_p_b), with the sign of
-    the cross rate folded in, so phi lies in [0, pi].  Ratios within a few
-    ulp of +-1 snap to exactly 0 or pi (a rate pattern produced by a dark
+    the cross rate folded in, so phi lies in [0, pi].  Ratios within SNAP
+    of +-1 snap to exactly 0 or pi (a rate pattern produced by a dark
     input channel saturates Cauchy-Schwarz only up to roundoff).
     """
     if gamma_p_a < 0 or gamma_p_b < 0:
@@ -119,9 +116,9 @@ def dipole_angle(gamma_p_a: float, gamma_p_b: float, gamma_cross: float) -> floa
             f"(gamma_p_a = {gamma_p_a}, gamma_p_b = {gamma_p_b})"
         )
     ratio = gamma_cross / math.sqrt(prod)
-    if ratio >= 1.0 - _POLE_SNAP:
+    if ratio >= 1.0 - SNAP:
         return 0.0
-    if ratio <= -1.0 + _POLE_SNAP:
+    if ratio <= -1.0 + SNAP:
         return math.pi
     return math.acos(ratio)
 
@@ -209,7 +206,7 @@ def verify_equivalence(
     unitary: np.ndarray,
     rho0: np.ndarray,
     times: np.ndarray,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOLERANCES["equivalence"],
 ) -> EquivalenceReport:
     """Integrate both master equations and compare rotated trajectories.
 
@@ -218,7 +215,8 @@ def verify_equivalence(
     together with conservation diagnostics of both trajectories.
     """
     u = np.asarray(unitary, dtype=complex)
-    if u.shape != (3, 3) or np.linalg.norm(u @ u.conj().T - np.eye(3)) > 1e-10:
+    if (u.shape != (3, 3)
+            or np.linalg.norm(u @ u.conj().T - np.eye(3)) > UNITARITY):
         raise ValueError("unitary must be a 3x3 unitary matrix")
     times = np.asarray(times, dtype=float)
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
+from .defaults import DENSITY_SLACK, NULL_CUT
 
-def ketbra(i: int, j: int, dim: int = 3) -> np.ndarray:
-    """Matrix unit |i><j| as a dense complex array."""
-    m = np.zeros((dim, dim), dtype=complex)
+
+def ketbra(i: int, j: int) -> np.ndarray:
+    """3x3 matrix unit |i><j| as a dense complex array."""
+    m = np.zeros((3, 3), dtype=complex)
     m[i, j] = 1.0
     return m
 
@@ -37,9 +39,9 @@ def vec(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, dim: int = 3) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
+def unvec(v: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`vec` for a 3x3 matrix."""
+    return np.asarray(v, dtype=complex).reshape((3, 3), order="F")
 
 
 def _require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -61,40 +63,32 @@ def mat_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     return scipy.linalg.expm(m * t)
 
 
-def null_space(m: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
+def null_space(m: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the right null space of m.
 
-    Singular values below tol * sigma_max count as zero.  Returns an empty
-    list when the matrix has full rank.
+    Singular values below NULL_CUT * sigma_max count as zero.  Returns an
+    empty list when the matrix has full rank.
     """
     m = _require_finite(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     _, s, vh = np.linalg.svd(m)
     smax = s[0] if s.size else 0.0
-    return [vh[k].conj() for k in range(len(s)) if s[k] <= tol * smax]
+    return [vh[k].conj() for k in range(len(s)) if s[k] <= NULL_CUT * smax]
 
 
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-9,
-    eig_floor: float = -1e-9,
-) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix."""
+def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+    """Validate Hermiticity, unit trace and positivity of a density matrix,
+    each to within ``DENSITY_SLACK``."""
     rho = _require_finite(rho, "density matrix")
     scale = max(1.0, float(np.linalg.norm(rho)))
-    if np.linalg.norm(rho - rho.conj().T) > herm_tol * scale:
+    if np.linalg.norm(rho - rho.conj().T) > DENSITY_SLACK * scale:
         raise ValueError("density matrix is not Hermitian within tolerance")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > DENSITY_SLACK:
         raise ValueError(f"density matrix trace {tr} deviates from 1")
     wmin = float(np.linalg.eigvalsh(hermitize(rho)).min())
-    if wmin < eig_floor:
+    if wmin < -DENSITY_SLACK:
         raise ValueError(f"density matrix has negative eigenvalue {wmin}")
     return rho
 
-
-def level_projector(level: int, dim: int = 3) -> np.ndarray:
-    """Pure-state density matrix |level><level|."""
-    return ketbra(level, level, dim)

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .defaults import (EMISSION_EXCESS, NEWTON_STEP, NULL_CUT, ROUNDOFF,
+                       SURVIVAL_FLOOR, TINY)
 from .errors import JumpRankError
-from .linalg import dagger, level_projector, mat_exp, null_space, vec
+from .linalg import dagger, ketbra, mat_exp, null_space, vec
 from .dynamics import (
     liouvillian,
     no_jump_generator,
@@ -73,14 +75,14 @@ class SampledFunction:
             raise ValueError("values length does not match grid")
         if self.kind in (Kind.G2, Kind.WAITING_TIME):
             low = float(np.min(values.real))
-            if low < -1e-12:
+            if low < -ROUNDOFF:
                 raise ValueError(f"{self.kind.value} values must be >= 0 "
                                  f"(found {low})")
         if self.kind is Kind.WAITING_TIME and grid.size > 1:
             total = self.meta.get("emitted_probability")
             if total is None:
                 total = float(_trapezoid(values.real, grid))
-            if total > 1.0 + 1e-6:
+            if total > 1.0 + EMISSION_EXCESS:
                 raise ValueError(f"waiting-time density integrates to {total} > 1")
 
 
@@ -92,7 +94,7 @@ def _detection_functional(model: LindbladModel) -> np.ndarray:
 
 def _reset_vec(reset_state: np.ndarray | None) -> np.ndarray:
     if reset_state is None:
-        return vec(level_projector(0))
+        return vec(ketbra(0, 0))
     rho = np.asarray(reset_state, dtype=complex)
     if rho.shape != (3, 3):
         raise ValueError("reset_state must be a 3x3 density matrix")
@@ -101,7 +103,7 @@ def _reset_vec(reset_state: np.ndarray | None) -> np.ndarray:
 
 def _nonnegative_rates(raw: np.ndarray, what: str) -> np.ndarray:
     # rates are nonnegative up to roundoff; anything beyond the floor is a bug
-    floor = -1e-12 * max(1.0, float(np.abs(raw).max()))
+    floor = -ROUNDOFF * max(1.0, float(np.abs(raw).max()))
     if raw.min() < floor:
         raise RuntimeError(f"{what} went negative ({raw.min():.3e})")
     return np.maximum(raw, 0.0)
@@ -177,7 +179,7 @@ def emission_spectrum(
     else:
         rho_ss = np.asarray(rho_ss, dtype=complex)
         resid = float(np.linalg.norm(l @ vec(rho_ss)))
-        if resid > 1e-10 * np.linalg.norm(l):
+        if resid > NULL_CUT * np.linalg.norm(l):
             raise ValueError(f"rho_ss is not stationary (|L rho_ss| = "
                              f"{resid:.3e})")
     detect = np.asarray(detect, dtype=complex)
@@ -256,15 +258,15 @@ class _NoJumpEvolution:
     about 16**-11 / 11! ~ 1e-21 at |delta| ||H_eff|| <= 1/16.  The table
     also holds each start's survival ||psi||^2 and its exact slope
     -<psi|K|psi>.  It stops at the first point where every survival is
-    below 2**-53, the smallest threshold a trajectory draws, so a model
-    that keeps emitting needs a bounded table whatever t_max; a dark state,
-    whose survival levels off above that, keeps the whole table."""
+    below SURVIVAL_FLOOR, the smallest threshold a trajectory draws, so a
+    model that keeps emitting needs a bounded table whatever t_max; a dark
+    state, whose survival levels off above that, keeps the whole table."""
 
     def __init__(self, h_eff: np.ndarray, starts: np.ndarray, t_max: float):
         norm = np.linalg.norm(h_eff, 2)
         scale = 1.0 / norm if norm > 0 else np.inf
         self.h = min(t_max, scale / 8)
-        self.tol = 1e-13 * min(t_max, scale)  # Newton's last step
+        self.tol = NEWTON_STEP * min(t_max, scale)  # Newton's last step
         self.gen_t = -1j * h_eff.T  # psi @ gen_t = -i H_eff psi for rows psi
         self.decay_t = (1j * (h_eff - dagger(h_eff))).T  # K
         # the table grows _TABLE_BLOCK points at a time: the last row times
@@ -275,12 +277,12 @@ class _NoJumpEvolution:
         n = int(np.ceil(t_max / self.h))
         blocks = [starts[:, None]]
         while ((len(blocks) - 1) * _TABLE_BLOCK < n and (np.abs(
-                blocks[-1][:, -1]) ** 2).sum(axis=1).max() >= 2.0 ** -53):
+                blocks[-1][:, -1]) ** 2).sum(axis=1).max() >= SURVIVAL_FLOOR):
             blocks.append(np.einsum("ji,bik->jbk", blocks[-1][:, -1], powers))
         table = np.concatenate(blocks, axis=1)[:, :n + 1]
         del blocks  # a dark state keeps the whole table: hold it only once
         survival = (np.abs(table) ** 2).sum(axis=2)
-        below = survival.max(axis=0) < 2.0 ** -53
+        below = survival.max(axis=0) < SURVIVAL_FLOOR
         end = np.argmax(below) + 1 if below.any() else table.shape[1]
         self.table = table[:, :end]
         # the survival is non-increasing: clip roundoff so it can be searched
@@ -322,11 +324,11 @@ class _NoJumpEvolution:
         d0, d1 = (self.slope[start, k] * (hi - lo),
                   self.slope[start, m] * (hi - lo))
         c2, c3 = 3 * (s1 - s0) - 2 * d0 - d1, d0 + d1 - 2 * (s1 - s0)
-        x = np.clip((s0 - u) / np.maximum(s0 - s1, 1e-300), 0.0, 1.0)
+        x = np.clip((s0 - u) / np.maximum(s0 - s1, TINY), 0.0, 1.0)
         for _ in range(2):
             f = s0 - u + x * (d0 + x * (c2 + x * c3))
             df = d0 + x * (2 * c2 + 3 * x * c3)
-            x = np.clip(x - f / np.minimum(df, -1e-300), 0.0, 1.0)
+            x = np.clip(x - f / np.minimum(df, -TINY), 0.0, 1.0)
         t = lo + x * (hi - lo)
         # Newton with the exact slope -<psi|K|psi> polishes the root in
         # [lo, hi] and bisects where a step would leave it or not halve the
@@ -339,7 +341,7 @@ class _NoJumpEvolution:
             f = (np.abs(psi) ** 2).sum(axis=1) - u
             slope = -np.einsum("ri,ri->r", psi.conj(), psi @ self.decay_t).real
             lo, hi = np.where(f >= 0, t, lo), np.where(f >= 0, hi, t)
-            newton = f / np.minimum(slope, -1e-300)  # slope <= 0 up to roundoff
+            newton = f / np.minimum(slope, -TINY)  # slope <= 0 up to roundoff
             bisect = ~((t - newton >= lo) & (t - newton <= hi)
                        & (2.0 * np.abs(newton) <= np.abs(before)))
             before, step = step, np.where(bisect, t - 0.5 * (lo + hi), newton)
@@ -382,7 +384,7 @@ def mc_trajectories(
         raise ValueError("t_final must be > 0")
     ops = np.array(model.jump_operators(), dtype=complex).reshape(-1, 3, 3)
     ranges, sv, _ = np.linalg.svd(ops)
-    bad = np.flatnonzero(sv[:, 1] > 1e-12 * sv[:, 0])
+    bad = np.flatnonzero(sv[:, 1] > ROUNDOFF * sv[:, 0])
     if bad.size:
         raise JumpRankError(f"jump channel {bad[0]} is not rank one "
                             f"(s2/s1 = {sv[bad[0], 1] / sv[bad[0], 0]:.3e})")
@@ -401,8 +403,8 @@ def mc_trajectories(
             for i in range(n_traj)]
     # a threshold, then a (channel draw, next threshold) pair per jump
     first = np.array([rng.random(1 + 2 * _JUMP_BLOCK) for rng in rngs])
-    # thresholds lie in [2**-53, 1]; without jump channels they are 0, which
-    # no survival falls to
+    # thresholds lie in [SURVIVAL_FLOOR, 1]; without jump channels they are
+    # 0, which no survival falls to
     thresholds = (1.0 - first[:, 0]) * bool(len(ops))
     draws = first[:, 1:].reshape(n_traj, _JUMP_BLOCK, 2)
     read = np.zeros(n_traj, dtype=int)  # jumps drawn from the current block

@@ -50,6 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .defaults import CHANNEL_FLOOR, ROUNDOFF, SNAP
 from .errors import ScenarioError
 from .linalg import ketbra
 
@@ -70,10 +71,9 @@ _NEEDS_PHI = (Config.FIG1B, Config.FIG2B)
 
 
 def _cos_dipole(phi: float) -> float:
-    # cos(pi/2) rounds to ~6e-17; a cross rate that small is pure roundoff,
-    # so orthogonal dipoles give exactly independent channels
+    # a cross rate that small is roundoff: orthogonal dipoles are independent
     c = math.cos(phi)
-    return 0.0 if abs(c) < 4 * np.finfo(float).eps else c
+    return 0.0 if abs(c) < SNAP else c
 
 
 @dataclass(frozen=True)
@@ -149,17 +149,18 @@ class LindbladModel:
             self, "collapse_ops",
             tuple(np.asarray(a, dtype=complex) for a in self.collapse_ops),
         )
-        if np.linalg.norm(h - h.conj().T) > 1e-12 * max(1.0, np.linalg.norm(h)):
+        norm = np.linalg.norm
+        if norm(h - h.conj().T) > ROUNDOFF * max(1.0, norm(h)):
             raise ValueError("hamiltonian must be Hermitian")
         n = len(self.collapse_ops)
         if r.shape != (n, n):
             raise ValueError(f"rate matrix shape {r.shape} does not match "
                              f"{n} collapse operators")
-        if n and np.linalg.norm(r - r.T) > 1e-12 * max(1.0, np.linalg.norm(r)):
+        if n and norm(r - r.T) > ROUNDOFF * max(1.0, norm(r)):
             raise ValueError("rate matrix must be symmetric")
         if n:
             wmin = float(np.linalg.eigvalsh(0.5 * (r + r.T)).min())
-            if wmin < -1e-12 * max(1.0, float(np.abs(r).max())):
+            if wmin < -ROUNDOFF * max(1.0, float(np.abs(r).max())):
                 raise ValueError(f"rate matrix is not PSD (min eigenvalue {wmin})")
 
     def jump_operators(self) -> tuple[np.ndarray, ...]:
@@ -167,21 +168,15 @@ class LindbladModel:
 
         The rate matrix is PSD, so it diagonalizes as R = O diag(r) O^T and
         c_k = sqrt(r_k) sum_a O[a, k] A_a reproduce the dissipator in the
-        standard single-sum Lindblad form.  Channels with zero rate are
-        dropped.
+        standard single-sum Lindblad form.  Channels with a rate below
+        CHANNEL_FLOOR times the largest rate (or 1) are dropped.
         """
         if not self.collapse_ops:
             return ()
         w, o = np.linalg.eigh(self.rate_matrix)
-        scale = max(float(w.max()), 0.0)
-        ops = []
-        for k in range(len(w)):
-            if w[k] > 1e-14 * max(scale, 1.0):
-                c = np.zeros((3, 3), dtype=complex)
-                for a, op in enumerate(self.collapse_ops):
-                    c += o[a, k] * op
-                ops.append(np.sqrt(w[k]) * c)
-        return tuple(ops)
+        keep = w > CHANNEL_FLOOR * max(float(w.max()), 1.0)
+        return tuple(np.einsum("ak,aij->kij", o[:, keep] * np.sqrt(w[keep]),
+                               np.array(self.collapse_ops)))
 
     def total_decay_operator(self) -> np.ndarray:
         """sum_ab R[a, b] A_b^+ A_a, the operator in the anticommutator."""

@@ -70,19 +70,33 @@ def test_parse_missing_file():
         parse_scenario("/nonexistent/scenario.json")
 
 
+# per task: the seed, tolerances and options it reads, set off default
+READ_ENTRIES = {
+    "simulate": {},
+    "equiv-check": {"tolerances": {"equivalence": 1e-9, "trace": 1e-10}},
+    "spectrum": {"tolerances": {"spectrum_rel": 1e-5},
+                 "options": {"compare_mapped": True}},
+    "g2": {"tolerances": {"photon_statistics": 1e-9},
+           "options": {"compare_mapped": True, "normalized": True}},
+    "waiting-time": {"tolerances": {"photon_statistics": 1e-9},
+                     "options": {"compare_mapped": True}},
+    "trajectories": {"seed": 7,
+                     "options": {"n_traj": 5, "dark_threshold": 2.0}},
+}
+
+
 def test_scenario_round_trip_is_identity(tmp_path):
-    payload = minimal_fig2a(
-        task="g2",
-        time_grid=[0.0, 10.0, 101],
-        seed=7,
-        tolerances={"equivalence": 1e-9},
-        options={"compare_mapped": True},
-    )
-    first = parse_scenario(write_scenario(tmp_path, payload))
-    second = parse_scenario(write_scenario(tmp_path,
-                                           serialize_scenario(first),
-                                           name="echo.json"))
-    assert first == second
+    assert set(READ_ENTRIES) == set(cli.TASKS)
+    for task, entries in READ_ENTRIES.items():
+        payload = minimal_fig2a(task=task, time_grid=[0.0, 10.0, 101],
+                                **entries)
+        first = parse_scenario(write_scenario(tmp_path, payload))
+        echo = serialize_scenario(first)
+        assert echo["tolerances"] == entries.get("tolerances", {}), task
+        assert echo.get("seed") == entries.get("seed"), task
+        second = parse_scenario(write_scenario(tmp_path, echo,
+                                               name="echo.json"))
+        assert first == second, task
 
 
 # ------------------------------------------------------------------- runs
@@ -456,10 +470,21 @@ TARGET = {"config": "fig2b", "gamma21": 0.55, "gamma31": 0.55,
      "options.detect_weights"),
     ("trajectories", {"options": {"compare_mapped": True}},
      "options.compare_mapped"),
+    ("simulate", {"seed": 99}, "seed"),
+    ("equiv-check", {"seed": 0}, "seed"),
+    ("simulate", {"tolerances": {"trace": 1e-3}}, "tolerances.trace"),
+    ("simulate", {"tolerances": {"spectrum_rel": 0.5}},
+     "tolerances.spectrum_rel"),
+    ("g2", {"tolerances": {"equivalence": 1e-9}}, "tolerances.equivalence"),
+    ("spectrum", {"tolerances": {"photon_statistics": 1e-9}},
+     "tolerances.photon_statistics"),
+    ("trajectories", {"tolerances": {"trace": 1e-9}}, "tolerances.trace"),
 ], ids=["n-traj-on-simulate", "compare-on-simulate", "target-on-simulate",
         "compare-on-equiv-check", "normalized-on-waiting-time",
         "target-without-compare", "weights-with-compare",
-        "compare-on-trajectories"])
+        "compare-on-trajectories", "seed-on-simulate", "seed-on-equiv-check",
+        "trace-on-simulate", "spectrum-rel-on-simulate", "equivalence-on-g2",
+        "photon-statistics-on-spectrum", "trace-on-trajectories"])
 def test_entries_the_task_never_reads_are_rejected(tmp_path, capsys, verb,
                                                    entry, field):
     payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
@@ -467,8 +492,34 @@ def test_entries_the_task_never_reads_are_rejected(tmp_path, capsys, verb,
     code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
                  "--out", str(tmp_path / "out")])
     assert code == 2
-    assert f"error: {field}: " in capsys.readouterr().err
+    assert f"error: {field}: not read " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb", cli.TASKS)
+def test_report_echoes_only_what_the_task_reads(tmp_path, verb):
+    payload = minimal_fig2a(task=verb, time_grid=[0.0, 2.0, 5],
+                            omega_grid=[-1.0, 1.0, 5])
+    if verb == "trajectories":
+        payload["options"] = {"n_traj": 5}
+    assert main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")]) == 0
+    echo = json.loads((tmp_path / "out" / "report.json").read_text())[
+        "scenario"]
+    assert list(echo["tolerances"]) == list(cli._TASKS[verb].tols)
+    assert ("seed" in echo) == (verb == "trajectories")
+
+
+def test_combined_gamma_spelling_is_an_unknown_field(tmp_path, capsys):
+    payload = {"schema_version": 1, "task": "simulate",
+               "system": {"config": "fig1a", "gamma21": 1.0, "gamma23": 0.3,
+                          "gamma23_or_31": 0.5, "omega_a": 1.0}}
+    code = main(["simulate", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert ("error: system.gamma23_or_31: unknown field"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("verb", ["simulate", "equiv-check", "spectrum",

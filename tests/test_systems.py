@@ -213,6 +213,29 @@ def test_jump_operators_reproduce_dissipator():
         assert np.linalg.norm(liouvillian(m) - liouvillian(rebuilt)) < 1e-12
 
 
+def test_jump_operators_match_the_channel_loop():
+    # reference: each kept channel summed one collapse operator at a time
+    rng = np.random.default_rng(77)
+    for config in Config:
+        for dark in (False, True):
+            p = random_params(config, rng)
+            if dark:
+                p = SystemParams(config, p.gamma21, 0.0, p.omega_a,
+                                 p.omega_b, p.delta2, p.delta3, p.phi)
+            m = build_model(p)
+            w, o = np.linalg.eigh(m.rate_matrix)
+            expected = []
+            for k in range(len(w)):
+                if w[k] > 1e-14 * max(float(w.max()), 1.0):
+                    c = np.zeros((3, 3), dtype=complex)
+                    for a, op in enumerate(m.collapse_ops):
+                        c += o[a, k] * op
+                    expected.append(np.sqrt(w[k]) * c)
+            jumps = m.jump_operators()
+            assert len(jumps) == len(expected) == 2 - dark
+            assert all(np.array_equal(j, e) for j, e in zip(jumps, expected))
+
+
 def test_effective_hamiltonian_consistent_with_jumps():
     p = random_params(Config.FIG2B)
     m = build_model(p)
