@@ -42,7 +42,8 @@ from .observables import (
     populations,
     waiting_time,
 )
-from .systems import Config, LindbladModel, SystemParams, build_model
+from .systems import (_NEEDS_PHI, Config, LindbladModel, SystemParams,
+                      build_model)
 
 log = logging.getLogger("trilevel")
 
@@ -112,6 +113,9 @@ def _system_from_dict(raw: dict, where: str) -> SystemParams:
     if wrong in raw:
         raise ScenarioError(f"{where}.{wrong}",
                             f"config {config.value} expects '{alias}'")
+    if "phi" in raw and config not in _NEEDS_PHI:
+        raise ScenarioError(f"{where}.phi",
+                            f"not read by config {config.value}")
     for key in (alias, "gamma21"):
         if raw.get(key) is None:
             raise ScenarioError(f"{where}.{key}", "missing")
@@ -127,16 +131,14 @@ def _system_from_dict(raw: dict, where: str) -> SystemParams:
 def _grid_from(raw, where: str, default: tuple) -> tuple[float, float, int]:
     if raw is None:
         return default
-    try:
-        start, stop, count = float(raw[0]), float(raw[1]), int(raw[2])
-    except (TypeError, ValueError, IndexError, OverflowError):
-        raise ScenarioError(where, "must be [start, stop, count]") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise ScenarioError(where, f"bounds must be finite, got ({start}, "
-                                   f"{stop})")
-    if count < 1 or stop < start or (count == 1 and stop != start):
-        raise ScenarioError(where, f"invalid grid ({start}, {stop}, {count})")
-    return (start, stop, count)
+    if not (isinstance(raw, list) and len(raw) == 3
+            and _finite(raw[0]) and _finite(raw[1]) and raw[0] <= raw[1]
+            and type(raw[2]) is int and raw[2] >= 1  # true is no count
+            and (raw[2] > 1 or raw[0] == raw[1])):
+        raise ScenarioError(where, f"must be [start, stop, count] with finite "
+                                   f"start <= stop and an integer count >= 1 "
+                                   f"(1 only if start == stop), got {raw!r}")
+    return (float(raw[0]), float(raw[1]), raw[2])
 
 
 def _finite(value) -> bool:  # JSON true and false are no numbers here
@@ -255,19 +257,21 @@ def _require_read(task: str, options: dict, target: SystemParams | None,
                   tolerances: dict, seeded: bool) -> None:
     """Reject an option, tolerance, seed or target that ``task`` would
     never read."""
-    spec, mapped = _TASKS[task], options.get("compare_mapped", False)
+    spec, why = _TASKS[task], f"not read by {task}"
     unread = ([f"options.{k}" for k in options if k not in spec.options]
               + [f"tolerances.{k}" for k in tolerances if k not in spec.tols]
               + ["seed"] * (seeded and not spec.seed))
     if unread:
-        raise ScenarioError(unread[0], f"not read by {task}")
-    if "detect_weights" in options and mapped:
+        raise ScenarioError(unread[0], why)
+    if "detect_weights" in options and options.get("compare_mapped"):
         raise ScenarioError("options.detect_weights",
                             "not read with compare_mapped")
-    if target is not None and not (spec.target or mapped):
-        raise ScenarioError("target", f"not read by {task}" + (
-            " without compare_mapped" if "compare_mapped" in spec.options
-            else ""))
+    if "compare_mapped" in spec.options:
+        why += " without compare_mapped"
+    unread = ["target"] * (target is not None) + [f"tolerances.{k}"
+                                                  for k in tolerances]
+    if unread and not spec.compares(options):
+        raise ScenarioError(unread[0], why)
 
 
 def _system_to_dict(p: SystemParams) -> dict:
@@ -297,7 +301,8 @@ def serialize_scenario(s: Scenario) -> dict:
         "omega_grid": list(s.omega_grid),
         "initial_state": s.initial_state,
         **({"seed": s.seed} if spec.seed else {}),
-        "tolerances": {key: s.tolerances[key] for key in spec.tols},
+        "tolerances": {key: s.tolerances[key] for key in spec.tols
+                       if spec.compares(s.options)},
         "options": dict(s.options),
     }
     if s.target is not None:
@@ -344,21 +349,20 @@ def describe_map(p: SystemParams) -> str:
 
 
 def _matrix_from_spec(rows) -> np.ndarray:
-    """3x3 density matrix from nested lists; entries are numbers or
-    [re, im] pairs."""
-    if not (isinstance(rows, (list, tuple)) and len(rows) == 3):
-        raise ValueError("matrix must have 3 rows")
+    """3x3 density matrix from nested lists; entries are finite numbers or
+    [re, im] pairs of them."""
+    if not (isinstance(rows, (list, tuple)) and len(rows) == 3 and all(
+            isinstance(row, (list, tuple)) and len(row) == 3 for row in rows)):
+        raise ValueError("matrix must be 3 rows of 3 entries")
     out = np.zeros((3, 3), dtype=complex)
     for i, row in enumerate(rows):
-        if not (isinstance(row, (list, tuple)) and len(row) == 3):
-            raise ValueError("matrix rows must have 3 entries")
         for j, entry in enumerate(row):
-            if isinstance(entry, (list, tuple)):
-                if len(entry) != 2:
-                    raise ValueError("complex entries are [re, im] pairs")
-                out[i, j] = complex(entry[0], entry[1])
-            else:
-                out[i, j] = complex(entry)
+            pair = entry if isinstance(entry, (list, tuple)) else (entry, 0.0)
+            if not (len(pair) == 2 and all(map(_finite, pair))):
+                raise ValueError(f"entry ({i + 1}, {j + 1}) must be a finite "
+                                 f"number or an [re, im] pair of them, got "
+                                 f"{entry!r}")
+            out[i, j] = complex(*pair)
     check_density_matrix(out)
     return out
 
@@ -499,13 +503,17 @@ def _trajectories(s: Scenario, model: LindbladModel) -> _Output:
 class _Task(NamedTuple):
     """A verb: its function, the tolerances it reads (``--tol`` sets the
     first), its options, and whether it reads ``target`` and the seed.
-    With compare_mapped set, a task reads ``target``, not detect_weights."""
+    With compare_mapped set, a task reads ``target`` and its tolerances, not
+    detect_weights; without it, neither."""
 
     run: Callable[[Scenario, LindbladModel], _Output]
     tols: tuple[str, ...] = ()
     options: tuple[str, ...] = ()
     target: bool = False
     seed: bool = False
+
+    def compares(self, options: dict) -> bool:  # reads target and tols
+        return self.target or options.get("compare_mapped", False)
 
 
 _TASKS = {
@@ -592,6 +600,8 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None:
             scenario = dataclasses.replace(scenario, seed=_seed(args.seed))
         if getattr(args, "tol", None) is not None:
+            if not _TASKS[args.verb].compares(scenario.options):
+                raise ScenarioError("--tol", "not read without compare_mapped")
             tols = {_TASKS[args.verb].tols[0]: _tolerance("--tol", args.tol)}
             scenario = dataclasses.replace(
                 scenario, tolerances=scenario.tolerances | tols)

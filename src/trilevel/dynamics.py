@@ -1,4 +1,4 @@
-"""Liouvillian assembly, time propagation and steady states.
+"""Time propagation and steady states of a model's generator.
 
 Propagation exponentiates the full 9x9 Liouvillian (the generators here are
 time independent and tiny, so exactness beats ODE stepping).  Uniform grids
@@ -9,37 +9,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .defaults import ROUNDOFF, TRACE_DRIFT, TRACE_FLOOR
+from .defaults import TRACE_DRIFT, TRACE_FLOOR
 from .errors import NonUniqueSteadyStateError, PropagationError
 from .linalg import hermitize, mat_exp, null_space, unvec, vec
 from .systems import LindbladModel
 
 
-def feeding_superoperator(model: LindbladModel) -> np.ndarray:
-    """The photon-feeding part sum_ab R[a,b] A_a rho A_b^+ as a 9x9 matrix,
-    i.e. sum_ab R[a,b] kron(conj(A_b), A_a)."""
-    ops = np.array(model.collapse_ops, dtype=complex).reshape(-1, 3, 3)
-    f = np.einsum("ab,bij,akl->ikjl", model.rate_matrix, ops.conj(), ops)
-    return f.reshape(9, 9)
-
-
-def no_jump_generator(model: LindbladModel) -> np.ndarray:
-    """The 9x9 no-jump part -i (H_eff rho - rho H_eff^+) of the generator;
-    the trace it loses is the probability that a photon was emitted."""
-    h_eff = model.effective_hamiltonian()
-    eye = np.eye(3)
-    return -1j * (np.kron(eye, h_eff) - np.kron(h_eff.conj(), eye))
-
-
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """The 9x9 generator L with L vec(rho) = vec(-i[H, rho] + dissipators):
-    the no-jump generator plus the feeding superoperator."""
-    l = no_jump_generator(model) + feeding_superoperator(model)
-    # trace preservation is an algebraic identity of this construction
-    resid = np.linalg.norm(vec(np.eye(3)) @ l)
-    if resid > ROUNDOFF * max(1.0, np.linalg.norm(l)):
-        raise RuntimeError(f"Liouvillian is not trace preserving ({resid=})")
-    return l
+    """The 9x9 generator L of ``model`` (``model.generator``), assembled
+    and checked for trace preservation once per model."""
+    return model.generator
 
 
 def propagate_vectors(generator: np.ndarray, v0: np.ndarray,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULT_TOLERANCES, SNAP, UNITARITY
-from .dynamics import liouvillian, propagate_series
+from .dynamics import propagate_series
 from .errors import DegenerateBasisError, UndefinedAngleError
 from .linalg import hermitize
 from .systems import Config, LindbladModel, SystemParams
@@ -221,8 +221,8 @@ def verify_equivalence(
     times = np.asarray(times, dtype=float)
 
     rho0 = hermitize(rho0)
-    series_a = propagate_series(liouvillian(model_a), rho0, times)
-    series_b = propagate_series(liouvillian(model_b), u @ rho0 @ u.conj().T,
+    series_a = propagate_series(model_a.generator, rho0, times)
+    series_b = propagate_series(model_b.generator, u @ rho0 @ u.conj().T,
                                 times)
     dists = np.linalg.norm(u @ series_a @ u.conj().T - series_b, axis=(1, 2))
     both = np.concatenate([series_a, series_b])

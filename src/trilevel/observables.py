@@ -19,13 +19,7 @@ from .defaults import (EMISSION_EXCESS, NEWTON_STEP, NULL_CUT, ROUNDOFF,
                        SURVIVAL_FLOOR, TINY)
 from .errors import JumpRankError
 from .linalg import dagger, ketbra, mat_exp, null_space, vec
-from .dynamics import (
-    liouvillian,
-    no_jump_generator,
-    propagate_series,
-    propagate_vectors,
-    steady_state,
-)
+from .dynamics import propagate_series, propagate_vectors, steady_state
 from .systems import LindbladModel
 
 
@@ -86,12 +80,6 @@ class SampledFunction:
                 raise ValueError(f"waiting-time density integrates to {total} > 1")
 
 
-def _detection_functional(model: LindbladModel) -> np.ndarray:
-    # row vector f with f @ vec(rho) = tr(K rho) = tr(feeding(rho)), the
-    # photon rate
-    return vec(model.total_decay_operator().T)
-
-
 def _reset_vec(reset_state: np.ndarray | None) -> np.ndarray:
     if reset_state is None:
         return vec(ketbra(0, 0))
@@ -119,9 +107,10 @@ def g2(model: LindbladModel, taus: np.ndarray,
     rate functional, cross-damping terms included.  ``normalized=True``
     divides by the rate at the last grid point.
     """
-    f = _detection_functional(model)
-    vs = propagate_vectors(liouvillian(model), _reset_vec(reset_state), taus)
-    values = _nonnegative_rates((f @ vs).real, "intensity correlation")
+    # vec(K^T) @ vec(rho) = tr(K rho), the photon rate
+    vs = propagate_vectors(model.generator, _reset_vec(reset_state), taus)
+    values = _nonnegative_rates((vec(model.decay.T) @ vs).real,
+                                "intensity correlation")
     meta = {}
     if normalized:
         tail = values[-1]
@@ -143,8 +132,8 @@ def waiting_time(model: LindbladModel, taus: np.ndarray,
     no-jump state has lost, is kept in meta["emitted_probability"].
     """
     v0 = _reset_vec(reset_state)
-    vs = propagate_vectors(no_jump_generator(model), v0, taus)
-    values = _nonnegative_rates((_detection_functional(model) @ vs).real,
+    vs = propagate_vectors(model.no_jump, v0, taus)
+    values = _nonnegative_rates((vec(model.decay.T) @ vs).real,
                                 "waiting-time density")
     emitted = float((vec(np.eye(3)) @ (v0 - vs[:, -1])).real)
     return SampledFunction(np.asarray(taus, dtype=float), values,
@@ -173,7 +162,7 @@ def emission_spectrum(
     stationary under L, else ValueError.  By default the unique steady
     state is computed and required.
     """
-    l = liouvillian(model)
+    l = model.generator
     if rho_ss is None:
         rho_ss = steady_state(l)
     else:
@@ -207,7 +196,7 @@ def emission_spectrum(
 def populations(model: LindbladModel, rho0: np.ndarray,
                 times: np.ndarray) -> tuple[SampledFunction, ...]:
     """Level populations along a trajectory, one SampledFunction per level."""
-    series = propagate_series(liouvillian(model), rho0, times)
+    series = propagate_series(model.generator, rho0, times)
     diag = np.diagonal(series, axis1=1, axis2=2).real
     return tuple(
         SampledFunction(times, diag[:, k], Kind.POPULATION, {"level": k + 1})
@@ -382,7 +371,7 @@ def mc_trajectories(
         raise ValueError("n_traj must be >= 1")
     if not (t_final > 0):
         raise ValueError("t_final must be > 0")
-    ops = np.array(model.jump_operators(), dtype=complex).reshape(-1, 3, 3)
+    ops = model.jump_operators
     ranges, sv, _ = np.linalg.svd(ops)
     bad = np.flatnonzero(sv[:, 1] > ROUNDOFF * sv[:, 0])
     if bad.size:
@@ -391,7 +380,7 @@ def mc_trajectories(
     psi0 = np.asarray([1.0, 0.0, 0.0] if initial_state is None
                       else initial_state, dtype=complex)
     # start state 0 is psi0, start state k + 1 the reset state of channel k
-    evo = _NoJumpEvolution(model.effective_hamiltonian(), np.vstack(
+    evo = _NoJumpEvolution(model.effective_hamiltonian, np.vstack(
         [psi0 / np.linalg.norm(psi0), ranges[:, :, 0]]), t_final)
     if sample_times is not None:
         sample_times = np.asarray(sample_times, dtype=float)

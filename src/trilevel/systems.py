@@ -45,14 +45,15 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .defaults import CHANNEL_FLOOR, ROUNDOFF, SNAP
 from .errors import ScenarioError
-from .linalg import ketbra
+from .linalg import ketbra, vec
 
 
 class Config(str, enum.Enum):
@@ -127,65 +128,86 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian plus dissipative channels of one master equation.
+    """Hamiltonian plus dissipative channels of one master equation, and
+    every operator derived from them, each formed once per model (callers
+    share these arrays and must not write to them).
 
-    ``collapse_ops`` are bare matrix units; all rate information lives in
-    ``rate_matrix``, so the induced Liouvillian is trace preserving by
-    construction and the photon-detection superoperator is
-    sum_ab R[a, b] A_a rho A_b^+.
+    ``collapse_ops`` is an (n, 3, 3) stack of bare matrix units; all rate
+    information lives in ``rate_matrix``, so the generator is trace
+    preserving by construction.
+
+    ``jump_operators`` is the (m, 3, 3) stack c_k = sqrt(r_k) sum_a O[a, k]
+    A_a from the PSD R = O diag(r) O^T: the same dissipator in single-sum
+    Lindblad form, without the channels whose r_k is below CHANNEL_FLOOR
+    times the largest rate (or 1).
     """
 
     hamiltonian: np.ndarray
-    collapse_ops: tuple[np.ndarray, ...]
+    collapse_ops: np.ndarray
     rate_matrix: np.ndarray
-    config: Config | None = None
+    jump_operators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
         r = np.asarray(self.rate_matrix, dtype=float)
+        ops = np.asarray(self.collapse_ops, dtype=complex).reshape(-1, 3, 3)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "rate_matrix", r)
-        object.__setattr__(
-            self, "collapse_ops",
-            tuple(np.asarray(a, dtype=complex) for a in self.collapse_ops),
-        )
+        object.__setattr__(self, "collapse_ops", ops)
         norm = np.linalg.norm
         if norm(h - h.conj().T) > ROUNDOFF * max(1.0, norm(h)):
             raise ValueError("hamiltonian must be Hermitian")
-        n = len(self.collapse_ops)
+        n = len(ops)
         if r.shape != (n, n):
             raise ValueError(f"rate matrix shape {r.shape} does not match "
                              f"{n} collapse operators")
         if n and norm(r - r.T) > ROUNDOFF * max(1.0, norm(r)):
             raise ValueError("rate matrix must be symmetric")
-        if n:
-            wmin = float(np.linalg.eigvalsh(0.5 * (r + r.T)).min())
-            if wmin < -ROUNDOFF * max(1.0, float(np.abs(r).max())):
-                raise ValueError(f"rate matrix is not PSD (min eigenvalue {wmin})")
+        w, o = np.linalg.eigh(r)
+        wmin = float(w.min(initial=0.0))
+        if wmin < -ROUNDOFF * max(1.0, float(np.abs(r).max(initial=0.0))):
+            raise ValueError(f"rate matrix is not PSD (min eigenvalue {wmin})")
+        keep = w > CHANNEL_FLOOR * max(float(w.max(initial=0.0)), 1.0)
+        object.__setattr__(self, "jump_operators", np.einsum(
+            "ak,aij->kij", o[:, keep] * np.sqrt(w[keep]), ops))
 
-    def jump_operators(self) -> tuple[np.ndarray, ...]:
-        """Rate-weighted jump operators in the diagonal channel basis.
+    @cached_property
+    def decay(self) -> np.ndarray:
+        """K = sum_ab R[a, b] A_b^+ A_a, the operator in the anticommutator;
+        tr(K rho) is the photon rate."""
+        a = self.collapse_ops
+        return np.einsum("ab,bji,ajk->ik", self.rate_matrix, a.conj(), a)
 
-        The rate matrix is PSD, so it diagonalizes as R = O diag(r) O^T and
-        c_k = sqrt(r_k) sum_a O[a, k] A_a reproduce the dissipator in the
-        standard single-sum Lindblad form.  Channels with a rate below
-        CHANNEL_FLOOR times the largest rate (or 1) are dropped.
-        """
-        if not self.collapse_ops:
-            return ()
-        w, o = np.linalg.eigh(self.rate_matrix)
-        keep = w > CHANNEL_FLOOR * max(float(w.max()), 1.0)
-        return tuple(np.einsum("ak,aij->kij", o[:, keep] * np.sqrt(w[keep]),
-                               np.array(self.collapse_ops)))
-
-    def total_decay_operator(self) -> np.ndarray:
-        """sum_ab R[a, b] A_b^+ A_a, the operator in the anticommutator."""
-        ops = np.array(self.collapse_ops, dtype=complex).reshape(-1, 3, 3)
-        return np.einsum("ab,bji,ajk->ik", self.rate_matrix, ops.conj(), ops)
-
+    @cached_property
     def effective_hamiltonian(self) -> np.ndarray:
-        """Non-Hermitian generator of the no-jump evolution."""
-        return self.hamiltonian - 0.5j * self.total_decay_operator()
+        """H_eff = H - iK/2, the generator of the no-jump evolution."""
+        return self.hamiltonian - 0.5j * self.decay
+
+    @cached_property
+    def no_jump(self) -> np.ndarray:
+        """G0 = -i (I (x) H_eff - conj(H_eff) (x) I), the 9x9 no-jump part
+        of L; the trace it loses is the probability of an emission."""
+        h_eff, eye = self.effective_hamiltonian, np.eye(3)
+        return -1j * (np.kron(eye, h_eff) - np.kron(h_eff.conj(), eye))
+
+    @cached_property
+    def feeding(self) -> np.ndarray:
+        """F = sum_ab R[a, b] conj(A_b) (x) A_a, the 9x9 superoperator of
+        rho -> sum_ab R[a, b] A_a rho A_b^+."""
+        a = self.collapse_ops
+        return np.einsum("ab,bij,akl->ikjl", self.rate_matrix, a.conj(),
+                         a).reshape(9, 9)
+
+    @cached_property
+    def generator(self) -> np.ndarray:
+        """L = G0 + F, with L vec(rho) = vec(-i[H, rho] + dissipators)."""
+        l = self.no_jump + self.feeding
+        # trace preservation is an algebraic identity of this construction
+        resid = np.linalg.norm(vec(np.eye(3)) @ l)
+        if resid > ROUNDOFF * max(1.0, np.linalg.norm(l)):
+            raise RuntimeError(
+                f"Liouvillian is not trace preserving ({resid=})")
+        return l
 
 
 class _Layout(NamedTuple):
@@ -226,5 +248,4 @@ def build_model(p: SystemParams) -> LindbladModel:
     x = (math.sqrt(g21 * g) * _cos_dipole(p.phi)
          if p.config in _NEEDS_PHI else 0.0)
     rates = 2.0 * np.array([[g21, x], [x, g]])
-    ops = tuple(ketbra(i, j) for i, j in layout.channels)
-    return LindbladModel(h, ops, rates, p.config)
+    return LindbladModel(h, [ketbra(i, j) for i, j in layout.channels], rates)

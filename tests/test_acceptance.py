@@ -14,7 +14,6 @@ from scipy.stats import ks_2samp
 
 import trilevel as tl
 from trilevel.dynamics import (
-    feeding_superoperator,
     liouvillian,
     propagate_series,
     steady_state,
@@ -211,7 +210,7 @@ def test_criterion_7_lambda_dark_state():
     lm = liouvillian(model)
     rho_ss = steady_state(lm)
     excited = rho_ss[1, 1].real
-    rate = float((vec(np.eye(3)) @ feeding_superoperator(model)
+    rate = float((vec(np.eye(3)) @ model.feeding
                   @ vec(rho_ss)).real)
     ok = excited < 1e-10 and rate < 1e-10
     _report(7, ok, f"two-photon resonance: excited population "

@@ -205,6 +205,23 @@ def test_unread_tolerance_keys_are_rejected(tmp_path, capsys, key):
     assert f"tolerances.{key}: unknown tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["time_grid", "omega_grid"])
+@pytest.mark.parametrize("grid", [
+    {"a": 1}, "123", [0, 20, 21.7], [0, 20, 21, 99], [0, 20], [0, 20, True],
+    [False, 20, 21], [0, "20", 21], [0, 20, 0], 5,
+], ids=["object", "text", "fractional-count", "four-entries", "two-entries",
+        "bool-count", "bool-bound", "text-bound", "zero-count", "number"])
+def test_malformed_grids_are_named(tmp_path, capsys, key, grid):
+    verb = "simulate" if key == "time_grid" else "spectrum"
+    payload = minimal_fig2a(task=verb, **{key: grid})
+    code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"error: {key}: must be [start, stop, count]" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("verb, extra, argv, field", [
     ("g2", {"time_grid": [0.0, math.inf, 11]}, [], "time_grid"),
     ("g2", {"time_grid": [0.0, 10.0, math.inf]}, [], "time_grid"),
@@ -215,7 +232,7 @@ def test_unread_tolerance_keys_are_rejected(tmp_path, capsys, key):
     ("simulate", {"tolerances": {"equivalence": "abc"}}, [],
      "tolerances.equivalence"),
     ("simulate", {"tolerances": {"trace": 0.0}}, [], "tolerances.trace"),
-    ("g2", {}, ["--tol", "nan"], "--tol"),
+    ("g2", {"options": {"compare_mapped": True}}, ["--tol", "nan"], "--tol"),
 ], ids=["inf-bound", "inf-count", "nan-bound", "nan-tolerance",
         "text-tolerance", "zero-tolerance", "nan-tol-option"])
 def test_non_finite_numbers_are_rejected_input(tmp_path, capsys, verb, extra,
@@ -426,11 +443,18 @@ def test_matrix_initial_state_rejects_invalid(tmp_path):
      "options.detect_weights"),
     ("simulate", {"seed": True}, "seed"),
     ("simulate", {"initial_state": True}, "initial_state"),
+    *[("simulate", {"initial_state": [[1.0, 0, 0], [0, 0, 0], [0, 0, entry]]},
+       "initial_state") for entry in ("0", {"re": 0.0}, [0.0, "0"], [0.0],
+                                      [[0.0, 0.0], 0.0])],
+    ("simulate", {"initial_state": [[True, 0, 0], [0, 0, 0], [0, 0, 0]]},
+     "initial_state"),
     ("simulate", {"tolerances": {"trace": True}}, "tolerances.trace"),
     ("simulate", {"tolerances": [1e-9]}, "tolerances"),
 ], ids=["text-flag", "text-normalized", "fractional-n-traj", "bool-n-traj",
         "zero-n-traj", "text-threshold", "inf-threshold", "text-weight",
-        "inf-weight", "bool-seed", "bool-level", "bool-tolerance",
+        "inf-weight", "bool-seed", "bool-level", "text-matrix-entry",
+        "object-matrix-entry", "text-imaginary-part", "short-matrix-pair",
+        "nested-matrix-pair", "bool-matrix-entry", "bool-tolerance",
         "list-tolerances"])
 def test_wrongly_typed_entries_are_named(tmp_path, capsys, verb, entry,
                                          field):
@@ -449,6 +473,18 @@ def test_tol_flag_only_on_verbs_that_read_it(tmp_path, verb):
     with pytest.raises(SystemExit) as exc:
         main([verb, "--config", str(cfg), "--tol", "1e-3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["g2", "waiting-time", "spectrum"])
+def test_tol_flag_needs_compare_mapped(tmp_path, capsys, verb):
+    payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
+                            omega_grid=[-1.0, 1.0, 5])
+    code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out"), "--tol", "0.5"])
+    assert code == 2
+    assert ("error: --tol: not read without compare_mapped"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 TARGET = {"config": "fig2b", "gamma21": 0.55, "gamma31": 0.55,
@@ -479,12 +515,31 @@ TARGET = {"config": "fig2b", "gamma21": 0.55, "gamma31": 0.55,
     ("spectrum", {"tolerances": {"photon_statistics": 1e-9}},
      "tolerances.photon_statistics"),
     ("trajectories", {"tolerances": {"trace": 1e-9}}, "tolerances.trace"),
+    ("g2", {"tolerances": {"photon_statistics": 0.5}},
+     "tolerances.photon_statistics"),
+    ("waiting-time", {"tolerances": {"photon_statistics": 0.5}},
+     "tolerances.photon_statistics"),
+    ("spectrum", {"tolerances": {"spectrum_rel": 0.5}},
+     "tolerances.spectrum_rel"),
+    ("simulate", {"system": {"config": "fig2a", "gamma21": 1.0,
+                             "gamma31": 0.1, "omega_a": 2.0, "phi": 0.7}},
+     "system.phi"),
+    ("simulate", {"system": {"config": "fig1a", "gamma21": 1.0,
+                             "gamma23": 0.3, "omega_a": 1.2, "phi": 0.0}},
+     "system.phi"),
+    ("g2", {"options": {"compare_mapped": True},
+            "target": {"config": "fig2a", "gamma21": 1.0, "gamma31": 0.1,
+                       "omega_a": 2.0, "phi": None}}, "target.phi"),
 ], ids=["n-traj-on-simulate", "compare-on-simulate", "target-on-simulate",
         "compare-on-equiv-check", "normalized-on-waiting-time",
         "target-without-compare", "weights-with-compare",
         "compare-on-trajectories", "seed-on-simulate", "seed-on-equiv-check",
         "trace-on-simulate", "spectrum-rel-on-simulate", "equivalence-on-g2",
-        "photon-statistics-on-spectrum", "trace-on-trajectories"])
+        "photon-statistics-on-spectrum", "trace-on-trajectories",
+        "photon-statistics-on-g2-without-compare",
+        "photon-statistics-on-waiting-time-without-compare",
+        "spectrum-rel-without-compare", "phi-on-fig2a", "phi-on-fig1a",
+        "null-phi-on-fig2a-target"])
 def test_entries_the_task_never_reads_are_rejected(tmp_path, capsys, verb,
                                                    entry, field):
     payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
@@ -506,7 +561,10 @@ def test_report_echoes_only_what_the_task_reads(tmp_path, verb):
                  "--out", str(tmp_path / "out")]) == 0
     echo = json.loads((tmp_path / "out" / "report.json").read_text())[
         "scenario"]
-    assert list(echo["tolerances"]) == list(cli._TASKS[verb].tols)
+    # without compare_mapped only equiv-check compares, so only it reads
+    # its tolerances
+    expected = list(cli._TASKS[verb].tols) if verb == "equiv-check" else []
+    assert list(echo["tolerances"]) == expected
     assert ("seed" in echo) == (verb == "trajectories")
 
 

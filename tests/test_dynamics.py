@@ -1,17 +1,19 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from trilevel.dynamics import (
-    feeding_superoperator,
     liouvillian,
-    no_jump_generator,
     propagate_series,
     steady_state,
 )
+from trilevel.equivalence import verify_equivalence
 from trilevel.errors import NonUniqueSteadyStateError, PropagationError
 from trilevel.linalg import ketbra, mat_exp, vec
+from trilevel.observables import (emission_spectrum, g2, populations,
+                                  waiting_time)
 from trilevel.systems import Config, LindbladModel, SystemParams, build_model
 
 RNG = np.random.default_rng(555)
@@ -64,6 +66,30 @@ def test_liouvillian_pure_hamiltonian_spectrum():
     np.testing.assert_allclose(np.sort(eigs.imag), expected, atol=1e-9)
 
 
+def test_each_model_assembles_its_generator_once(monkeypatch):
+    # count the assemblies behind the cached generator property
+    built = []
+    assemble = LindbladModel.generator.func
+
+    def counted(model):
+        built.append(model)
+        return assemble(model)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(LindbladModel, "generator")
+    monkeypatch.setattr(LindbladModel, "generator", prop)
+    m = build_model(random_driven_params(Config.FIG2A))
+    assert liouvillian(m) is liouvillian(m)
+    taus = np.linspace(0.0, 5.0, 11)
+    rho0 = ketbra(0, 0)
+    g2(m, taus)
+    waiting_time(m, taus)
+    populations(m, rho0, taus)
+    emission_spectrum(m, m.collapse_ops[0], np.linspace(-2.0, 2.0, 5))
+    verify_equivalence(m, m, np.eye(3), rho0, taus)
+    assert len(built) == 1 and built[0] is m
+
+
 @pytest.mark.parametrize("config", list(Config))
 def test_liouvillian_matches_direct_action(config):
     # apply L to all nine matrix units and compare with the explicit
@@ -84,10 +110,10 @@ def test_no_jump_generator_and_photon_rate(config):
     # L splits into the no-jump generator plus the feeding terms, and the
     # photon rate tr(F(rho)) equals tr(K rho)
     m = build_model(random_driven_params(config, np.random.default_rng(9)))
-    feed = feeding_superoperator(m)
-    assert np.array_equal(liouvillian(m), no_jump_generator(m) + feed)
+    feed = m.feeding
+    assert np.array_equal(liouvillian(m), m.no_jump + feed)
     np.testing.assert_allclose(vec(np.eye(3)) @ feed,
-                               vec(m.total_decay_operator().T),
+                               vec(m.decay.T),
                                rtol=0, atol=1e-14)
 
 
@@ -98,11 +124,11 @@ def test_channel_sums_match_explicit_loops(config):
     pairs = [(a, b) for a in range(len(ops)) for b in range(len(ops))]
     feed = sum(r[a, b] * np.kron(ops[b].conj(), ops[a]) for a, b in pairs)
     decay = sum(r[a, b] * ops[b].conj().T @ ops[a] for a, b in pairs)
-    assert np.abs(feeding_superoperator(m) - feed).max() <= 1e-14
-    assert np.abs(m.total_decay_operator() - decay).max() <= 1e-14
+    assert np.abs(m.feeding - feed).max() <= 1e-14
+    assert np.abs(m.decay - decay).max() <= 1e-14
     empty = LindbladModel(m.hamiltonian, (), np.zeros((0, 0)))
-    assert np.all(feeding_superoperator(empty) == 0)
-    assert np.all(empty.total_decay_operator() == 0)
+    assert np.all(empty.feeding == 0)
+    assert np.all(empty.decay == 0)
 
 
 @pytest.mark.parametrize("config", list(Config))
@@ -227,7 +253,7 @@ def test_steady_state_lambda_dark_state():
     dark /= np.linalg.norm(dark)
     assert np.linalg.norm(rho - np.outer(dark, dark.conj())) < 1e-8
     assert rho[1, 1].real < 1e-10  # no excited population
-    rate = (vec(np.eye(3)) @ feeding_superoperator(m) @ vec(rho)).real
+    rate = (vec(np.eye(3)) @ m.feeding @ vec(rho)).real
     assert rate < 1e-10
 
 

@@ -7,7 +7,6 @@ from scipy.stats import kstest
 
 from trilevel.dynamics import (
     liouvillian,
-    no_jump_generator,
     propagate_series,
     propagate_vectors,
     steady_state,
@@ -310,7 +309,7 @@ def test_mc_without_jump_channels_follows_master_equation():
     # gamma21 = gamma31 = 0 leaves no jump channel: every trajectory is the
     # unitary evolution the master equation gives
     m = build_model(fig2a_params(gamma21=0.0, gamma23_or_31=0.0))
-    assert m.jump_operators() == ()
+    assert len(m.jump_operators) == 0
     sample = np.linspace(0.0, 5.0, 11)
     run = mc_trajectories(m, n_traj=5, t_final=5.0, seed=4,
                           sample_times=sample)
@@ -385,7 +384,7 @@ def test_mc_jump_table_is_bounded_for_emitting_models():
     starts = np.eye(3, dtype=complex)[[0, 0, 0]]
     tracemalloc.start()
     try:
-        evo = _NoJumpEvolution(m.effective_hamiltonian(), starts, 1e5)
+        evo = _NoJumpEvolution(m.effective_hamiltonian, starts, 1e5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,7 +410,7 @@ def test_mc_first_jump_times_follow_exact_distribution():
 
     def cdf(t):
         grid, inverse = np.unique(np.append(t, t_final), return_inverse=True)
-        vs = propagate_vectors(no_jump_generator(m), vec(ketbra(0, 0)), grid)
+        vs = propagate_vectors(m.no_jump, vec(ketbra(0, 0)), grid)
         emitted = 1.0 - (vec(np.eye(3)) @ vs).real[inverse]
         return emitted[:-1] / emitted[-1]
 
@@ -438,7 +437,7 @@ def test_mc_at_exceptional_point_matches_master_equation():
     # not diagonalizable in practice
     m = build_model(fig2a_params(gamma21=0.4, gamma23_or_31=0.1, omega_a=0.2,
                                  omega_b=0.0, delta2=0.0, delta3=0.0))
-    assert np.linalg.cond(np.linalg.eig(m.effective_hamiltonian())[1]) > 1e7
+    assert np.linalg.cond(np.linalg.eig(m.effective_hamiltonian)[1]) > 1e7
     sample = np.array([0.0, 1.0, 2.5, 5.0, 10.0, 20.0])
     run = mc_trajectories(m, n_traj=2000, t_final=20.0, seed=7,
                           sample_times=sample)

@@ -207,9 +207,8 @@ def test_jump_operators_reproduce_dissipator():
     for config in (Config.FIG1B, Config.FIG2B):
         p = random_params(config)
         m = build_model(p)
-        jumps = m.jump_operators()
-        rebuilt = LindbladModel(
-            m.hamiltonian, jumps, np.eye(len(jumps)), config=p.config)
+        jumps = m.jump_operators
+        rebuilt = LindbladModel(m.hamiltonian, jumps, np.eye(len(jumps)))
         assert np.linalg.norm(liouvillian(m) - liouvillian(rebuilt)) < 1e-12
 
 
@@ -231,7 +230,7 @@ def test_jump_operators_match_the_channel_loop():
                     for a, op in enumerate(m.collapse_ops):
                         c += o[a, k] * op
                     expected.append(np.sqrt(w[k]) * c)
-            jumps = m.jump_operators()
+            jumps = m.jump_operators
             assert len(jumps) == len(expected) == 2 - dark
             assert all(np.array_equal(j, e) for j, e in zip(jumps, expected))
 
@@ -239,5 +238,5 @@ def test_jump_operators_match_the_channel_loop():
 def test_effective_hamiltonian_consistent_with_jumps():
     p = random_params(Config.FIG2B)
     m = build_model(p)
-    k = sum(c.conj().T @ c for c in m.jump_operators())
-    np.testing.assert_allclose(m.total_decay_operator(), k, atol=1e-12)
+    k = sum(c.conj().T @ c for c in m.jump_operators)
+    np.testing.assert_allclose(m.decay, k, atol=1e-12)
