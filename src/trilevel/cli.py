@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .defaults import (DEFAULT_OMEGA_GRID, DEFAULT_TIME_GRID,
-                       DEFAULT_TOLERANCES, TINY)
+                       DEFAULT_TOLERANCES, DENSITY_SLACK, TINY)
 from .equivalence import EquivalenceMap, map_system, verify_equivalence
 from .errors import ScenarioError
 from .linalg import check_density_matrix, ketbra
@@ -418,7 +418,8 @@ def _equiv_check(s: Scenario, model: LindbladModel) -> _Output:
          "time [1/Gamma_ref], frobenius_distance [1]"],
         [rep.times, rep.distances],
         (_check("equivalence_max_frobenius_distance", rep.max_dist, tol),
-         _check("trace_error", rep.max_trace_error, s.tolerances["trace"])),
+         _check("trace_error", rep.max_trace_error, s.tolerances["trace"]),
+         _check("negative_eigenvalue", -rep.min_eigenvalue, DENSITY_SLACK)),
         emap)
 
 
@@ -484,18 +485,16 @@ def _spectrum(s: Scenario, model: LindbladModel) -> _Output:
 
 def _trajectories(s: Scenario, model: LindbladModel) -> _Output:
     n_traj, threshold = s.option("n_traj"), s.option("dark_threshold")
-    records = mc_trajectories(model, n_traj, s.time_grid[1], s.seed,
-                              np.eye(3)[s.initial_state - 1]).records
-    stats = bright_dark_stats(records, threshold)
+    run = mc_trajectories(model, n_traj, s.time_grid[1], s.seed,
+                          np.eye(3)[s.initial_state - 1])
+    stats = bright_dark_stats(run, threshold)
     return _Output(
         "jumps.dat",
         [f"trilevel trajectories ({s.system.config.value}), "
          f"seed = {s.seed}, n_traj = {n_traj}",
          "trajectory [1], jump_time [1/Gamma_ref], channel [1]"],
-        [np.repeat([r.trajectory for r in records],
-                   [r.times.size for r in records]).astype(float),
-         np.concatenate([r.times for r in records]),
-         np.concatenate([r.channels for r in records]).astype(float)],
+        [np.repeat(np.arange(n_traj), np.diff(run.offsets)).astype(float),
+         run.times, run.channels.astype(float)],
         extras={"bright_dark": {"threshold": threshold}
                 | dataclasses.asdict(stats)})
 

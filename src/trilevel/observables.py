@@ -11,6 +11,8 @@ coherent (Rayleigh) plateau split off as a scalar weight.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +30,6 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 # frequencies per batched resolvent solve, which bounds the (n, 9, 9) stack
 # emission_spectrum holds at once to about 1.3 MB
 _SPECTRUM_BLOCK = 1024
-
-# jumps per read of a trajectory's random stream
-_JUMP_BLOCK = 16
 
 # no-jump table points per product with the step's powers
 _TABLE_BLOCK = 64
@@ -210,34 +209,65 @@ def populations(model: LindbladModel, rho0: np.ndarray,
 
 @dataclass(frozen=True)
 class JumpRecord:
-    """Emission times and channels of one trajectory."""
+    """Emission times and channels of one trajectory: read-only views into
+    its run's flat arrays."""
 
     trajectory: int
     times: np.ndarray
     channels: np.ndarray
-    t_final: float
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        ch = np.asarray(self.channels, dtype=int)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "channels", ch)
-        if t.size != ch.size:
-            raise ValueError("times and channels must have equal length")
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] < 0
-                       or t[-1] > self.t_final):
-            raise ValueError("jump times must increase within [0, t_final]")
+
+def _same_trajectory(offsets: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the n - 1 pairs of consecutive flat jumps, True where both
+    belong to one trajectory (offsets rise from 0 to n)."""
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    starts = offsets[1:-1]
+    same[starts[(starts > 0) & (starts < n)] - 1] = False
+    return same
 
 
 @dataclass(frozen=True)
 class McRun:
-    """Trajectory ensemble plus optional sampled ensemble populations."""
+    """Trajectory ensemble plus optional sampled ensemble populations.
 
-    records: list[JumpRecord]
+    The jumps are flat and trajectory-major: trajectory i emitted at
+    ``times[offsets[i]:offsets[i + 1]]``, in increasing order, into the
+    same slice of ``channels``.
+    """
+
+    offsets: np.ndarray                          # (n_traj + 1,)
+    times: np.ndarray
+    channels: np.ndarray
+    t_final: float
     seed: int
     sample_times: np.ndarray | None = None
     populations: np.ndarray | None = None        # (n_samples, 3) means
     populations_stderr: np.ndarray | None = None
+
+    def __post_init__(self):
+        offsets = np.asarray(self.offsets, dtype=int)
+        t = np.asarray(self.times, dtype=float)
+        ch = np.asarray(self.channels, dtype=int)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "channels", ch)
+        if t.ndim != 1 or ch.shape != t.shape:
+            raise ValueError("times and channels must have equal length")
+        if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or np.any(np.diff(offsets) < 0) or offsets[-1] != t.size):
+            raise ValueError("offsets must rise from 0 to the number of jumps")
+        if not (np.all(t >= 0) and np.all(t <= self.t_final) and np.all(
+                np.diff(t)[_same_trajectory(offsets, t.size)] > 0)):
+            raise ValueError("jump times must increase within [0, t_final]")
+
+    @functools.cached_property
+    def records(self) -> tuple[JumpRecord, ...]:
+        """One record per trajectory, built on first read."""
+        times, channels = self.times.view(), self.channels.view()
+        times.flags.writeable = channels.flags.writeable = False
+        bounds = zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+        return tuple(JumpRecord(i, times[a:b], channels[a:b])
+                     for i, (a, b) in enumerate(bounds))
 
 
 class _NoJumpEvolution:
@@ -343,6 +373,110 @@ class _NoJumpEvolution:
         raise RuntimeError("jump-time root search did not converge")
 
 
+# numpy's SeedSequence (hash and mix constants, all mod 2**32) and PCG64
+# (128-bit LCG multiplier, as 64-bit halves)
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_LCG_HI, _LCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int):
+    """SeedSequence's hash of uint32 words, and the next hash constant."""
+    nxt = (const * mult) & _M32
+    value = (value ^ const) * nxt
+    return value ^ (value >> 16), nxt
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 words."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> 16)
+
+
+def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
+    """High 64 bits of the uint64 products a * b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+class _Streams:
+    """The uniform draws ``default_rng(SeedSequence(seed, spawn_key=(i,)))
+    .random()`` of streams i < n, for many streams at once.
+
+    numpy's SeedSequence hashes the seed's 32-bit words, padded to its pool
+    of four, and the key into the pool, and hashes the pool into the two
+    128-bit PCG64 seed words; its hash constants evolve the same way for
+    every key, so only the words are arrays.  PCG64 steps a 128-bit LCG,
+    kept here as uint64 halves, and outputs the XSL-RR of the new state;
+    ``Generator.random`` is its top 53 bits times 2**-53.  So stream i
+    gives exactly numpy's values, whatever n."""
+
+    def __init__(self, seed: int, n: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        if n >= 1 << 32:  # the keys are held as uint32 words
+            raise ValueError("n_traj must be below 2**32")
+        words = [(seed >> s) & _M32
+                 for s in range(0, max(seed.bit_length(), 1), 32)]
+        entropy = [np.array([w], dtype=np.uint32)
+                   for w in words + [0] * (4 - len(words))]
+        entropy.append(np.arange(n, dtype=np.uint32))
+        pool, const = [], _INIT_A
+        for w in entropy[:4]:
+            h, const = _hashmix(w, const, _MULT_A)
+            pool.append(h)
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    h, const = _hashmix(pool[src], const, _MULT_A)
+                    pool[dst] = _mix(pool[dst], h)
+        for w in entropy[4:]:
+            for dst in range(4):
+                h, const = _hashmix(w, const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+        state, const = [], _INIT_B
+        for k in range(8):
+            h, const = _hashmix(pool[k % 4], const, _MULT_B)
+            state.append(h.astype(np.uint64))
+        # little-endian word pairs: seed (high, low), then sequence
+        s_hi, s_lo, q_hi, q_lo = (state[2 * k] | (state[2 * k + 1] << 32)
+                                  for k in range(4))
+        self.inc_hi = (q_hi << 1) | (q_lo >> 63)
+        self.inc_lo = (q_lo << 1) | 1
+        # srandom: step from 0, add the seed, step again
+        hi, lo = self._step(np.zeros(n, np.uint64), np.zeros(n, np.uint64),
+                            self.inc_hi, self.inc_lo)
+        lo, carry = lo + s_lo, lo
+        self.hi, self.lo = self._step(hi + s_hi + (lo < carry), lo,
+                                      self.inc_hi, self.inc_lo)
+
+    @staticmethod
+    def _step(hi, lo, inc_hi, inc_lo):
+        """The LCG state * multiplier + increment, mod 2**128."""
+        new_hi = _mulhi(lo, _LCG_LO) + lo * _LCG_HI + hi * _LCG_LO
+        prod = lo * _LCG_LO
+        new_lo = prod + inc_lo
+        return new_hi + inc_hi + (new_lo < prod), new_lo
+
+    def draw(self, rows: np.ndarray, k: int) -> np.ndarray:
+        """The next k draws of each of the distinct streams ``rows``."""
+        hi, lo = self.hi[rows], self.lo[rows]
+        inc_hi, inc_lo = self.inc_hi[rows], self.inc_lo[rows]
+        out = np.empty((rows.size, k))
+        for j in range(k):
+            hi, lo = self._step(hi, lo, inc_hi, inc_lo)
+            word, rot = hi ^ lo, hi >> 58
+            word = (word >> rot) | (word << ((64 - rot) & 63))
+            out[:, j] = (word >> 11) * (1.0 / (1 << 53))
+        self.hi[rows], self.lo[rows] = hi, lo
+        return out
+
+
 def mc_trajectories(
     model: LindbladModel,
     n_traj: int,
@@ -359,16 +493,19 @@ def mc_trajectories(
     uniform threshold, a root found without any time grid.  The channel
     is drawn from the rates ||c_k psi||^2 of the diagonalized dissipator
     modes at that root, so cross-damping models unravel correctly.
-    Trajectory i draws from its own stream spawned from (seed, i), in this
-    order: a threshold, then a channel draw and the next threshold at each
-    jump.  The stream is read 16 jumps at a time, which leaves the values
-    and their order unchanged, so a fixed seed gives the same records and
-    trajectory i does not depend on ``n_traj``.  ``sample_times`` (any
-    within [0, t_final]) requests ensemble populations with standard
-    errors, for comparison against the master equation.
+    Trajectory i draws from the stream of
+    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, in this order: a
+    threshold, then a channel draw and the next threshold at each jump.
+    All streams are computed together (``_Streams``), with numpy's values,
+    so a fixed seed gives the same jumps and trajectory i does not depend
+    on ``n_traj``.  ``sample_times`` (any within [0, t_final]) requests
+    ensemble populations with standard errors, for comparison against the
+    master equation.
     """
+    n_traj = operator.index(n_traj)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    streams = _Streams(seed, n_traj)
     if not (t_final > 0):
         raise ValueError("t_final must be > 0")
     ops = model.jump_operators
@@ -388,16 +525,10 @@ def mc_trajectories(
             raise ValueError("sample_times must lie within [0, t_final]")
         moments = np.zeros((sample_times.size, 2, 3))  # sums of p and p^2
 
-    rngs = [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-            for i in range(n_traj)]
-    # a threshold, then a (channel draw, next threshold) pair per jump
-    first = np.array([rng.random(1 + 2 * _JUMP_BLOCK) for rng in rngs])
+    traj, t0 = np.arange(n_traj), np.zeros(n_traj)
     # thresholds lie in [SURVIVAL_FLOOR, 1]; without jump channels they are
     # 0, which no survival falls to
-    thresholds = (1.0 - first[:, 0]) * bool(len(ops))
-    draws = first[:, 1:].reshape(n_traj, _JUMP_BLOCK, 2)
-    read = np.zeros(n_traj, dtype=int)  # jumps drawn from the current block
-    traj, t0 = np.arange(n_traj), np.zeros(n_traj)
+    thresholds = (1.0 - streams.draw(traj, 1)[:, 0]) * bool(len(ops))
     start = np.zeros(n_traj, dtype=int)
     found = [(traj[:0], t0[:0], start[:0])]
     while traj.size:
@@ -414,12 +545,7 @@ def mc_trajectories(
         if not traj.size:
             break
         rates = (np.abs(np.einsum("kij,rj->rki", ops, psi)) ** 2).sum(axis=2)
-        spent = traj[read[traj] == _JUMP_BLOCK]
-        for i in spent:
-            draws[i] = rngs[i].random(2 * _JUMP_BLOCK).reshape(_JUMP_BLOCK, 2)
-        read[spent] = 0
-        draw, next_u = draws[traj, read[traj]].T
-        read[traj] += 1
+        draw, next_u = streams.draw(traj, 2).T
         thresholds[traj] = 1.0 - next_u
         total = rates.sum(axis=1)
         channel = (np.cumsum(rates, axis=1) <= (draw * total)[:, None]).sum(1)
@@ -431,24 +557,21 @@ def mc_trajectories(
 
     who, when, which = (np.concatenate(x) for x in zip(*found))
     by_traj = np.argsort(who, kind="stable")  # rounds come in time order
-    bounds = np.cumsum(np.bincount(who, minlength=n_traj))[:-1]
-    records = [JumpRecord(i, t, c, float(t_final)) for i, (t, c) in enumerate(
-        zip(np.split(when[by_traj], bounds), np.split(which[by_traj], bounds)))]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(who,
+                                                         minlength=n_traj))])
     pops = stderr = None
     if sample_times is not None:
         pops, mean_sq = np.moveaxis(moments / n_traj, 1, 0)
         var = np.maximum(mean_sq - pops ** 2, 0.0)
         stderr = np.sqrt(var / n_traj)
-    return McRun(records=records, seed=seed, sample_times=sample_times,
-                 populations=pops, populations_stderr=stderr)
+    return McRun(offsets, when[by_traj], which[by_traj], float(t_final), seed,
+                 sample_times=sample_times, populations=pops,
+                 populations_stderr=stderr)
 
 
-def interjump_gaps(records: list[JumpRecord]) -> np.ndarray:
+def interjump_gaps(run: McRun) -> np.ndarray:
     """Pooled gaps between consecutive jumps of each trajectory."""
-    gaps = [np.diff(r.times) for r in records if r.times.size >= 2]
-    if not gaps:
-        return np.empty(0)
-    return np.concatenate(gaps)
+    return np.diff(run.times)[_same_trajectory(run.offsets, run.times.size)]
 
 
 @dataclass(frozen=True)
@@ -459,17 +582,16 @@ class BrightDarkStats:
     n_gaps: int
 
 
-def bright_dark_stats(records: list[JumpRecord],
-                      threshold: float) -> BrightDarkStats:
+def bright_dark_stats(run: McRun, threshold: float) -> BrightDarkStats:
     """Classify inter-jump gaps above ``threshold`` as dark periods.
 
     The trailing interval after the last jump is censored and ignored.
     """
-    if not records:
-        raise ValueError("empty records: no trajectories to analyze")
+    if run.offsets.size < 2:
+        raise ValueError("empty run: no trajectories to analyze")
     if not (threshold > 0):
         raise ValueError("threshold must be > 0")
-    gaps = interjump_gaps(records)
+    gaps = interjump_gaps(run)
     dark = gaps[gaps > threshold]
     bright = gaps[gaps <= threshold]
     return BrightDarkStats(

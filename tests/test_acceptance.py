@@ -268,7 +268,7 @@ def test_criterion_9_shelving_telegraph(telegraph_runs):
     threshold = 10.0
 
     # bimodal inter-jump gaps with well separated time scales
-    stats_a = tl.bright_dark_stats(run_a.records, threshold)
+    stats_a = tl.bright_dark_stats(run_a, threshold)
     bimodal = (stats_a.n_dark_periods > 1000
                and stats_a.mean_dark > 20 * stats_a.mean_bright)
 
@@ -286,8 +286,8 @@ def test_criterion_9_shelving_telegraph(telegraph_runs):
     pops_ok = worst_z < 3.0
 
     # mapped pair dark-period statistics indistinguishable at the 1% level
-    gaps_a = tl.interjump_gaps(run_a.records)
-    gaps_b = tl.interjump_gaps(run_b.records)
+    gaps_a = tl.interjump_gaps(run_a)
+    gaps_b = tl.interjump_gaps(run_b)
     dark_a = gaps_a[gaps_a > threshold]
     dark_b = gaps_b[gaps_b > threshold]
     ks = ks_2samp(dark_a, dark_b)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,6 +7,7 @@ import pytest
 
 from trilevel import cli
 from trilevel.cli import describe_map, main, parse_scenario, serialize_scenario
+from trilevel.equivalence import verify_equivalence
 from trilevel.errors import ScenarioError
 from trilevel.observables import emission_spectrum
 from trilevel.systems import build_model
@@ -126,6 +128,23 @@ def test_equiv_check_detects_wrong_target(tmp_path):
                  str(write_scenario(tmp_path, payload)),
                  "--out", str(tmp_path / "out")])
     assert code == 1
+
+
+def test_equiv_check_gates_negative_eigenvalue(tmp_path, monkeypatch):
+    def negative(*args, **kwargs):
+        return dataclasses.replace(verify_equivalence(*args, **kwargs),
+                                   min_eigenvalue=-1e-6)
+
+    monkeypatch.setattr(cli, "verify_equivalence", negative)
+    payload = minimal_fig2a(task="equiv-check", time_grid=[0.0, 5.0, 26])
+    code = main(["equiv-check", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [(c["name"], c["value"]) for c in failed] == [
+        ("negative_eigenvalue", 1e-6)]
 
 
 def test_simulate_zero_horizon_single_row(tmp_path):

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.stats import kstest
 
 from trilevel.dynamics import (
@@ -14,10 +16,12 @@ from trilevel.dynamics import (
 from trilevel.errors import JumpRankError
 from trilevel.linalg import ketbra, vec
 from trilevel.observables import (
-    JumpRecord,
+    BrightDarkStats,
     Kind,
+    McRun,
     SampledFunction,
     _NoJumpEvolution,
+    _Streams,
     bright_dark_stats,
     emission_spectrum,
     g2,
@@ -375,6 +379,57 @@ def test_mc_trajectory_does_not_depend_on_ensemble_size():
         np.testing.assert_array_equal(a.channels, b.channels)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2025, 2**32 - 1, 2**32, 2**64 + 5,
+                                  2**130 + 11])
+def test_streams_match_numpy_generator(seed):
+    n, k = 2000, 40
+    ref = np.array([np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(i,))).random(k + 3) for i in range(n)])
+    odd = np.arange(1, n, 2)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        streams = _Streams(seed, n)
+        first = streams.draw(np.arange(n), 1)
+        rest = streams.draw(np.arange(n), k - 1)
+        # a draw advances only the streams it reads
+        pair = streams.draw(odd, 2)
+        last = streams.draw(np.arange(n), 1)[:, 0]
+    np.testing.assert_array_equal(np.hstack([first, rest]), ref[:, :k])
+    np.testing.assert_array_equal(pair, ref[odd, k:k + 2])
+    np.testing.assert_array_equal(last[odd], ref[odd, k + 2])
+    np.testing.assert_array_equal(last[::2], ref[::2, k])
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.5, TypeError)])
+def test_mc_rejects_seeds_that_seed_sequence_rejects(seed, error):
+    with pytest.raises(error):
+        np.random.SeedSequence(seed)
+    with pytest.raises(error):
+        mc_trajectories(build_model(fig2a_params()), n_traj=3, t_final=1.0,
+                        seed=seed)
+
+
+@pytest.mark.parametrize("n_traj, error", [
+    (2.5, TypeError),       # a count, not a float to round
+    (2**32, ValueError),    # the spawn keys are uint32 words
+])
+def test_mc_rejects_n_traj_beyond_one_word_count(n_traj, error):
+    with pytest.raises(error):
+        mc_trajectories(build_model(fig2a_params()), n_traj=n_traj,
+                        t_final=1.0, seed=0)
+
+
+def test_mc_builds_no_per_trajectory_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-trajectory generator built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    run = mc_trajectories(build_model(fig2a_params()), n_traj=50,
+                          t_final=5.0, seed=8)
+    assert run.offsets[-1] == run.times.size > 0
+
+
 def test_mc_jump_table_is_bounded_for_emitting_models():
     # every survival falls below 2**-53 by t ~ 37, so the table stops there
     # whatever the horizon, and the jumps before a horizon do not depend on
@@ -514,7 +569,7 @@ def test_mc_shelving_gaps_are_bimodal():
                      delta2=0.0, delta3=0.0)
     m = build_model(p)
     run = mc_trajectories(m, n_traj=120, t_final=250.0, seed=21)
-    stats = bright_dark_stats(run.records, threshold=8.0)
+    stats = bright_dark_stats(run, threshold=8.0)
     assert stats.n_dark_periods >= 20
     assert stats.mean_dark > 5 * stats.mean_bright
 
@@ -526,7 +581,7 @@ def test_mc_dark_period_scales_inversely_with_escape_rate():
                          delta2=0.0, delta3=0.0)
         run = mc_trajectories(build_model(p), n_traj=150, t_final=300.0,
                               seed=33)
-        gaps = interjump_gaps(run.records)
+        gaps = interjump_gaps(run)
         dark = np.sort(gaps[gaps > 8.0])
         means.append(dark.mean())
         # the dark-period tail is exponential: the log-survival slope
@@ -540,38 +595,74 @@ def test_mc_dark_period_scales_inversely_with_escape_rate():
 
 # -------------------------------------------------------- bright/dark stats
 
+def _run(per_traj, t_final):
+    """A run with the given per-trajectory jump times, all on channel 0."""
+    counts = [len(t) for t in per_traj]
+    times = np.concatenate([np.asarray(t, dtype=float) for t in per_traj]
+                           + [np.empty(0)])
+    return McRun(np.concatenate([[0], np.cumsum(counts, dtype=int)]), times,
+                 np.zeros(times.size, dtype=int), t_final, 0)
+
+
 def test_bright_dark_stats_synthetic_record():
-    rec = JumpRecord(0, np.array([1.0, 2.0, 102.0, 103.0]),
-                     np.zeros(4, dtype=int), 200.0)
-    stats = bright_dark_stats([rec], threshold=10.0)
+    stats = bright_dark_stats(_run([[1.0, 2.0, 102.0, 103.0]], 200.0),
+                              threshold=10.0)
     assert stats.n_dark_periods == 1
     assert stats.mean_dark == 100.0
     np.testing.assert_allclose(stats.mean_bright, 1.0)
 
 
 def test_bright_dark_stats_no_dark_periods():
-    rec = JumpRecord(0, np.array([1.0, 2.0, 3.0]), np.zeros(3, dtype=int), 5.0)
-    stats = bright_dark_stats([rec], threshold=10.0)
+    stats = bright_dark_stats(_run([[1.0, 2.0, 3.0]], 5.0), threshold=10.0)
     assert stats.n_dark_periods == 0
     assert math.isnan(stats.mean_dark)
 
 
 def test_bright_dark_stats_validation():
     with pytest.raises(ValueError):
-        bright_dark_stats([], threshold=1.0)
-    rec = JumpRecord(0, np.array([1.0]), np.zeros(1, dtype=int), 5.0)
+        bright_dark_stats(_run([], 5.0), threshold=1.0)
     with pytest.raises(ValueError):
-        bright_dark_stats([rec], threshold=0.0)
+        bright_dark_stats(_run([[1.0]], 5.0), threshold=0.0)
 
 
-def test_jump_record_validates_times():
+def test_mc_run_validates_flat_jumps():
+    for bad in ([[2.0, 1.0]], [[1.0, 7.0]], [[-1.0]], [[1.0, np.nan]]):
+        with pytest.raises(ValueError, match="increase"):
+            _run(bad, 5.0)
+    with pytest.raises(ValueError, match="equal length"):
+        McRun([0, 2], [1.0, 2.0], [0], 5.0, 0)
+    for offsets in ([1, 2], [0, 2, 1], [0, 1], [0, 3], []):
+        with pytest.raises(ValueError, match="offsets"):
+            McRun(offsets, [1.0, 2.0], [0, 0], 5.0, 0)
+    # times restart at each trajectory
+    run = _run([[3.0], [], [1.0, 2.0]], 5.0)
+    assert [r.times.tolist() for r in run.records] == [[3.0], [], [1.0, 2.0]]
     with pytest.raises(ValueError):
-        JumpRecord(0, np.array([2.0, 1.0]), np.zeros(2, dtype=int), 5.0)
-    with pytest.raises(ValueError):
-        JumpRecord(0, np.array([1.0, 7.0]), np.zeros(2, dtype=int), 5.0)
-    with pytest.raises(ValueError):
-        JumpRecord(0, np.array([1.0, 2.0]), np.zeros(1, dtype=int), 5.0)
+        run.records[0].times[0] = 0.5  # the records are read-only views
 
 
 def test_interjump_gaps_empty():
-    assert interjump_gaps([]).size == 0
+    assert interjump_gaps(_run([], 5.0)).size == 0
+
+
+_TRAJECTORIES = st.lists(st.lists(st.floats(0.01, 50.0), max_size=5),
+                         min_size=1, max_size=8)
+
+
+@given(gaps=_TRAJECTORIES, threshold=st.floats(0.1, 60.0))
+def test_flat_readers_match_per_trajectory_loops(gaps, threshold):
+    # drawn gaps give empty, single-jump and all-empty trajectories
+    per_traj = [np.cumsum(g) for g in gaps]
+    run = _run(per_traj, 300.0)
+    pooled = [np.diff(t) for t in per_traj if t.size >= 2]
+    ref = np.concatenate(pooled) if pooled else np.empty(0)
+    np.testing.assert_array_equal(interjump_gaps(run), ref)
+    dark, bright = ref[ref > threshold], ref[ref <= threshold]
+    expected = BrightDarkStats(
+        float(bright.mean()) if bright.size else math.nan,
+        float(dark.mean()) if dark.size else math.nan, dark.size, ref.size)
+    np.testing.assert_equal(vars(bright_dark_stats(run, threshold)),
+                            vars(expected))
+    for i, (r, t) in enumerate(zip(run.records, per_traj, strict=True)):
+        assert r.trajectory == i
+        np.testing.assert_array_equal(r.times, t)
