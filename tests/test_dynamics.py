@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trilevel.dynamics import (
+    _shared_keys,
     liouvillian,
     propagate_series,
+    propagate_vectors,
     steady_state,
 )
 from trilevel.equivalence import verify_equivalence
@@ -222,6 +225,76 @@ def test_linspace_grid_costs_one_exponential(monkeypatch):
     waiting_time(m, taus)
     assert len(calls) == 3
 
+    # three uniform runs, each of a different step: one exponential each
+    calls.clear()
+    runs = np.concatenate([np.linspace(0.0, 1.0, 11),
+                           1.0 + np.linspace(0.0, 3.0, 13)[1:],
+                           4.0 + np.linspace(0.0, 6.0, 41)[1:]])
+    propagate_series(liouvillian(m), ketbra(0, 0), runs)
+    assert len(calls) == 3
+    # steps a, b, a, b reuse exp(L a) and exp(L b)
+    calls.clear()
+    propagate_series(liouvillian(m), ketbra(0, 0), [0.3, 1.0, 1.3, 2.0])
+    assert len(calls) == 2
+
+
+def _cache_walk(keys):
+    """The cache key each step used when the grid was stepped point by
+    point: its own, else key - 1, else key + 1, else a new one."""
+    cache, used = set(), []
+    for key in keys:
+        hit = next((k for k in (key, key - 1, key + 1) if k in cache), None)
+        if hit is None:
+            cache.add(key)
+            hit = key
+        used.append(hit)
+    return used
+
+
+@example(keys=[11, 10, 9, 10])  # the second 10 takes 9, cached after it
+@given(keys=st.lists(st.integers(0, 12), min_size=1, max_size=40))
+def test_shared_keys_follow_the_step_by_step_cache(keys):
+    np.testing.assert_array_equal(_shared_keys(np.array(keys)),
+                                  _cache_walk(keys))
+
+
+# run lengths around each power of two, where the doubling changes pass
+_RUN_LENGTHS = sorted({1, 2, 3} | {2**k + d for k in range(2, 8)
+                                   for d in (-1, 0, 1)})
+_STEP = st.floats(0.01, 0.5)
+_UNIFORM_RUNS = st.lists(st.tuples(_STEP, st.sampled_from(_RUN_LENGTHS)),
+                         min_size=1, max_size=4)
+_RAGGED = st.lists(_STEP.map(lambda dt: (dt, 1)), min_size=1, max_size=40)
+# worst relative error measured over these examples: 2.9e-13
+_DOUBLING_TOL = 1e-11
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1),
+       runs=st.one_of(_UNIFORM_RUNS, _RAGGED),
+       from_zero=st.booleans(), no_jump=st.booleans())
+def test_doubling_matches_pointwise_exponentials(seed, runs, from_zero,
+                                                 no_jump):
+    rng = np.random.default_rng(seed)
+    model = build_model(random_driven_params(list(Config)[seed % 4], rng))
+    gen = model.no_jump if no_jump else model.generator
+    v0 = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    steps = [0.0] * from_zero + [dt for dt, n in runs for _ in range(n)]
+    times = np.cumsum(steps)
+    vs = propagate_vectors(gen, v0, times)
+    for t, v in zip(times, vs.T, strict=True):
+        ref = mat_exp(gen, t) @ v0
+        err = np.linalg.norm(v - ref) / max(1.0, np.linalg.norm(ref))
+        assert err < _DOUBLING_TOL
+
+
+def test_propagate_vectors_reads_v0_as_array():
+    gen = liouvillian(build_model(random_driven_params(Config.FIG1A)))
+    v0 = vec(np.diag([0.2, 0.5, 0.3]))
+    times = np.linspace(0.0, 2.0, 5)
+    np.testing.assert_array_equal(propagate_vectors(gen, v0.tolist(), times),
+                                  propagate_vectors(gen, v0, times))
+
 
 def test_propagate_series_rejects_bad_grid():
     m = build_model(random_driven_params(Config.FIG1A))
@@ -230,6 +303,30 @@ def test_propagate_series_rejects_bad_grid():
         propagate_series(lm, ketbra(0, 0), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(ValueError):
         propagate_series(lm, ketbra(0, 0), np.array([-1.0, 1.0]))
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan], [0.0, 1.0, math.inf],
+                                  [-math.inf, 0.0], [math.nan]])
+def test_non_finite_grid_is_rejected_everywhere(grid):
+    m = build_model(random_driven_params(Config.FIG2A))
+    rho0 = ketbra(0, 0)
+    calls = [
+        lambda: propagate_series(m.generator, rho0, grid),
+        lambda: g2(m, grid),
+        lambda: waiting_time(m, grid),
+        lambda: populations(m, rho0, grid),
+        lambda: verify_equivalence(m, m, np.eye(3), rho0, grid),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="times grid"):
+            call()
+
+
+def test_rho0_with_wrong_trace_is_bad_input():
+    lm = liouvillian(build_model(random_driven_params(Config.FIG1A)))
+    # ValueError, not the PropagationError (a RuntimeError) of a drift
+    with pytest.raises(ValueError, match="rho0 has trace 2"):
+        propagate_series(lm, 2.0 * ketbra(1, 1), [0.0, 1.0])
 
 
 # ----------------------------------------------------------- steady state
