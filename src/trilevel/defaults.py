@@ -25,6 +25,8 @@ ROUNDOFF = 1e-12           # relative roundoff of an identity exact in theory
 SNAP = 4 * 2.0 ** -52      # cos(phi) within 4 ulp of 0 or +-1 is exactly that
 NULL_CUT = 1e-10           # a relative zero: singular value, |L rho_ss| / |L|
 TRACE_FLOOR = 1e-8         # a null vector with less trace is no steady state
+STEP_SHARE = 4.0           # ulps of the grid end by which steps sharing one
+                           # exponential may differ (linspace: at most 2)
 TRACE_DRIFT = 1e-6         # a propagated state that drifts more has failed
 DENSITY_SLACK = 1e-9       # Hermiticity, trace and eigenvalues of a given rho
 UNITARITY = 1e-10          # |U U^+ - 1| of a basis change

@@ -1,21 +1,24 @@
 """Time propagation and steady states of a model's generator.
 
 Propagation exponentiates the full 9x9 Liouvillian (the generators here are
-time independent and tiny, so exactness beats ODE stepping).  Steps whose
-lengths agree to a few ulps of the grid end share one exponential E, and a
-run of n such steps is filled by doubling: E^m times the first m states
+time independent and tiny, so exactness beats ODE stepping).  Steps fall
+into length classes a few ulps of the grid end wide, whatever their order,
+and each class shares one exponential E.  A run of n consecutive steps of
+one class is filled by doubling: E^m times the first m states
 E v ... E^m v gives the next m, then E^m is squared, so the run costs about
 2 log2 n small matrix products.  A uniform grid is one run; a ragged grid is
-runs of length one, one exponential and one product per step.
+runs of length one, one exponential and one product per step.  The jump
+sampler's no-jump table is filled by the same doubling.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .defaults import TRACE_DRIFT, TRACE_FLOOR
+from .defaults import STEP_SHARE, TRACE_DRIFT, TRACE_FLOOR
 from .errors import NonUniqueSteadyStateError, PropagationError
-from .linalg import hermitize, mat_exp, null_space, unvec, vec
+from .linalg import (check_density_matrix, hermitize, mat_exp, null_space,
+                     unvec, vec)
 from .systems import LindbladModel
 
 
@@ -25,30 +28,17 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
     return model.generator
 
 
-def _shared_keys(keys: np.ndarray) -> np.ndarray:
-    """The key of the exponential each step uses, given its own key.
-
-    Taken in grid order, a step uses the cached exponential of its key,
-    else of key - 1, else of key + 1, and caches a new one under its key
-    only when none of the three exists.  Only a key's first step can do
-    that, so one pass over the distinct keys settles the cache; a later
-    step of an uncached key then takes key - 1 once it exists, else key + 1.
-    """
-    distinct, first = np.unique(keys, return_index=True)
-    born: dict[int, int] = {}  # cached key -> the step that cached it
-    for j, key in sorted(zip(first.tolist(), distinct.tolist())):
-        if key - 1 not in born and key + 1 not in born:
-            born[key] = j
-    if len(born) == distinct.size:
-        return keys  # every key cached its own exponential
-    # per distinct key: the shift its steps take from step `switch` on
-    # (0 if it is cached, else -1 once key - 1 is), and +1 before that step
-    switch, late = np.array([(0, 0) if key in born
-                             else (born.get(key - 1, keys.size), -1)
-                             for key in distinct.tolist()]).T
-    index = np.searchsorted(distinct, keys)
-    steps = np.arange(keys.size)
-    return keys + np.where(steps >= switch[index], late[index], 1)
+def _length_classes(dts: np.ndarray, width: float) -> np.ndarray:
+    """The class of each step length.  In sorted order, a step opens a new
+    class when it is more than ``width`` longer than its class's shortest
+    step, so a class spans at most ``width``; the order of the grid does
+    not matter."""
+    lengths = np.sort(dts)
+    opens = [0]  # sorted position of each class's shortest step
+    while (stop := int(np.searchsorted(lengths, lengths[opens[-1]] + width,
+                                       side="right"))) < lengths.size:
+        opens.append(stop)
+    return np.searchsorted(lengths[opens], dts, side="right") - 1
 
 
 def _fill_powers(step: np.ndarray, v: np.ndarray, rows: np.ndarray) -> None:
@@ -68,12 +58,13 @@ def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
                       times: np.ndarray) -> np.ndarray:
     """Columns exp(G t_j) v0 for a finite, increasing grid starting at >= 0.
 
-    Step lengths that agree to a few ulps of the grid end share one cached
-    exponential, so any uniform grid, ``linspace`` included, costs a single
-    one; a grid with steps a, b, a reuses exp(G a).  Each run of steps
-    sharing an exponential E is filled by doubling (E^m times the first m
-    columns, then E^m squared), so it costs about 2 log2 of its length in
-    small products.  There is no loop over grid points.
+    Steps fall into length classes no wider than STEP_SHARE ulps of the
+    grid end, and each class shares one exponential, taken at the length
+    of its first step: any uniform grid, ``linspace`` included, costs a
+    single one, and a grid with steps a, b, a, b costs two.  Each run of
+    consecutive steps of one class is filled by doubling (E^m times the
+    first m columns, then E^m squared), so it costs about 2 log2 of its
+    length in small products.  There is no loop over grid points.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -85,23 +76,25 @@ def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
     if times[0] < 0 or (dts[1:] <= 0).any():
         raise ValueError("times must be strictly increasing and start at >= 0")
     v = np.asarray(v0, dtype=complex)
+    if v.shape != np.shape(generator)[-1:]:
+        raise ValueError(f"v0 has shape {v.shape}, but the generator is "
+                         f"{'x'.join(map(str, np.shape(generator)))}")
     out = np.empty((times.size, v.size), dtype=complex)
     lead = int(times[0] == 0.0)  # a grid from t = 0 starts with v0 itself
     out[:lead] = v
     if lead == times.size:
         return out.T
-    # linspace rounds every point to within half an ulp of the grid end
-    width = 4.0 * np.spacing(times[-1])
     dts = dts[lead:]
-    keys = _shared_keys(np.rint(dts / width).astype(np.int64))
-    bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), keys.size]
+    classes = _length_classes(dts, STEP_SHARE * np.spacing(times[-1]))
+    bounds = [0, *(np.flatnonzero(np.diff(classes)) + 1).tolist(), dts.size]
     cache: dict[int, np.ndarray] = {}
     rows = out[lead:]
     for start, stop in zip(bounds[:-1], bounds[1:]):
-        key = int(keys[start])
-        step = cache.get(key)
+        # a class's first run in grid order starts at its first step
+        cls = int(classes[start])
+        step = cache.get(cls)
         if step is None:
-            step = cache[key] = mat_exp(generator, dts[start])
+            step = cache[cls] = mat_exp(generator, dts[start])
         _fill_powers(step, v, rows[start:stop])
         v = rows[stop - 1]
     return out.T
@@ -112,16 +105,14 @@ def propagate_series(l: np.ndarray, rho0: np.ndarray,
     """(len(times), 3, 3) stack of the states at the given times
     (finite, increasing, starting at >= 0).
 
-    The series is :func:`propagate_vectors` of vec(rho0): shared cached
-    exponentials, each uniform run filled by doubling.  A rho0 whose trace
-    is off 1 by more than TRACE_DRIFT is bad input (ValueError); every
-    propagated state is re-Hermitized and a trace that drifts that far is
-    an internal failure (PropagationError).
+    The series is :func:`propagate_vectors` of vec(rho0): shared
+    exponentials, each uniform run filled by doubling.  A rho0 that is not
+    Hermitian, of unit trace and positive semidefinite to within
+    DENSITY_SLACK is bad input (ValueError); every propagated state is
+    re-Hermitized and a trace that drifts by more than TRACE_DRIFT is an
+    internal failure (PropagationError).
     """
-    rho0 = np.asarray(rho0, dtype=complex)
-    trace0 = float(np.trace(rho0).real)
-    if abs(trace0 - 1.0) > TRACE_DRIFT:
-        raise ValueError(f"rho0 has trace {trace0:.6g}, not 1")
+    rho0 = check_density_matrix(rho0, "rho0")
     vs = propagate_vectors(l, vec(rho0), times)
     # row k of vs.T is vec(rho_k), i.e. rho_k transposed in row-major order
     rhos = hermitize(np.swapaxes(vs.T.reshape(-1, 3, 3), -1, -2))

@@ -29,7 +29,6 @@ import numpy as np
 from .defaults import DEFAULT_TOLERANCES, SNAP, UNITARITY
 from .dynamics import propagate_series
 from .errors import DegenerateBasisError, UndefinedAngleError
-from .linalg import hermitize
 from .systems import Config, LindbladModel, SystemParams
 
 
@@ -212,7 +211,8 @@ def verify_equivalence(
 
     model_a starts from rho0, model_b from U rho0 U^+; the report carries
     the maximum Frobenius distance max_t || U rho_a(t) U^+ - rho_b(t) ||
-    together with conservation diagnostics of both trajectories.
+    together with conservation diagnostics of both trajectories.  rho0
+    must be a density matrix, as ``propagate_series`` checks (ValueError).
     """
     u = np.asarray(unitary, dtype=complex)
     if (u.shape != (3, 3)
@@ -220,7 +220,6 @@ def verify_equivalence(
         raise ValueError("unitary must be a 3x3 unitary matrix")
     times = np.asarray(times, dtype=float)
 
-    rho0 = hermitize(rho0)
     series_a = propagate_series(model_a.generator, rho0, times)
     series_b = propagate_series(model_b.generator, u @ rho0 @ u.conj().T,
                                 times)

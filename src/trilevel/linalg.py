@@ -77,18 +77,18 @@ def null_space(m: np.ndarray) -> list[np.ndarray]:
     return [vh[k].conj() for k in range(len(s)) if s[k] <= NULL_CUT * smax]
 
 
-def check_density_matrix(rho: np.ndarray) -> np.ndarray:
+def check_density_matrix(rho: np.ndarray,
+                         name: str = "density matrix") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a density matrix,
-    each to within ``DENSITY_SLACK``."""
-    rho = _require_finite(rho, "density matrix")
+    each to within ``DENSITY_SLACK``; errors call it ``name``."""
+    rho = _require_finite(rho, name)
     scale = max(1.0, float(np.linalg.norm(rho)))
     if np.linalg.norm(rho - rho.conj().T) > DENSITY_SLACK * scale:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = complex(np.trace(rho))
+        raise ValueError(f"{name} is not Hermitian within tolerance")
+    tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > DENSITY_SLACK:
-        raise ValueError(f"density matrix trace {tr} deviates from 1")
+        raise ValueError(f"{name} has trace {tr:.6g}, not 1")
     wmin = float(np.linalg.eigvalsh(hermitize(rho)).min())
     if wmin < -DENSITY_SLACK:
-        raise ValueError(f"density matrix has negative eigenvalue {wmin}")
+        raise ValueError(f"{name} has negative eigenvalue {wmin:.6g}")
     return rho
-

@@ -21,7 +21,8 @@ from .defaults import (EMISSION_EXCESS, NEWTON_STEP, NULL_CUT, ROUNDOFF,
                        SURVIVAL_FLOOR, TINY)
 from .errors import JumpRankError
 from .linalg import dagger, ketbra, mat_exp, null_space, vec
-from .dynamics import propagate_series, propagate_vectors, steady_state
+from .dynamics import (_fill_powers, propagate_series, propagate_vectors,
+                       steady_state)
 from .systems import LindbladModel
 
 
@@ -30,9 +31,6 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 # frequencies per batched resolvent solve, which bounds the (n, 9, 9) stack
 # emission_spectrum holds at once to about 1.3 MB
 _SPECTRUM_BLOCK = 1024
-
-# no-jump table points per product with the step's powers
-_TABLE_BLOCK = 64
 
 
 class Kind(str, enum.Enum):
@@ -276,30 +274,32 @@ class _NoJumpEvolution:
     an 11-term Taylor polynomial from the nearest table point, exact to
     about 16**-11 / 11! ~ 1e-21 at |delta| ||H_eff|| <= 1/16.  The table
     also holds each start's survival ||psi||^2 and its exact slope
-    -<psi|K|psi>.  It stops at the first point where every survival is
-    below SURVIVAL_FLOOR, the smallest threshold a trajectory draws, so a
-    model that keeps emitting needs a bounded table whatever t_max; a dark
-    state, whose survival levels off above that, keeps the whole table."""
+    -<psi|K|psi>, K = ``model.decay``.  It stops at the first point where
+    every survival is below SURVIVAL_FLOOR, the smallest threshold a
+    trajectory draws, so a model that keeps emitting needs a bounded table
+    whatever t_max; a dark state, whose survival levels off above that,
+    keeps the whole table.  Squaring the step's exponential to
+    power-of-two points bounds that length; the table is then allocated
+    once and filled by the series' doubling, ``dynamics._fill_powers``."""
 
-    def __init__(self, h_eff: np.ndarray, starts: np.ndarray, t_max: float):
+    def __init__(self, model: LindbladModel, starts: np.ndarray,
+                 t_max: float):
+        h_eff = model.effective_hamiltonian
         norm = np.linalg.norm(h_eff, 2)
         scale = 1.0 / norm if norm > 0 else np.inf
         self.h = min(t_max, scale / 8)
         self.tol = NEWTON_STEP * min(t_max, scale)  # Newton's last step
         self.gen_t = -1j * h_eff.T  # psi @ gen_t = -i H_eff psi for rows psi
-        self.decay_t = (1j * (h_eff - dagger(h_eff))).T  # K
-        # the table grows _TABLE_BLOCK points at a time: the last row times
-        # the step's first _TABLE_BLOCK powers
-        powers = [mat_exp(-1j * h_eff, self.h).T]
-        for _ in range(_TABLE_BLOCK - 1):
-            powers.append(powers[-1] @ powers[0])
-        n = int(np.ceil(t_max / self.h))
-        blocks = [starts[:, None]]
-        while ((len(blocks) - 1) * _TABLE_BLOCK < n and (np.abs(
-                blocks[-1][:, -1]) ** 2).sum(axis=1).max() >= SURVIVAL_FLOOR):
-            blocks.append(np.einsum("ji,bik->jbk", blocks[-1][:, -1], powers))
-        table = np.concatenate(blocks, axis=1)[:, :n + 1]
-        del blocks  # a dark state keeps the whole table: hold it only once
+        self.decay_t = model.decay.T
+        step = mat_exp(-1j * h_eff, self.h)
+        n, power, end = int(np.ceil(t_max / self.h)), step, 1
+        while end < n and (np.abs(starts @ power.T) ** 2).sum(
+                axis=1).max() >= SURVIVAL_FLOOR:
+            power, end = power @ power, 2 * end
+        table = np.empty((len(starts), min(end, n) + 1, 3), dtype=complex)
+        table[:, 0] = starts
+        for psi, rows in zip(starts, table[:, 1:]):
+            _fill_powers(step, psi, rows)
         survival = (np.abs(table) ** 2).sum(axis=2)
         below = survival.max(axis=0) < SURVIVAL_FLOOR
         end = np.argmax(below) + 1 if below.any() else table.shape[1]
@@ -517,7 +517,7 @@ def mc_trajectories(
     psi0 = np.asarray([1.0, 0.0, 0.0] if initial_state is None
                       else initial_state, dtype=complex)
     # start state 0 is psi0, start state k + 1 the reset state of channel k
-    evo = _NoJumpEvolution(model.effective_hamiltonian, np.vstack(
+    evo = _NoJumpEvolution(model, np.vstack(
         [psi0 / np.linalg.norm(psi0), ranges[:, :, 0]]), t_final)
     if sample_times is not None:
         sample_times = np.asarray(sample_times, dtype=float)

@@ -2,6 +2,7 @@
 
 import ast
 import io
+import re
 import tokenize
 from pathlib import Path
 
@@ -13,20 +14,27 @@ PACKAGE = Path(defaults.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "defaults.py")
 
 
+def _is_threshold_literal(tokens, i):
+    tok, nxt = tokens[i], tokens[i + 1]
+    # a number times an ulp, as in 4.0 * np.spacing(t)
+    ulps = "".join(t.string for t in tokens[i + 1:i + 6])
+    return ((tok.type == tokenize.NUMBER and "e" in tok.string.lower()
+             and not tok.string.lower().startswith("0x"))
+            or (tok.type == tokenize.NAME and tok.string == "finfo")
+            or (tok.string == "**" and nxt.string == "-")
+            or (tok.type == tokenize.NUMBER
+                and re.match(r"\*(np\.|numpy\.)?spacing\(", ulps)))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_threshold_literal_outside_defaults(path):
     # docstrings and comments are STRING and COMMENT tokens, so their
     # numbers do not count
     tokens = list(tokenize.generate_tokens(
         io.StringIO(path.read_text(encoding="utf-8")).readline))
-    found = [
-        f"{path.name}:{tok.start[0]}: {tok.line.strip()}"
-        for tok, nxt in zip(tokens, tokens[1:])
-        if (tok.type == tokenize.NUMBER and "e" in tok.string.lower()
-            and not tok.string.lower().startswith("0x"))
-        or (tok.type == tokenize.NAME and tok.string == "finfo")
-        or (tok.string == "**" and nxt.string == "-")
-    ]
+    found = [f"{path.name}:{tokens[i].start[0]}: {tokens[i].line.strip()}"
+             for i in range(len(tokens) - 1)
+             if _is_threshold_literal(tokens, i)]
     assert not found, "threshold literals belong in defaults.py:\n" + (
         "\n".join(found))
 

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import trilevel.dynamics as dynamics
+from trilevel.defaults import STEP_SHARE
 from trilevel.dynamics import (
-    _shared_keys,
+    _length_classes,
     liouvillian,
     propagate_series,
     propagate_vectors,
@@ -238,24 +241,55 @@ def test_linspace_grid_costs_one_exponential(monkeypatch):
     assert len(calls) == 2
 
 
-def _cache_walk(keys):
-    """The cache key each step used when the grid was stepped point by
-    point: its own, else key - 1, else key + 1, else a new one."""
-    cache, used = set(), []
-    for key in keys:
-        hit = next((k for k in (key, key - 1, key + 1) if k in cache), None)
-        if hit is None:
-            cache.add(key)
-            hit = key
-        used.append(hit)
-    return used
+@contextlib.contextmanager
+def _counted_exponentials():
+    """The lengths of the exponentials ``dynamics`` takes in the block."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "mat_exp",
+                   lambda m, t=1.0: calls.append(t) or mat_exp(m, t))
+        yield calls
 
 
-@example(keys=[11, 10, 9, 10])  # the second 10 takes 9, cached after it
-@given(keys=st.lists(st.integers(0, 12), min_size=1, max_size=40))
-def test_shared_keys_follow_the_step_by_step_cache(keys):
-    np.testing.assert_array_equal(_shared_keys(np.array(keys)),
-                                  _cache_walk(keys))
+_GEN = build_model(random_driven_params(Config.FIG2A,
+                                        np.random.default_rng(4))).generator
+_V0 = vec(ketbra(0, 0))
+
+
+@given(start=st.one_of(st.just(0.0), st.floats(1e-3, 100.0)),
+       span=st.floats(1e-3, 1e3), n=st.integers(2, 500))
+def test_linspace_steps_share_one_exponential(start, span, n):
+    times = np.linspace(start, start + span, n)
+    width = STEP_SHARE * np.spacing(times[-1])
+    assert (_length_classes(np.diff(times), width) == 0).all()
+    with _counted_exponentials() as calls:
+        propagate_vectors(_GEN, _V0, np.linspace(0.0, span, n))
+    assert len(calls) == 1
+
+
+# steps a few ulps of the grid end (<= 26) around a handful of lengths, in
+# any order, so that lengths near one another straddle class boundaries
+_NEAR_STEPS = st.lists(st.tuples(st.sampled_from([0.1, 0.25, 1 / 3, 0.7]),
+                                 st.integers(-6, 6)),
+                       min_size=1, max_size=30)
+
+
+@given(start=st.floats(0.01, 5.0), steps=_NEAR_STEPS)
+def test_each_step_shares_an_exponential_of_its_own_length(start, steps):
+    times = start + np.cumsum([dt + k * 2.0**-48 for dt, k in steps])
+    times = np.concatenate([[start], times])
+    dts = np.diff(times, prepend=0.0)
+    width = STEP_SHARE * np.spacing(times[-1])
+    classes = _length_classes(dts, width)
+    with _counted_exponentials() as calls:
+        propagate_vectors(_GEN, _V0, times)
+    # one exponential per class, at the length of its first step in grid
+    # order, and so within the width of every step that shares it
+    first = np.sort(np.unique(classes, return_index=True)[1])
+    assert calls == dts[first].tolist()
+    shared = dict(zip(classes[first].tolist(), calls))
+    for dt, cls in zip(dts, classes.tolist()):
+        assert abs(shared[cls] - dt) <= width
 
 
 # run lengths around each power of two, where the doubling changes pass
@@ -327,6 +361,33 @@ def test_rho0_with_wrong_trace_is_bad_input():
     # ValueError, not the PropagationError (a RuntimeError) of a drift
     with pytest.raises(ValueError, match="rho0 has trace 2"):
         propagate_series(lm, 2.0 * ketbra(1, 1), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("rho0, reason", [
+    (np.array([[1, 1, 0], [0, 0, 0], [0, 0, 0]]), "not Hermitian"),
+    (np.diag([2.0, -1.0, 0.0]), "negative eigenvalue -1"),
+])
+def test_rho0_that_is_no_density_matrix_is_bad_input(rho0, reason):
+    m = build_model(random_driven_params(Config.FIG2A))
+    grid = [0.0, 1.0]
+    calls = [
+        lambda: propagate_series(m.generator, rho0, grid),
+        lambda: populations(m, rho0, grid),
+        lambda: verify_equivalence(m, m, np.eye(3), rho0, grid),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"rho0 .*{reason}"):
+            call()
+
+
+def test_vector_of_the_wrong_size_is_named():
+    gen = build_model(random_driven_params(Config.FIG2A)).generator
+    with pytest.raises(ValueError, match=r"v0 has shape \(3,\), but the "
+                                         r"generator is 9x9"):
+        propagate_vectors(gen, np.ones(3), [0.0, 1.0])
+    with pytest.raises(ValueError, match=r"v0 has shape \(4,\), but the "
+                                         r"generator is 9x9"):
+        propagate_series(gen, np.eye(2) / 2, [0.0, 1.0])
 
 
 # ----------------------------------------------------------- steady state

@@ -14,7 +14,8 @@ from trilevel.dynamics import (
     steady_state,
 )
 from trilevel.errors import JumpRankError
-from trilevel.linalg import ketbra, vec
+from trilevel.defaults import SURVIVAL_FLOOR
+from trilevel.linalg import ketbra, mat_exp, vec
 from trilevel.observables import (
     BrightDarkStats,
     Kind,
@@ -439,7 +440,7 @@ def test_mc_jump_table_is_bounded_for_emitting_models():
     starts = np.eye(3, dtype=complex)[[0, 0, 0]]
     tracemalloc.start()
     try:
-        evo = _NoJumpEvolution(m.effective_hamiltonian, starts, 1e5)
+        evo = _NoJumpEvolution(m, starts, 1e5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -452,6 +453,40 @@ def test_mc_jump_table_is_bounded_for_emitting_models():
         early = b.times <= 10.0
         np.testing.assert_array_equal(a.times, b.times[early])
         np.testing.assert_array_equal(a.channels, b.channels[early])
+
+
+# the emitting fig2a model of the bounded-table test; criterion 7's Lambda
+# model, whose dark state never stops surviving; and an emitting model with
+# a complex H, whose step exponential is not symmetric
+_H = np.array([[0.3, 0.8 - 0.5j, 0.2j], [0.8 + 0.5j, -0.4, 0.6],
+               [-0.2j, 0.6, 0.1]])
+_TABLE_MODELS = {
+    "fig2a": (build_model(fig2a_params(gamma23_or_31=0.5, omega_a=2.0,
+                                       omega_b=0.5, delta2=0.0, delta3=0.0)),
+              1e5),
+    "lambda": (build_model(SystemParams(
+        Config.FIG1B, gamma21=1.0, gamma23_or_31=0.6, omega_a=0.9,
+        omega_b=0.4, delta2=0.8, delta3=0.8, phi=0.7)), 200.0),
+    "complex": (LindbladModel(_H, (ketbra(0, 1), ketbra(0, 2)),
+                              np.diag([1.0, 0.3])), 1e3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_MODELS))
+def test_no_jump_table_rows_are_step_powers(name):
+    m, t_max = _TABLE_MODELS[name]
+    starts = np.eye(3, dtype=complex)
+    evo = _NoJumpEvolution(m, starts, t_max)
+    n = evo.table.shape[1]
+    for k in (1, n // 2, n - 1):
+        ref = mat_exp(-1j * m.effective_hamiltonian, k * evo.h) @ starts.T
+        np.testing.assert_allclose(evo.table[:, k], ref.T, rtol=0, atol=1e-12)
+    # the table ends at the first point where every survival is below the
+    # floor, or at the horizon when some survival never gets there
+    below = (np.abs(evo.table) ** 2).sum(axis=2).max(axis=0) < SURVIVAL_FLOOR
+    assert not below[:-1].any()
+    assert below[-1] or n == math.ceil(t_max / evo.h) + 1
+    assert below[-1] == (name != "lambda")
 
 
 def test_mc_first_jump_times_follow_exact_distribution():
