@@ -6,8 +6,9 @@ function in ``_TASKS`` whose data goes to one delimited text file with
 simulate, equiv-check, spectrum, g2, waiting-time, trajectories,
 describe-map.  Exit status is 0 iff every check in the scenario passed, 1
 if a check failed, 2 if the scenario or its input was rejected and 3 on an
-internal failure.  ``_OPTIONS`` lists the task options with their defaults;
-a scenario may set only the entries its task reads (``_TASKS``).
+internal failure.  ``_OPTIONS`` lists the task options with their defaults
+and the kinds of value they take (``_KINDS``); a scenario may set only the
+entries its task reads (``_Task.reads``).
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ log = logging.getLogger("trilevel")
 
 SCHEMA_VERSION = 1
 
-_GAMMA_ALIAS = {Config.FIG1A: "gamma23", Config.FIG1B: "gamma23",
-                Config.FIG2A: "gamma31", Config.FIG2B: "gamma31"}
+_GAMMA_ALIAS = {"fig1": "gamma23", "fig2": "gamma31"}  # by Config.family()
 
 _SYSTEM_KEYS = {"config", "gamma21", "gamma23", "gamma31", "omega_a",
                 "omega_b", "delta2", "delta3", "phi"}
@@ -59,16 +59,14 @@ _SCENARIO_KEYS = {"schema_version", "task", "system", "target", "time_grid",
                   "omega_grid", "initial_state", "seed", "tolerances",
                   "options"}
 
-# task option -> default; a given value must have the default's type
+# task option -> (default, kind of value, see _KINDS)
 _OPTIONS = {
-    "compare_mapped": False,        # run the target or mapped twin alongside
-    "normalized": False,            # g2 divided by the long-time rate
-    "detect_weights": (1.0, 0.0),   # plain spectrum: w0 A_0 + w1 A_1
-    "n_traj": 1000,
-    "dark_threshold": 10.0,         # gaps longer than this are dark periods
+    "compare_mapped": (False, "flag"),  # run the target or mapped twin too
+    "normalized": (False, "flag"),      # g2 divided by the long-time rate
+    "detect_weights": ((1.0, 0.0), "pair"),  # plain spectrum: w0 A_0 + w1 A_1
+    "n_traj": (1000, "count"),
+    "dark_threshold": (10.0, "positive"),  # longer gaps are dark periods
 }
-_KINDS = {bool: "true or false", int: "an integer >= 1",
-          float: "a finite number > 0", tuple: "a pair of finite numbers"}
 
 
 @dataclass(frozen=True)
@@ -89,10 +87,9 @@ class Scenario:
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
     options: dict = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def option(self, key: str):
-        return self.options.get(key, _OPTIONS[key])
+        return self.options.get(key, _OPTIONS[key][0])
 
 
 def _system_from_dict(raw: dict, where: str) -> SystemParams:
@@ -108,7 +105,7 @@ def _system_from_dict(raw: dict, where: str) -> SystemParams:
     except ValueError:
         raise ScenarioError(f"{where}.config",
                             f"unknown configuration {raw['config']!r}") from None
-    alias = _GAMMA_ALIAS[config]
+    alias = _GAMMA_ALIAS[config.family()]
     wrong = "gamma31" if alias == "gamma23" else "gamma23"
     if wrong in raw:
         raise ScenarioError(f"{where}.{wrong}",
@@ -146,35 +143,28 @@ def _finite(value) -> bool:  # JSON true and false are no numbers here
             and math.isfinite(value))
 
 
-def _tolerance(where: str, raw) -> float:
-    if not (_finite(raw) and raw > 0):
-        raise ScenarioError(where, f"must be a finite number > 0, got {raw!r}")
-    return float(raw)
+# value kind -> (what a value must be, its test, its stored form); JSON
+# true is no integer here
+_KINDS = {
+    "flag": ("true or false", lambda v: type(v) is bool, bool),
+    "count": ("an integer >= 1", lambda v: type(v) is int and v >= 1, int),
+    "seed": ("a non-negative integer",
+             lambda v: type(v) is int and v >= 0, int),
+    "positive": ("a finite number > 0", lambda v: _finite(v) and v > 0,
+                 float),
+    "pair": ("a pair of finite numbers",
+             lambda v: (isinstance(v, list) and len(v) == 2
+                        and all(map(_finite, v))),
+             lambda v: tuple(map(float, v))),
+}
 
 
-def _seed(raw) -> int:
-    if type(raw) is not int or raw < 0:  # true is no seed
-        raise ScenarioError("seed", f"must be a non-negative integer, got "
-                                    f"{raw!r}")
-    return raw
-
-
-def _option(key: str, value):
-    """``value`` checked against the type of the option's default."""
-    if key not in _OPTIONS:
-        raise ScenarioError(f"options.{key}", "unknown option")
-    kind = type(_OPTIONS[key])
-    if kind is float:
-        ok = _finite(value) and value > 0
-    elif kind is tuple:
-        ok = (isinstance(value, list) and len(value) == 2
-              and all(map(_finite, value)))
-    else:  # bool or int, and true is no integer here
-        ok = type(value) is kind and (kind is bool or value >= 1)
-    if not ok:
-        raise ScenarioError(f"options.{key}",
-                            f"must be {_KINDS[kind]}, got {value!r}")
-    return tuple(map(float, value)) if kind is tuple else kind(value)
+def _typed(where: str, value, kind: str):
+    """``value`` checked against a kind of ``_KINDS``, in its stored form."""
+    what, test, form = _KINDS[kind]
+    if not test(value):
+        raise ScenarioError(where, f"must be {what}, got {value!r}")
+    return form(value)
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -226,7 +216,7 @@ def parse_scenario(path: str | Path) -> Scenario:
     if task == "trajectories" and time_grid[1] <= 0:
         raise ScenarioError("time_grid", f"trajectories need a last point "
                                          f"> 0, got {time_grid[1]}")
-    seed = _seed(raw.get("seed", 0))
+    seed = _typed("seed", raw.get("seed", 0), "seed")
     for key in ("tolerances", "options"):
         if not isinstance(raw.get(key) or {}, dict):
             raise ScenarioError(key, "must be an object")
@@ -234,11 +224,13 @@ def parse_scenario(path: str | Path) -> Scenario:
     for key, val in (raw.get("tolerances") or {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"tolerances.{key}", "unknown tolerance")
-        tolerances[key] = _tolerance(f"tolerances.{key}", val)
-    options = {key: _option(key, val)
-               for key, val in (raw.get("options") or {}).items()}
-    _require_read(task, options, target, raw.get("tolerances") or {},
-                  "seed" in raw)
+        tolerances[key] = _typed(f"tolerances.{key}", val, "positive")
+    options = {}
+    for key, val in (raw.get("options") or {}).items():
+        if key not in _OPTIONS:
+            raise ScenarioError(f"options.{key}", "unknown option")
+        options[key] = _typed(f"options.{key}", val, _OPTIONS[key][1])
+    _require_read(task, options, raw)
     return Scenario(
         task=task,
         system=system,
@@ -253,32 +245,31 @@ def parse_scenario(path: str | Path) -> Scenario:
     )
 
 
-def _require_read(task: str, options: dict, target: SystemParams | None,
-                  tolerances: dict, seeded: bool) -> None:
-    """Reject an option, tolerance, seed or target that ``task`` would
-    never read."""
-    spec, why = _TASKS[task], f"not read by {task}"
-    unread = ([f"options.{k}" for k in options if k not in spec.options]
-              + [f"tolerances.{k}" for k in tolerances if k not in spec.tols]
-              + ["seed"] * (seeded and not spec.seed))
+def _require_read(task: str, options: dict, raw: dict) -> None:
+    """Reject the first entry set in ``raw`` that ``task`` does not read:
+    first one it never reads, then one it reads only with compare_mapped
+    set the other way (``target`` before the tolerances)."""
+    spec = _TASKS[task]
+    given = [f"{key}.{k}" for key in ("options", "tolerances")
+             for k in raw.get(key) or {}]
+    given += [key for key in ("seed", "target") if raw.get(key) is not None]
+    ever = spec.reads({}) | spec.reads({"compare_mapped": True})
+    unread = [key for key in given if key not in ever]
     if unread:
-        raise ScenarioError(unread[0], why)
-    if "detect_weights" in options and options.get("compare_mapped"):
-        raise ScenarioError("options.detect_weights",
-                            "not read with compare_mapped")
-    if "compare_mapped" in spec.options:
-        why += " without compare_mapped"
-    unread = ["target"] * (target is not None) + [f"tolerances.{k}"
-                                                  for k in tolerances]
-    if unread and not spec.compares(options):
-        raise ScenarioError(unread[0], why)
+        raise ScenarioError(unread[0], f"not read by {task}")
+    unread = [key for key in given if key not in spec.reads(options)]
+    if options.get("compare_mapped") and unread:
+        raise ScenarioError(unread[0], "not read with compare_mapped")
+    if unread:
+        raise ScenarioError("target" if "target" in unread else unread[0],
+                            f"not read by {task} without compare_mapped")
 
 
 def _system_to_dict(p: SystemParams) -> dict:
     out = {
         "config": p.config.value,
         "gamma21": p.gamma21,
-        _GAMMA_ALIAS[p.config]: p.gamma23_or_31,
+        _GAMMA_ALIAS[p.config.family()]: p.gamma23_or_31,
         "omega_a": p.omega_a,
         "omega_b": p.omega_b,
         "delta2": p.delta2,
@@ -293,37 +284,22 @@ def serialize_scenario(s: Scenario) -> dict:
     """Canonical JSON-ready form; parse(serialize(s)) == s.  Only the seed
     and tolerances the task reads are echoed."""
     spec = _TASKS[s.task]
+    reads = spec.reads(s.options)
     out = {
-        "schema_version": s.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "task": s.task,
         "system": _system_to_dict(s.system),
         "time_grid": list(s.time_grid),
         "omega_grid": list(s.omega_grid),
         "initial_state": s.initial_state,
-        **({"seed": s.seed} if spec.seed else {}),
+        **({"seed": s.seed} if "seed" in reads else {}),
         "tolerances": {key: s.tolerances[key] for key in spec.tols
-                       if spec.compares(s.options)},
+                       if f"tolerances.{key}" in reads},
         "options": dict(s.options),
     }
     if s.target is not None:
         out["target"] = _system_to_dict(s.target)
     return out
-
-
-@dataclass
-class RunReport:
-    scenario: dict
-    task: str
-    checks: list[dict]
-    outputs: list[str]
-    equivalence_map: dict | None = None
-    extras: dict = field(default_factory=dict)
-    duration_seconds: float = 0.0
-    version: str = __version__
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
 
 
 def describe_map(p: SystemParams) -> str:
@@ -500,10 +476,9 @@ def _trajectories(s: Scenario, model: LindbladModel) -> _Output:
 
 
 class _Task(NamedTuple):
-    """A verb: its function, the tolerances it reads (``--tol`` sets the
-    first), its options, and whether it reads ``target`` and the seed.
-    With compare_mapped set, a task reads ``target`` and its tolerances, not
-    detect_weights; without it, neither."""
+    """A verb: its function, the tolerances it compares by (``--tol`` sets
+    the first), its options, whether it always compares and whether it
+    reads the seed."""
 
     run: Callable[[Scenario, LindbladModel], _Output]
     tols: tuple[str, ...] = ()
@@ -511,8 +486,18 @@ class _Task(NamedTuple):
     target: bool = False
     seed: bool = False
 
-    def compares(self, options: dict) -> bool:  # reads target and tols
-        return self.target or options.get("compare_mapped", False)
+    def reads(self, options: dict) -> set[str]:
+        """The entries this task reads under ``options``: its options and
+        the seed if it takes one; when it compares (always, or with
+        compare_mapped set), also ``target`` and its tolerances, but not
+        detect_weights."""
+        compare = self.target or ("compare_mapped" in self.options
+                                  and options.get("compare_mapped", False))
+        return ({f"options.{key}" for key in self.options
+                 if not (compare and key == "detect_weights")}
+                | ({"seed"} if self.seed else set())
+                | ({"target", *(f"tolerances.{key}" for key in self.tols)}
+                   if compare else set()))
 
 
 _TASKS = {
@@ -530,8 +515,9 @@ _TASKS = {
 TASKS = tuple(_TASKS)
 
 
-def run(s: Scenario, out_dir: str | Path) -> RunReport:
-    """Execute a scenario, writing its data file and report.json."""
+def run(s: Scenario, out_dir: str | Path) -> dict:
+    """Execute a scenario, writing its data file and report.json; returns
+    the report."""
     t0 = _time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -540,20 +526,21 @@ def run(s: Scenario, out_dir: str | Path) -> RunReport:
                fmt="%.12e", header="\n".join(out.header))
     emap = None if out.emap is None else (
         dataclasses.asdict(out.emap) | {"unitary": out.emap.unitary.tolist()})
-    report = RunReport(
-        scenario=serialize_scenario(s),
-        task=s.task,
-        checks=list(out.checks),
-        outputs=[out.fname],
-        equivalence_map=emap,
-        extras=out.extras or {},
-        duration_seconds=_time.perf_counter() - t0,
-    )
+    report = {
+        "scenario": serialize_scenario(s),
+        "task": s.task,
+        "checks": list(out.checks),
+        "outputs": [out.fname],
+        "equivalence_map": emap,
+        "extras": out.extras or {},
+        "duration_seconds": _time.perf_counter() - t0,
+        "version": __version__,
+        "passed": all(check["passed"] for check in out.checks),
+    }
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(report) | {"passed": report.all_passed},
-                  fh, indent=2)
+        json.dump(report, fh, indent=2)
         fh.write("\n")
-    for check in report.checks:
+    for check in out.checks:
         log.info("check %s: %s", check["name"],
                  "pass" if check["passed"] else "FAIL")
     return report
@@ -597,11 +584,14 @@ def main(argv: list[str] | None = None) -> int:
                 "task", f"scenario declares {scenario.task!r} but the "
                 f"{args.verb!r} verb was invoked")
         if getattr(args, "seed", None) is not None:
-            scenario = dataclasses.replace(scenario, seed=_seed(args.seed))
+            scenario = dataclasses.replace(
+                scenario, seed=_typed("seed", args.seed, "seed"))
         if getattr(args, "tol", None) is not None:
-            if not _TASKS[args.verb].compares(scenario.options):
+            key = _TASKS[args.verb].tols[0]
+            if f"tolerances.{key}" not in _TASKS[args.verb].reads(
+                    scenario.options):
                 raise ScenarioError("--tol", "not read without compare_mapped")
-            tols = {_TASKS[args.verb].tols[0]: _tolerance("--tol", args.tol)}
+            tols = {key: _typed("--tol", args.tol, "positive")}
             scenario = dataclasses.replace(
                 scenario, tolerances=scenario.tolerances | tols)
         report = run(scenario, args.out)
@@ -612,11 +602,11 @@ def main(argv: list[str] | None = None) -> int:
         log.debug("internal failure", exc_info=True)
         print(f"internal error: {err}", file=sys.stderr)
         return 3
-    for check in report.checks:
+    for check in report["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(f"{check['name']}: {check['value']:.6e} "
               f"(tol {check['tol']:.1e}) {status}")
-    return 0 if report.all_passed else 1
+    return 0 if report["passed"] else 1
 
 
 if __name__ == "__main__":

@@ -17,8 +17,8 @@ import numpy as np
 
 from .defaults import STEP_SHARE, TRACE_DRIFT, TRACE_FLOOR
 from .errors import NonUniqueSteadyStateError, PropagationError
-from .linalg import (check_density_matrix, hermitize, mat_exp, null_space,
-                     unvec, vec)
+from .linalg import (check_density_matrix, check_grid, hermitize, mat_exp,
+                     null_space, unvec, vec)
 from .systems import LindbladModel
 
 
@@ -66,12 +66,7 @@ def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
     first m columns, then E^m squared), so it costs about 2 log2 of its
     length in small products.  There is no loop over grid points.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty 1-D grid")
-    if not np.isfinite(times).all():
-        raise ValueError("times grid has non-finite entries: "
-                         f"{times[~np.isfinite(times)][:3].tolist()}")
+    times = check_grid(times, "times")
     dts = np.diff(times, prepend=0.0)
     if times[0] < 0 or (dts[1:] <= 0).any():
         raise ValueError("times must be strictly increasing and start at >= 0")

@@ -77,6 +77,18 @@ def null_space(m: np.ndarray) -> list[np.ndarray]:
     return [vh[k].conj() for k in range(len(s)) if s[k] <= NULL_CUT * smax]
 
 
+def check_grid(x, name: str) -> np.ndarray:
+    """``x`` as a float array, which must be a non-empty 1-D grid of finite
+    entries; errors call it ``name``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D grid")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} grid has non-finite entries: "
+                         f"{x[~np.isfinite(x)][:3].tolist()}")
+    return x
+
+
 def check_density_matrix(rho: np.ndarray,
                          name: str = "density matrix") -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity of a density matrix,

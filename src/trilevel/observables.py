@@ -20,7 +20,8 @@ import numpy as np
 from .defaults import (EMISSION_EXCESS, NEWTON_STEP, NULL_CUT, ROUNDOFF,
                        SURVIVAL_FLOOR, TINY)
 from .errors import JumpRankError
-from .linalg import dagger, ketbra, mat_exp, null_space, vec
+from .linalg import (check_density_matrix, check_grid, dagger, ketbra,
+                     mat_exp, null_space, vec)
 from .dynamics import (_fill_powers, propagate_series, propagate_vectors,
                        steady_state)
 from .systems import LindbladModel
@@ -77,13 +78,18 @@ class SampledFunction:
                 raise ValueError(f"waiting-time density integrates to {total} > 1")
 
 
+def _density_matrix(rho: np.ndarray, name: str) -> np.ndarray:
+    """A given 3x3 state, judged by ``check_density_matrix``."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (3, 3):
+        raise ValueError(f"{name} must be a 3x3 density matrix")
+    return check_density_matrix(rho, name)
+
+
 def _reset_vec(reset_state: np.ndarray | None) -> np.ndarray:
     if reset_state is None:
         return vec(ketbra(0, 0))
-    rho = np.asarray(reset_state, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValueError("reset_state must be a 3x3 density matrix")
-    return vec(rho)
+    return vec(_density_matrix(reset_state, "reset_state"))
 
 
 def _nonnegative_rates(raw: np.ndarray, what: str) -> np.ndarray:
@@ -155,15 +161,17 @@ def emission_spectrum(
     incoherent part of <detect^+ detect>_ss.
 
     ``rho_ss`` overrides the steady state for models whose null space is
-    degenerate (e.g. a fully decoupled spectator level); it must be
-    stationary under L, else ValueError.  By default the unique steady
-    state is computed and required.
+    degenerate (e.g. a fully decoupled spectator level); it must be a
+    density matrix stationary under L, else ValueError.  By default the
+    unique steady state is computed and required.  ``omegas`` must be a
+    non-empty 1-D grid of finite frequencies.
     """
+    omegas = check_grid(omegas, "omegas")
     l = model.generator
     if rho_ss is None:
         rho_ss = steady_state(l)
     else:
-        rho_ss = np.asarray(rho_ss, dtype=complex)
+        rho_ss = _density_matrix(rho_ss, "rho_ss")
         resid = float(np.linalg.norm(l @ vec(rho_ss)))
         if resid > NULL_CUT * np.linalg.norm(l):
             raise ValueError(f"rho_ss is not stationary (|L rho_ss| = "
@@ -175,7 +183,6 @@ def emission_spectrum(
     proj = right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
     x = vec(detect @ rho_ss)
     rhs = (x - proj @ x)[:, None]
-    omegas = np.asarray(omegas, dtype=float)
     values = np.empty(omegas.size)
     for start in range(0, omegas.size, _SPECTRUM_BLOCK):
         block = omegas[start:start + _SPECTRUM_BLOCK, None, None]
@@ -288,7 +295,10 @@ class _NoJumpEvolution:
         norm = np.linalg.norm(h_eff, 2)
         scale = 1.0 / norm if norm > 0 else np.inf
         self.h = min(t_max, scale / 8)
-        self.tol = NEWTON_STEP * min(t_max, scale)  # Newton's last step
+        # Newton's last step.  Where the survival is nearly flat, at the end
+        # of a long dark period, the root is only good to about (roundoff of
+        # the survival) / |slope|: 4.9e-11 at slope -1.3e-6, say
+        self.tol = NEWTON_STEP * min(t_max, scale)
         self.gen_t = -1j * h_eff.T  # psi @ gen_t = -i H_eff psi for rows psi
         self.decay_t = model.decay.T
         step = mat_exp(-1j * h_eff, self.h)
@@ -498,9 +508,10 @@ def mc_trajectories(
     threshold, then a channel draw and the next threshold at each jump.
     All streams are computed together (``_Streams``), with numpy's values,
     so a fixed seed gives the same jumps and trajectory i does not depend
-    on ``n_traj``.  ``sample_times`` (any within [0, t_final]) requests
-    ensemble populations with standard errors, for comparison against the
-    master equation.
+    on ``n_traj``.  ``initial_state`` (default |1>) must be a finite,
+    nonzero 3-vector; it is normalized.  ``sample_times`` (finite, in any
+    order, within [0, t_final]) requests ensemble populations with standard
+    errors, for comparison against the master equation.
     """
     n_traj = operator.index(n_traj)
     if n_traj < 1:
@@ -516,14 +527,17 @@ def mc_trajectories(
                             f"(s2/s1 = {sv[bad[0], 1] / sv[bad[0], 0]:.3e})")
     psi0 = np.asarray([1.0, 0.0, 0.0] if initial_state is None
                       else initial_state, dtype=complex)
-    # start state 0 is psi0, start state k + 1 the reset state of channel k
-    evo = _NoJumpEvolution(model, np.vstack(
-        [psi0 / np.linalg.norm(psi0), ranges[:, :, 0]]), t_final)
+    norm = np.linalg.norm(psi0) if psi0.shape == (3,) else np.nan
+    if not 0 < norm < np.inf:
+        raise ValueError("initial_state must be a finite, nonzero 3-vector")
     if sample_times is not None:
-        sample_times = np.asarray(sample_times, dtype=float)
+        sample_times = check_grid(sample_times, "sample_times")
         if np.any(sample_times < 0) or np.any(sample_times > t_final):
             raise ValueError("sample_times must lie within [0, t_final]")
         moments = np.zeros((sample_times.size, 2, 3))  # sums of p and p^2
+    # start state 0 is psi0, start state k + 1 the reset state of channel k
+    evo = _NoJumpEvolution(model, np.vstack([psi0 / norm, ranges[:, :, 0]]),
+                           t_final)
 
     traj, t0 = np.arange(n_traj), np.zeros(n_traj)
     # thresholds lie in [SURVIVAL_FLOOR, 1]; without jump channels they are

@@ -1,8 +1,12 @@
-"""The benchmark's traced layers name functions the program still has."""
+"""The benchmark's traced layers name functions the program still has, and
+one cycle of its workloads passes the benchmark's own output checks."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
+
+import trilevel
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -23,3 +27,21 @@ def test_every_traced_layer_is_a_program_function():
     for module, name in layers:
         fn = getattr(importlib.import_module(f"trilevel.{module}"), name, None)
         assert callable(fn), f"trilevel.{module}.{name}"
+
+
+def test_one_benchmark_cycle_passes_its_own_checks(tmp_path, monkeypatch):
+    # monkeypatch restores sys.path; the benchmark's modules are dropped so
+    # that no later import finds them by their bare names
+    monkeypatch.syspath_prepend(str(TRACER.parent))
+    try:
+        workloads = importlib.import_module("workloads")
+        for name, workload in workloads.WORKLOADS.items():
+            wl = workload(trilevel, 0, tmp_path / name)
+            for item in wl.cycle:
+                try:
+                    wl.check(item, wl.run(item))
+                except Exception as exc:
+                    raise AssertionError(f"{name} item {item.key}") from exc
+    finally:
+        for module in ("workloads", "independent"):
+            sys.modules.pop(module, None)

@@ -164,6 +164,20 @@ def test_waiting_time_mapped_pair_equality():
                                waiting_time(mb, taus).values, atol=1e-8)
 
 
+@pytest.mark.parametrize("curve", [g2, waiting_time])
+def test_reset_state_must_be_a_density_matrix(curve):
+    m = build_model(fig2a_params())
+    taus = np.linspace(0, 5, 11)
+    np.testing.assert_array_equal(
+        curve(m, taus, reset_state=ketbra(0, 0)).values, curve(m, taus).values)
+    for bad, reason in [(2.0 * ketbra(0, 0), "has trace 2"),
+                        (np.diag([1.5, -0.5, 0.0]), "has negative eigenvalue"),
+                        (ketbra(0, 0) + ketbra(0, 1), "is not Hermitian"),
+                        (np.eye(2) / 2, "must be a 3x3")]:
+        with pytest.raises(ValueError, match=f"reset_state {reason}"):
+            curve(m, taus, reset_state=bad)
+
+
 # ----------------------------------------------------------------- spectra
 
 def test_spectrum_without_drive_is_dark():
@@ -240,6 +254,31 @@ def test_spectrum_rejects_nonstationary_rho_ss():
     with pytest.raises(ValueError, match="not stationary"):
         emission_spectrum(m, m.collapse_ops[0], np.linspace(-5, 5, 11),
                           rho_ss=ketbra(0, 0))
+
+
+def test_spectrum_rho_ss_must_be_a_density_matrix():
+    # twice the steady state is stationary too, and doubled the spectrum
+    m = build_model(fig2a_params())
+    rho_ss = steady_state(m.generator)
+    omegas = np.linspace(-5, 5, 11)
+    np.testing.assert_array_equal(
+        emission_spectrum(m, m.collapse_ops[0], omegas, rho_ss=rho_ss).values,
+        emission_spectrum(m, m.collapse_ops[0], omegas).values)
+    for bad, reason in [(2.0 * rho_ss, "has trace 2"),
+                        (np.eye(2) / 2, "must be a 3x3")]:
+        with pytest.raises(ValueError, match=f"rho_ss {reason}"):
+            emission_spectrum(m, m.collapse_ops[0], omegas, rho_ss=bad)
+
+
+@pytest.mark.parametrize("omegas", [[0.0, math.nan, 1.0],
+                                    [-math.inf, 0.0, math.inf],
+                                    np.ones((1, 2)), []])
+def test_spectrum_rejects_a_bad_frequency_grid(omegas):
+    m = build_model(fig2a_params())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="omegas"):
+            emission_spectrum(m, m.collapse_ops[0], omegas)
 
 
 def test_spectrum_requires_unique_steady_state():
@@ -554,10 +593,36 @@ def test_mc_samples_populations_at_any_time():
     run = mc_trajectories(m, n_traj=2000, t_final=10.03, seed=12,
                           sample_times=sample)
     assert _ensemble_z(run, m, sample).max() < 3.0
-    for bad in ([0.0, 10.5], [-0.1, 1.0]):
+    for bad in ([0.0, 10.5], [-0.1, 1.0], [1.0, math.nan, 2.0],
+                np.ones((1, 2)), []):
         with pytest.raises(ValueError, match="sample_times"):
             mc_trajectories(m, n_traj=3, t_final=10.03, seed=12,
                             sample_times=np.array(bad))
+
+
+def test_mc_sample_times_may_come_in_any_order():
+    m = build_model(fig2a_params())
+    ordered = mc_trajectories(m, n_traj=50, t_final=4.0, seed=5,
+                              sample_times=[0.5, 1.0, 2.0])
+    shuffled = mc_trajectories(m, n_traj=50, t_final=4.0, seed=5,
+                               sample_times=[2.0, 0.5, 1.0])
+    np.testing.assert_array_equal(shuffled.populations,
+                                  ordered.populations[[2, 0, 1]])
+
+
+def test_mc_initial_state_must_be_a_finite_nonzero_3_vector():
+    m = build_model(fig2a_params())
+    run = mc_trajectories(m, n_traj=20, t_final=4.0, seed=5,
+                          initial_state=[2.0, 0.0, 0.0])  # normalized
+    np.testing.assert_array_equal(
+        run.times, mc_trajectories(m, n_traj=20, t_final=4.0, seed=5).times)
+    for bad in ([0.0, 0.0, 0.0], [1.0, 0.0], [math.nan, 0.0, 1.0],
+                [[1.0, 0.0, 0.0]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="initial_state"):
+                mc_trajectories(m, n_traj=3, t_final=4.0, seed=5,
+                                initial_state=bad)
 
 
 def test_mc_ensemble_matches_master_equation():
