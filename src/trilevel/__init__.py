@@ -26,7 +26,6 @@ from .dynamics import (
 from .observables import (
     BrightDarkStats,
     JumpRecord,
-    Kind,
     McRun,
     SampledFunction,
     bright_dark_stats,
@@ -54,7 +53,7 @@ __all__ = [
     "verify_equivalence",
     "liouvillian", "propagate_series",
     "steady_state",
-    "SampledFunction", "Kind", "JumpRecord", "McRun", "BrightDarkStats",
+    "SampledFunction", "JumpRecord", "McRun", "BrightDarkStats",
     "g2", "waiting_time", "emission_spectrum", "populations",
     "mc_trajectories", "interjump_gaps", "bright_dark_stats",
     "DegenerateBasisError", "UndefinedAngleError", "PropagationError",

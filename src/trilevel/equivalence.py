@@ -212,12 +212,15 @@ def verify_equivalence(
     model_a starts from rho0, model_b from U rho0 U^+; the report carries
     the maximum Frobenius distance max_t || U rho_a(t) U^+ - rho_b(t) ||
     together with conservation diagnostics of both trajectories.  rho0
-    must be a density matrix, as ``propagate_series`` checks (ValueError).
+    must be a density matrix, as ``propagate_series`` checks, ``unitary``
+    a finite 3x3 unitary and ``tol`` a finite number > 0 (ValueError).
     """
     u = np.asarray(unitary, dtype=complex)
-    if (u.shape != (3, 3)
+    if (u.shape != (3, 3) or not np.isfinite(u).all()
             or np.linalg.norm(u @ u.conj().T - np.eye(3)) > UNITARITY):
         raise ValueError("unitary must be a 3x3 unitary matrix")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     times = np.asarray(times, dtype=float)
 
     series_a = propagate_series(model_a.generator, rho0, times)

@@ -10,10 +10,9 @@ coherent (Rayleigh) plateau split off as a scalar weight.
 
 from __future__ import annotations
 
-import enum
 import functools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,55 +26,26 @@ from .dynamics import (_fill_powers, propagate_series, propagate_vectors,
 from .systems import LindbladModel
 
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
 # frequencies per batched resolvent solve, which bounds the (n, 9, 9) stack
 # emission_spectrum holds at once to about 1.3 MB
 _SPECTRUM_BLOCK = 1024
 
 
-class Kind(str, enum.Enum):
-    G2 = "g2"
-    WAITING_TIME = "waiting_time"
-    SPECTRUM = "spectrum"
-    POPULATION = "population"
-
-
 @dataclass(frozen=True)
 class SampledFunction:
-    """Uniformly meaningful (grid, values) pair with a kind tag.
+    """An observable sampled on a float grid: the result record of g2,
+    waiting times, spectra and populations.
 
-    tau grids are in 1/Gamma_ref, omega grids in Gamma_ref.  ``meta`` holds
-    auxiliary scalars (coherent weight of a spectrum, seeds, ...).  A
-    waiting-time density is judged against 1 by its exact
-    ``meta["emitted_probability"]`` when present, else by the trapezoid rule.
+    tau grids are in 1/Gamma_ref and increase; omega grids are in
+    Gamma_ref and may come in any order.  ``meta`` holds auxiliary scalars
+    (coherent weight of a spectrum, emitted probability, level, ...).
+    Each producer checks its output where it computes it; the record
+    itself checks nothing.
     """
 
     grid: np.ndarray
     values: np.ndarray
-    kind: Kind
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be 1-D and strictly increasing")
-        if values.shape[0] != grid.size:
-            raise ValueError("values length does not match grid")
-        if self.kind in (Kind.G2, Kind.WAITING_TIME):
-            low = float(np.min(values.real))
-            if low < -ROUNDOFF:
-                raise ValueError(f"{self.kind.value} values must be >= 0 "
-                                 f"(found {low})")
-        if self.kind is Kind.WAITING_TIME and grid.size > 1:
-            total = self.meta.get("emitted_probability")
-            if total is None:
-                total = float(_trapezoid(values.real, grid))
-            if total > 1.0 + EMISSION_EXCESS:
-                raise ValueError(f"waiting-time density integrates to {total} > 1")
+    meta: dict
 
 
 def _density_matrix(rho: np.ndarray, name: str) -> np.ndarray:
@@ -121,7 +91,7 @@ def g2(model: LindbladModel, taus: np.ndarray,
             raise ValueError("cannot normalize: zero long-time rate")
         meta["normalization"] = tail
         values = values / tail
-    return SampledFunction(np.asarray(taus, dtype=float), values, Kind.G2, meta)
+    return SampledFunction(np.asarray(taus, dtype=float), values, meta)
 
 
 def waiting_time(model: LindbladModel, taus: np.ndarray,
@@ -132,15 +102,17 @@ def waiting_time(model: LindbladModel, taus: np.ndarray,
     minus all feeding terms); the density is the detection-rate functional
     of that decaying state, so it integrates to at most 1.  The exact
     probability of an emission by the last grid point, the trace the
-    no-jump state has lost, is kept in meta["emitted_probability"].
+    no-jump state has lost, is kept in meta["emitted_probability"]; above
+    1 + EMISSION_EXCESS it is a ValueError.
     """
     v0 = _reset_vec(reset_state)
     vs = propagate_vectors(model.no_jump, v0, taus)
     values = _nonnegative_rates((vec(model.decay.T) @ vs).real,
                                 "waiting-time density")
     emitted = float((vec(np.eye(3)) @ (v0 - vs[:, -1])).real)
+    if emitted > 1.0 + EMISSION_EXCESS:
+        raise ValueError(f"waiting-time density integrates to {emitted} > 1")
     return SampledFunction(np.asarray(taus, dtype=float), values,
-                           Kind.WAITING_TIME,
                            {"emitted_probability": emitted})
 
 
@@ -163,10 +135,15 @@ def emission_spectrum(
     ``rho_ss`` overrides the steady state for models whose null space is
     degenerate (e.g. a fully decoupled spectator level); it must be a
     density matrix stationary under L, else ValueError.  By default the
-    unique steady state is computed and required.  ``omegas`` must be a
-    non-empty 1-D grid of finite frequencies.
+    unique steady state is computed and required.  ``detect`` must be a
+    finite 3x3 matrix.  ``omegas`` must be a non-empty 1-D grid of finite
+    frequencies, in any order and possibly repeated: each frequency is
+    solved on its own.  Both are checked before any solve.
     """
     omegas = check_grid(omegas, "omegas")
+    detect = np.asarray(detect, dtype=complex)
+    if detect.shape != (3, 3) or not np.isfinite(detect).all():
+        raise ValueError("detect must be a finite 3x3 matrix")
     l = model.generator
     if rho_ss is None:
         rho_ss = steady_state(l)
@@ -176,7 +153,6 @@ def emission_spectrum(
         if resid > NULL_CUT * np.linalg.norm(l):
             raise ValueError(f"rho_ss is not stationary (|L rho_ss| = "
                              f"{resid:.3e})")
-    detect = np.asarray(detect, dtype=complex)
     # P0 = V (U^+ V)^-1 U^+ from the right and left null spaces of L
     right = np.array(null_space(l)).T
     left = np.array(null_space(l.conj().T)).T
@@ -193,8 +169,8 @@ def emission_spectrum(
             (z[..., 0] @ vec(detect).conj()).real / np.pi)
     coherent = complex(np.trace(dagger(detect) @ rho_ss)
                        * np.trace(detect @ rho_ss))
-    return SampledFunction(omegas, values, Kind.SPECTRUM,
-                           meta={"coherent_weight": coherent.real})
+    return SampledFunction(omegas, values,
+                           {"coherent_weight": coherent.real})
 
 
 def populations(model: LindbladModel, rho0: np.ndarray,
@@ -202,10 +178,9 @@ def populations(model: LindbladModel, rho0: np.ndarray,
     """Level populations along a trajectory, one SampledFunction per level."""
     series = propagate_series(model.generator, rho0, times)
     diag = np.diagonal(series, axis1=1, axis2=2).real
-    return tuple(
-        SampledFunction(times, diag[:, k], Kind.POPULATION, {"level": k + 1})
-        for k in range(3)
-    )
+    grid = np.asarray(times, dtype=float)
+    return tuple(SampledFunction(grid, diag[:, k], {"level": k + 1})
+                 for k in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +492,8 @@ def mc_trajectories(
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
     streams = _Streams(seed, n_traj)
-    if not (t_final > 0):
-        raise ValueError("t_final must be > 0")
+    if not 0 < t_final < np.inf:
+        raise ValueError("t_final must be finite and > 0")
     ops = model.jump_operators
     ranges, sv, _ = np.linalg.svd(ops)
     bad = np.flatnonzero(sv[:, 1] > ROUNDOFF * sv[:, 0])

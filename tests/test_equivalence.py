@@ -308,6 +308,22 @@ def test_verify_equivalence_rejects_bad_unitary():
                            np.linspace(0, 1, 5))
 
 
+def test_verify_equivalence_rejects_a_non_finite_unitary():
+    m = build_model(random_fig1a(np.random.default_rng(16)))
+    for bad in (np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.inf])):
+        with pytest.raises(ValueError,
+                           match="unitary must be a 3x3 unitary matrix"):
+            verify_equivalence(m, m, bad, ketbra(0, 0), np.linspace(0, 1, 5))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_verify_equivalence_rejects_a_bad_tolerance(tol):
+    m = build_model(random_fig1a(np.random.default_rng(16)))
+    with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+        verify_equivalence(m, m, np.eye(3), ketbra(0, 0),
+                           np.linspace(0, 1, 5), tol=tol)
+
+
 def test_branch_independence_of_dressed_root():
     # choosing the minus root relabels the dressed levels; building the
     # rotated-frame model by hand from that branch must also certify

@@ -1,5 +1,6 @@
-"""The benchmark's traced layers name functions the program still has, and
-one cycle of its workloads passes the benchmark's own output checks."""
+"""The package's public names and the benchmark's traced layers name things
+the program still has, and one cycle of the benchmark's workloads passes
+its own output checks."""
 
 import ast
 import importlib
@@ -19,6 +20,14 @@ def _layers():
                 == ["LAYERS"]):
             return ast.literal_eval(node.value)
     raise AssertionError(f"{TRACER} assigns no LAYERS")
+
+
+def test_every_public_name_resolves():
+    for name in trilevel.__all__:
+        assert hasattr(trilevel, name), f"trilevel.{name}"
+    namespace = {}
+    exec("from trilevel import *", namespace)
+    assert set(trilevel.__all__) <= set(namespace)
 
 
 def test_every_traced_layer_is_a_program_function():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -18,7 +19,6 @@ from trilevel.defaults import SURVIVAL_FLOOR
 from trilevel.linalg import ketbra, mat_exp, vec
 from trilevel.observables import (
     BrightDarkStats,
-    Kind,
     McRun,
     SampledFunction,
     _NoJumpEvolution,
@@ -47,24 +47,6 @@ def mapped_pair(p):
     from trilevel.equivalence import map_system
     target, emap = map_system(p)
     return build_model(p), build_model(target), emap
-
-
-# -------------------------------------------------------- SampledFunction
-
-def test_sampled_function_rejects_bad_grid():
-    with pytest.raises(ValueError):
-        SampledFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3), Kind.G2)
-
-
-def test_sampled_function_rejects_negative_rates():
-    with pytest.raises(ValueError):
-        SampledFunction(np.array([0.0, 1.0]), np.array([-1e-3, 0.0]), Kind.G2)
-
-
-def test_sampled_function_rejects_overweight_waiting_density():
-    with pytest.raises(ValueError):
-        SampledFunction(np.array([0.0, 1.0]), np.array([2.0, 2.0]),
-                        Kind.WAITING_TIME)
 
 
 # --------------------------------------------------------------------- g2
@@ -155,6 +137,17 @@ def test_waiting_time_exact_total_accepts_quadrature_overshoot():
     w = waiting_time(build_model(p), taus)
     assert _trapezoid(w.values, taus) > 1.0 + 1e-6
     np.testing.assert_allclose(w.meta["emitted_probability"], 1.0, atol=1e-11)
+
+
+def test_waiting_time_rejects_an_emitted_probability_above_one():
+    # no model loses more than its whole trace; a no-jump generator that
+    # rotates rho_11 into -rho_00 stands in for a defect: tr(rho(pi)) = -1
+    m = build_model(fig2a_params())
+    rotate = np.zeros((9, 9), dtype=complex)
+    rotate[0, 4], rotate[4, 0] = -1.0, 1.0  # vec index of rho_ii is 4 i
+    m.__dict__["no_jump"] = rotate
+    with pytest.raises(ValueError, match="density integrates to 1.99"):
+        waiting_time(m, np.linspace(0, math.pi, 11))
 
 
 def test_waiting_time_mapped_pair_equality():
@@ -281,6 +274,30 @@ def test_spectrum_rejects_a_bad_frequency_grid(omegas):
             emission_spectrum(m, m.collapse_ops[0], omegas)
 
 
+@pytest.mark.parametrize("detect", [np.full((3, 3), math.nan), np.eye(2),
+                                    np.ones(3)])
+def test_spectrum_rejects_a_bad_detection_operator(detect, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solved before detect was checked")
+
+    m = build_model(fig2a_params())
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    with pytest.raises(ValueError, match="detect must be a finite 3x3"):
+        emission_spectrum(m, detect, np.linspace(-5, 5, 11))
+
+
+def test_spectrum_takes_frequencies_in_any_order():
+    m = build_model(fig2a_params())
+    d = m.collapse_ops[0]
+    omegas = np.linspace(-10, 10, 1501)
+    ref = emission_spectrum(m, d, omegas)
+    perm = np.random.default_rng(5).permutation(omegas.size)
+    perm = np.concatenate([perm, perm[:40]])  # repeated frequencies too
+    spec = emission_spectrum(m, d, omegas[perm])
+    assert spec.values.tobytes() == ref.values[perm].tobytes()
+    assert spec.grid.tobytes() == omegas[perm].tobytes()
+
+
 def test_spectrum_requires_unique_steady_state():
     from trilevel.errors import NonUniqueSteadyStateError
     p = SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.0,
@@ -306,6 +323,23 @@ def test_spectrum_memory_is_bounded():
     coarse = emission_spectrum(m, d, omegas[::1000])
     np.testing.assert_allclose(spec.values[::1000], coarse.values,
                                rtol=1e-12, atol=0)
+
+
+# ----------------------------------------------------------- result record
+
+def test_every_observable_returns_a_plain_float_record():
+    m = build_model(fig2a_params())
+    taus = [0, 1, 2]  # integers: each producer hands back a float grid
+    curves = [g2(m, taus), g2(m, taus, normalized=True),
+              waiting_time(m, taus),
+              emission_spectrum(m, m.collapse_ops[0], [1, -1, 0]),
+              *populations(m, ketbra(0, 0), taus)]
+    assert [f.name for f in dataclasses.fields(SampledFunction)] == [
+        "grid", "values", "meta"]
+    for curve in curves:
+        assert isinstance(curve, SampledFunction)
+        assert curve.grid.dtype == float and curve.grid.shape == (3,)
+        assert curve.values.shape == (3,)
 
 
 # ------------------------------------------------------------- populations
@@ -457,6 +491,13 @@ def test_mc_rejects_n_traj_beyond_one_word_count(n_traj, error):
     with pytest.raises(error):
         mc_trajectories(build_model(fig2a_params()), n_traj=n_traj,
                         t_final=1.0, seed=0)
+
+
+@pytest.mark.parametrize("t_final", [math.inf, math.nan, 0.0, -1.0])
+def test_mc_rejects_a_bad_final_time(t_final):
+    with pytest.raises(ValueError, match="t_final must be finite and > 0"):
+        mc_trajectories(build_model(fig2a_params()), n_traj=3,
+                        t_final=t_final, seed=0)
 
 
 def test_mc_builds_no_per_trajectory_generator(monkeypatch):

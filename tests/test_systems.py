@@ -45,6 +45,35 @@ def test_params_require_phi_for_single_laser_configs():
                      phi=4.0)
 
 
+_CHANNELS = np.stack([ketbra(0, 1), ketbra(2, 1)])
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LindbladModel(ketbra(0, 1), _CHANNELS, np.eye(2)),
+     "hamiltonian must be Hermitian"),
+    (lambda: LindbladModel(np.zeros((3, 3)), _CHANNELS, np.eye(3)),
+     r"rate matrix shape \(3, 3\) does not match 2 collapse operators"),
+    (lambda: LindbladModel(np.zeros((3, 3)), _CHANNELS,
+                           np.array([[1.0, 0.5], [0.0, 1.0]])),
+     "rate matrix must be symmetric"),
+    (lambda: LindbladModel(np.zeros((3, 3)), _CHANNELS,
+                           np.array([[1.0, 2.0], [2.0, 1.0]])),
+     "rate matrix is not PSD"),
+    (lambda: SystemParams(Config.FIG1A, gamma21=math.inf, gamma23_or_31=0.0,
+                          omega_a=1.0),
+     "gamma21: must be finite"),
+    (lambda: SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.0,
+                          omega_a=math.nan),
+     "omega_a: must be finite"),
+    (lambda: SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.0,
+                          omega_a=1.0, delta3=-math.inf),
+     "delta3: must be finite"),
+])
+def test_models_and_params_reject_bad_input_by_name(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 # ---------------------------------------------------------------- fig1a
 
 def test_fig1a_printed_structure():
