@@ -598,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, TypeError, OSError) as err:  # rejected input
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except Exception as err:  # internal, e.g. NonUniqueSteadyStateError
+    except Exception as err:  # internal, e.g. PropagationError
         log.debug("internal failure", exc_info=True)
         print(f"internal error: {err}", file=sys.stderr)
         return 3

@@ -32,6 +32,13 @@ from .errors import DegenerateBasisError, UndefinedAngleError
 from .systems import Config, LindbladModel, SystemParams
 
 
+def _finite(**values: float) -> None:
+    """Reject a NaN or infinite argument by name."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def dressed_block(delta: float, omega: float) -> tuple[float, float, float]:
     """Mixing angle and eigenvalues of the block [[0, omega], [omega, delta]].
 
@@ -44,6 +51,7 @@ def dressed_block(delta: float, omega: float) -> tuple[float, float, float]:
     Numerical Algorithms, 2nd ed., section 1.8).  Branching on
     ``delta >= 0`` treats -0.0 like 0.0.
     """
+    _finite(delta=delta, omega=omega)
     if omega < 0:
         raise ValueError(f"omega must be >= 0, got {omega}")
     if delta == 0.0 and omega == 0.0:
@@ -70,8 +78,7 @@ def basis_unitary(theta: float, family: str) -> np.ndarray:
     levels 2 and 3 the same way.  The matrix is real, symmetric and
     orthogonal, so it is its own inverse.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
+    _finite(theta=theta)
     c, s = math.cos(theta), math.sin(theta)
     if family == "fig1":
         return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [s, 0.0, -c]])
@@ -89,6 +96,7 @@ def map_rates(theta: float, gamma_a: float,
     g'_a + g'_b = gA + gB is conserved and g_x^2 <= g'_a g'_b
     (Cauchy-Schwarz), with equality iff one input rate vanishes.
     """
+    _finite(theta=theta, gamma_a=gamma_a, gamma_b=gamma_b)
     if gamma_a < 0 or gamma_b < 0:
         raise ValueError("decay rates must be >= 0")
     c, s = math.cos(theta), math.sin(theta)
@@ -106,6 +114,7 @@ def dipole_angle(gamma_p_a: float, gamma_p_b: float, gamma_cross: float) -> floa
     of +-1 snap to exactly 0 or pi (a rate pattern produced by a dark
     input channel saturates Cauchy-Schwarz only up to roundoff).
     """
+    _finite(gamma_p_a=gamma_p_a, gamma_p_b=gamma_p_b, gamma_cross=gamma_cross)
     if gamma_p_a < 0 or gamma_p_b < 0:
         raise ValueError("decay rates must be >= 0")
     prod = gamma_p_a * gamma_p_b

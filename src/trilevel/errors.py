@@ -22,8 +22,9 @@ class PropagationError(RuntimeError):
         self.time = time
 
 
-class NonUniqueSteadyStateError(RuntimeError):
-    """Liouvillian null space has dimension != 1."""
+class NonUniqueSteadyStateError(ValueError):
+    """Liouvillian null space has dimension != 1: the model is (numerically)
+    reducible, which is bad input, as a singular matrix is to numpy."""
 
     def __init__(self, dimension: int):
         super().__init__(

@@ -392,38 +392,27 @@ class _Streams:
     """The uniform draws ``default_rng(SeedSequence(seed, spawn_key=(i,)))
     .random()`` of streams i < n, for many streams at once.
 
-    numpy's SeedSequence hashes the seed's 32-bit words, padded to its pool
-    of four, and the key into the pool, and hashes the pool into the two
-    128-bit PCG64 seed words; its hash constants evolve the same way for
-    every key, so only the words are arrays.  PCG64 steps a 128-bit LCG,
-    kept here as uint64 halves, and outputs the XSL-RR of the new state;
-    ``Generator.random`` is its top 53 bits times 2**-53.  So stream i
-    gives exactly numpy's values, whatever n."""
+    numpy hashes the seed into SeedSequence's pool of four words; that pool
+    is the same for every stream, so only the keys i are mixed in here, as
+    arrays.  The hash constants evolve the same way for every key, and the
+    pool is then hashed into the two 128-bit PCG64 seed words.  PCG64 steps
+    a 128-bit LCG, kept here as uint64 halves, and outputs the XSL-RR of
+    the new state; ``Generator.random`` is its top 53 bits times 2**-53.
+    So stream i gives exactly numpy's values, whatever n."""
 
     def __init__(self, seed: int, n: int):
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        seed = operator.index(seed)  # None would draw OS entropy
         if n >= 1 << 32:  # the keys are held as uint32 words
             raise ValueError("n_traj must be below 2**32")
-        words = [(seed >> s) & _M32
-                 for s in range(0, max(seed.bit_length(), 1), 32)]
-        entropy = [np.array([w], dtype=np.uint32)
-                   for w in words + [0] * (4 - len(words))]
-        entropy.append(np.arange(n, dtype=np.uint32))
-        pool, const = [], _INIT_A
-        for w in entropy[:4]:
-            h, const = _hashmix(w, const, _MULT_A)
-            pool.append(h)
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    h, const = _hashmix(pool[src], const, _MULT_A)
-                    pool[dst] = _mix(pool[dst], h)
-        for w in entropy[4:]:
-            for dst in range(4):
-                h, const = _hashmix(w, const, _MULT_A)
-                pool[dst] = _mix(pool[dst], h)
+        pool = list(np.random.SeedSequence(seed).pool[:, None])
+        # numpy's mixer took 4 hash steps per pool word, 12 mixing the
+        # pool and 4 per seed word past the fourth
+        extra = max(-(-seed.bit_length() // 32) - 4, 0)
+        const = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 1 << 32) & _M32
+        keys = np.arange(n, dtype=np.uint32)
+        for dst in range(4):
+            h, const = _hashmix(keys, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], h)
         state, const = [], _INIT_B
         for k in range(8):
             h, const = _hashmix(pool[k % 4], const, _MULT_B)
@@ -433,11 +422,10 @@ class _Streams:
                                   for k in range(4))
         self.inc_hi = (q_hi << 1) | (q_lo >> 63)
         self.inc_lo = (q_lo << 1) | 1
-        # srandom: step from 0, add the seed, step again
-        hi, lo = self._step(np.zeros(n, np.uint64), np.zeros(n, np.uint64),
-                            self.inc_hi, self.inc_lo)
-        lo, carry = lo + s_lo, lo
-        self.hi, self.lo = self._step(hi + s_hi + (lo < carry), lo,
+        # srandom: a step from state 0 gives the increment; add the seed
+        # and step again
+        lo = self.inc_lo + s_lo
+        self.hi, self.lo = self._step(self.inc_hi + s_hi + (lo < s_lo), lo,
                                       self.inc_hi, self.inc_lo)
 
     @staticmethod
@@ -491,7 +479,6 @@ def mc_trajectories(
     n_traj = operator.index(n_traj)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    streams = _Streams(seed, n_traj)
     if not 0 < t_final < np.inf:
         raise ValueError("t_final must be finite and > 0")
     ops = model.jump_operators
@@ -510,6 +497,7 @@ def mc_trajectories(
         if np.any(sample_times < 0) or np.any(sample_times > t_final):
             raise ValueError("sample_times must lie within [0, t_final]")
         moments = np.zeros((sample_times.size, 2, 3))  # sums of p and p^2
+    streams = _Streams(seed, n_traj)  # after the checks: it grows with n_traj
     # start state 0 is psi0, start state k + 1 the reset state of channel k
     evo = _NoJumpEvolution(model, np.vstack([psi0 / norm, ranges[:, :, 0]]),
                            t_final)

@@ -154,6 +154,10 @@ class LindbladModel:
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "rate_matrix", r)
         object.__setattr__(self, "collapse_ops", ops)
+        for name, a in (("hamiltonian", h), ("rate matrix", r),
+                        ("collapse operators", ops)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"{name} must be finite")
         norm = np.linalg.norm
         if norm(h - h.conj().T) > ROUNDOFF * max(1.0, norm(h)):
             raise ValueError("hamiltonian must be Hermitian")

@@ -8,7 +8,7 @@ import pytest
 from trilevel import cli
 from trilevel.cli import describe_map, main, parse_scenario, serialize_scenario
 from trilevel.equivalence import verify_equivalence
-from trilevel.errors import ScenarioError
+from trilevel.errors import PropagationError, ScenarioError
 from trilevel.observables import emission_spectrum
 from trilevel.systems import build_model
 
@@ -323,16 +323,47 @@ def test_wrongly_typed_option_is_rejected_input(tmp_path):
     assert code == 2
 
 
-def test_internal_failure_exits_3(tmp_path, capsys):
-    # nothing drives or damps the atom: the steady state is not unique
+def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise PropagationError("trace drifted", 1.5)
+
+    monkeypatch.setattr(cli, "populations", fail)
+    code = main(["simulate", "--config",
+                 str(write_scenario(tmp_path, minimal_fig2a())),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "internal error: trace drifted (at t = 1.5)\n")
+
+
+def test_non_unique_steady_state_exits_2(tmp_path, capsys):
+    # nothing drives or damps the atom: the null space is all of L's space
     payload = minimal_fig2a(task="spectrum", omega_grid=[-1.0, 1.0, 5])
     payload["system"].update(gamma21=0.0, gamma31=0.0, omega_a=0.0,
                              omega_b=0.0)
     code = main(["spectrum", "--config",
                  str(write_scenario(tmp_path, payload)),
                  "--out", str(tmp_path / "out")])
-    assert code == 3
-    assert "null space has dimension 9" in capsys.readouterr().err
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: steady state is not unique: null space has dimension 9\n")
+
+
+def test_near_dark_spectrum_is_rejected_input(tmp_path, capsys):
+    # a weak omega_a nearly shelves the atom: L's spectral gap falls as
+    # omega_a**2, below the null-space cut
+    payload = {"schema_version": 1, "task": "spectrum",
+               "system": {"config": "fig1a", "gamma21": 1.0, "gamma23": 0.3,
+                          "omega_a": 1e-5, "omega_b": 0.7, "delta2": 0.4,
+                          "delta3": -0.6},
+               "omega_grid": [-6.0, 6.0, 201],
+               "options": {"compare_mapped": True}}
+    code = main(["spectrum", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: steady state is not unique: null space has dimension 2\n")
 
 
 def test_spectrum_compare_mapped_run(tmp_path):

@@ -170,6 +170,20 @@ def test_map_rates_rejects_negative():
         map_rates(0.3, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("step, args, name", [
+    (dressed_block, (math.nan, 1.0), "delta"),
+    (dressed_block, (1.0, math.inf), "omega"),
+    (map_rates, (math.nan, 1.0, 1.0), "theta"),
+    (map_rates, (0.3, 1.0, math.nan), "gamma_b"),
+    (dipole_angle, (math.nan, 1.0, 0.1), "gamma_p_a"),
+    (dipole_angle, (1.0, 1.0, math.inf), "gamma_cross"),
+    (basis_unitary, (math.inf, "fig1"), "theta"),
+])
+def test_map_steps_reject_non_finite_input_by_name(step, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        step(*args)
+
+
 # --------------------------------------------------------- dipole angle
 
 def test_dipole_angle_orthogonal():

@@ -453,8 +453,11 @@ def test_mc_trajectory_does_not_depend_on_ensemble_size():
         np.testing.assert_array_equal(a.channels, b.channels)
 
 
+# the hash constant numpy's mixer reaches depends on the seed's word count,
+# so the list crosses the 1-4, 4-5 and 5-6 word boundaries
 @pytest.mark.parametrize("seed", [0, 1, 2025, 2**32 - 1, 2**32, 2**64 + 5,
-                                  2**130 + 11])
+                                  2**96, 2**128 - 1, 2**128, 2**130 + 11,
+                                  2**160, 2**300 + 1])
 def test_streams_match_numpy_generator(seed):
     n, k = 2000, 40
     ref = np.array([np.random.default_rng(np.random.SeedSequence(
@@ -472,6 +475,14 @@ def test_streams_match_numpy_generator(seed):
     np.testing.assert_array_equal(pair, ref[odd, k:k + 2])
     np.testing.assert_array_equal(last[odd], ref[odd, k + 2])
     np.testing.assert_array_equal(last[::2], ref[::2, k])
+
+
+@given(seed=st.integers(0, 2**400), n=st.integers(1, 16))
+def test_streams_match_numpy_generator_for_any_seed(seed, n):
+    ref = [np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(i,))).random(3) for i in range(n)]
+    np.testing.assert_array_equal(_Streams(seed, n).draw(np.arange(n), 3),
+                                  ref)
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.5, TypeError)])
@@ -501,14 +512,47 @@ def test_mc_rejects_a_bad_final_time(t_final):
 
 
 def test_mc_builds_no_per_trajectory_generator(monkeypatch):
+    # one SeedSequence hashes the seed; the trajectory keys are mixed in
+    # as arrays, with no spawn_key and no generator per trajectory
+    calls = []
+    seed_sequence = np.random.SeedSequence
+
+    def count(*args, **kwargs):
+        calls.append((args, kwargs))
+        return seed_sequence(*args, **kwargs)
+
     def refuse(*args, **kwargs):
         raise AssertionError("per-trajectory generator built")
 
-    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", count)
     monkeypatch.setattr(np.random, "default_rng", refuse)
     run = mc_trajectories(build_model(fig2a_params()), n_traj=50,
                           t_final=5.0, seed=8)
     assert run.offsets[-1] == run.times.size > 0
+    assert calls == [((8,), {})]
+
+
+_RANK_TWO = LindbladModel(np.zeros((3, 3)), (ketbra(0, 1) + ketbra(1, 2),),
+                          np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(t_final=-1.0), "t_final must be finite and > 0"),
+    (dict(model=_RANK_TWO), "jump channel 0 is not rank one"),
+    (dict(initial_state=np.zeros(3)), "initial_state must be a finite"),
+    (dict(sample_times=[0.0, 2.0]), r"sample_times must lie within"),
+])
+def test_mc_checks_its_inputs_before_building_streams(monkeypatch, bad,
+                                                      message):
+    # the streams grow with n_traj, so a bad input must not pay for them
+    def refuse(*args, **kwargs):
+        raise AssertionError("streams built before the input checks")
+
+    monkeypatch.setattr("trilevel.observables._Streams", refuse)
+    kw = dict(model=build_model(fig2a_params()), n_traj=10**6, t_final=1.0,
+              seed=0) | bad
+    with pytest.raises(ValueError, match=message):
+        mc_trajectories(**kw)
 
 
 def test_mc_jump_table_is_bounded_for_emitting_models():

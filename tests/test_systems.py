@@ -51,6 +51,16 @@ _CHANNELS = np.stack([ketbra(0, 1), ketbra(2, 1)])
 @pytest.mark.parametrize("make, message", [
     (lambda: LindbladModel(ketbra(0, 1), _CHANNELS, np.eye(2)),
      "hamiltonian must be Hermitian"),
+    (lambda: LindbladModel(np.full((3, 3), np.nan), _CHANNELS, np.eye(2)),
+     "hamiltonian must be finite"),
+    (lambda: LindbladModel(np.zeros((3, 3)), _CHANNELS,
+                           np.full((2, 2), np.nan)),
+     "rate matrix must be finite"),
+    (lambda: LindbladModel(np.zeros((3, 3)), _CHANNELS,
+                           np.diag([1.0, np.inf])),
+     "rate matrix must be finite"),
+    (lambda: LindbladModel(np.zeros((3, 3)), _CHANNELS * np.nan, np.eye(2)),
+     "collapse operators must be finite"),
     (lambda: LindbladModel(np.zeros((3, 3)), _CHANNELS, np.eye(3)),
      r"rate matrix shape \(3, 3\) does not match 2 collapse operators"),
     (lambda: LindbladModel(np.zeros((3, 3)), _CHANNELS,
