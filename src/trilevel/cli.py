@@ -31,8 +31,10 @@ import numpy as np
 
 from . import __version__
 from .defaults import (DEFAULT_OMEGA_GRID, DEFAULT_TIME_GRID,
-                       DEFAULT_TOLERANCES, DENSITY_SLACK, TINY)
-from .equivalence import EquivalenceMap, map_system, verify_equivalence
+                       DEFAULT_TOLERANCES, DENSITY_SLACK, SPECTRUM_FLOOR,
+                       TINY)
+from .equivalence import (_TWIN, EquivalenceMap, map_system,
+                          verify_equivalence)
 from .errors import ScenarioError
 from .linalg import check_density_matrix, ketbra
 from .observables import (
@@ -231,6 +233,12 @@ def parse_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"options.{key}", "unknown option")
         options[key] = _typed(f"options.{key}", val, _OPTIONS[key][1])
     _require_read(task, options, raw)
+    twin = _TWIN.get(system.config)
+    if target is not None and twin not in (None, target.config):
+        raise ScenarioError("target.config",
+                            f"must be {twin.value}, the twin of "
+                            f"{system.config.value}, got "
+                            f"{target.config.value!r}")
     return Scenario(
         task=task,
         system=system,
@@ -447,14 +455,19 @@ def _spectrum(s: Scenario, model: LindbladModel) -> _Output:
     spec_a = spectrum(model, 1.0, 0.0).values
     spec_b = spectrum(model_b, math.cos(emap.theta),
                       math.sin(emap.theta)).values
-    scale = max(float(np.max(np.abs(spec_a))), TINY)
+    peak_a, peak_b = (float(np.max(np.abs(v))) for v in (spec_a, spec_b))
+    if max(peak_a, peak_b) < SPECTRUM_FLOOR:
+        raise ValueError(
+            f"spectrum_mapped_pair_rel_diff: max|S_a| = {peak_a:.6e} and "
+            f"max|S_b| = {peak_b:.6e} are below SPECTRUM_FLOOR = "
+            f"{SPECTRUM_FLOOR:.0e}, too weak to compare relatively")
     return _Output(
         "spectrum.dat",
         ["trilevel spectrum (mapped pair)",
          "omega [Gamma_ref], S_a [1/Gamma_ref], S_b [1/Gamma_ref]"],
         [omegas, spec_a, spec_b],
         (_check("spectrum_mapped_pair_rel_diff",
-                float(np.max(np.abs(spec_a - spec_b))) / scale,
+                float(np.max(np.abs(spec_a - spec_b))) / max(peak_a, TINY),
                 s.tolerances["spectrum_rel"]),),
         emap)
 

@@ -34,4 +34,5 @@ CHANNEL_FLOOR = 1e-14      # a smaller share of the largest rate is no channel
 EMISSION_EXCESS = 1e-6     # a waiting-time density may integrate to 1 + this
 NEWTON_STEP = 1e-13        # last jump-time step per min(t_final, 1/|H_eff|)
 SURVIVAL_FLOOR = 2.0 ** -53  # the smallest threshold 1 - u a trajectory draws
+SPECTRUM_FLOOR = 1e-14     # mapped spectra peaking lower differ by roundoff
 TINY = 1e-300              # keeps a denominator off zero where 0/0 may occur

@@ -358,96 +358,12 @@ class _NoJumpEvolution:
         raise RuntimeError("jump-time root search did not converge")
 
 
-# numpy's SeedSequence (hash and mix constants, all mod 2**32) and PCG64
-# (128-bit LCG multiplier, as 64-bit halves)
-_M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_LCG_HI, _LCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-
-
-def _hashmix(value: np.ndarray, const: int, mult: int):
-    """SeedSequence's hash of uint32 words, and the next hash constant."""
-    nxt = (const * mult) & _M32
-    value = (value ^ const) * nxt
-    return value ^ (value >> 16), nxt
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two uint32 words."""
-    value = _MIX_L * x - _MIX_R * y
-    return value ^ (value >> 16)
-
-
-def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of the uint64 products a * b, from 32-bit limbs."""
-    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-class _Streams:
-    """The uniform draws ``default_rng(SeedSequence(seed, spawn_key=(i,)))
-    .random()`` of streams i < n, for many streams at once.
-
-    numpy hashes the seed into SeedSequence's pool of four words; that pool
-    is the same for every stream, so only the keys i are mixed in here, as
-    arrays.  The hash constants evolve the same way for every key, and the
-    pool is then hashed into the two 128-bit PCG64 seed words.  PCG64 steps
-    a 128-bit LCG, kept here as uint64 halves, and outputs the XSL-RR of
-    the new state; ``Generator.random`` is its top 53 bits times 2**-53.
-    So stream i gives exactly numpy's values, whatever n."""
-
-    def __init__(self, seed: int, n: int):
-        seed = operator.index(seed)  # None would draw OS entropy
-        if n >= 1 << 32:  # the keys are held as uint32 words
-            raise ValueError("n_traj must be below 2**32")
-        pool = list(np.random.SeedSequence(seed).pool[:, None])
-        # numpy's mixer took 4 hash steps per pool word, 12 mixing the
-        # pool and 4 per seed word past the fourth
-        extra = max(-(-seed.bit_length() // 32) - 4, 0)
-        const = _INIT_A * pow(_MULT_A, 16 + 4 * extra, 1 << 32) & _M32
-        keys = np.arange(n, dtype=np.uint32)
-        for dst in range(4):
-            h, const = _hashmix(keys, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], h)
-        state, const = [], _INIT_B
-        for k in range(8):
-            h, const = _hashmix(pool[k % 4], const, _MULT_B)
-            state.append(h.astype(np.uint64))
-        # little-endian word pairs: seed (high, low), then sequence
-        s_hi, s_lo, q_hi, q_lo = (state[2 * k] | (state[2 * k + 1] << 32)
-                                  for k in range(4))
-        self.inc_hi = (q_hi << 1) | (q_lo >> 63)
-        self.inc_lo = (q_lo << 1) | 1
-        # srandom: a step from state 0 gives the increment; add the seed
-        # and step again
-        lo = self.inc_lo + s_lo
-        self.hi, self.lo = self._step(self.inc_hi + s_hi + (lo < s_lo), lo,
-                                      self.inc_hi, self.inc_lo)
-
-    @staticmethod
-    def _step(hi, lo, inc_hi, inc_lo):
-        """The LCG state * multiplier + increment, mod 2**128."""
-        new_hi = _mulhi(lo, _LCG_LO) + lo * _LCG_HI + hi * _LCG_LO
-        prod = lo * _LCG_LO
-        new_lo = prod + inc_lo
-        return new_hi + inc_hi + (new_lo < prod), new_lo
-
-    def draw(self, rows: np.ndarray, k: int) -> np.ndarray:
-        """The next k draws of each of the distinct streams ``rows``."""
-        hi, lo = self.hi[rows], self.lo[rows]
-        inc_hi, inc_lo = self.inc_hi[rows], self.inc_lo[rows]
-        out = np.empty((rows.size, k))
-        for j in range(k):
-            hi, lo = self._step(hi, lo, inc_hi, inc_lo)
-            word, rot = hi ^ lo, hi >> 58
-            word = (word >> rot) | (word << ((64 - rot) & 63))
-            out[:, j] = (word >> 11) * (1.0 / (1 << 53))
-        self.hi[rows], self.lo[rows] = hi, lo
-        return out
+def _round_draws(seed: int, rnd: int, n: int) -> np.ndarray:
+    """Row i: the draws of trajectory i at jump round ``rnd``, a channel
+    draw and the next threshold.  Row i is draws 2i and 2i + 1 of the
+    round's stream, so it does not depend on n."""
+    stream = np.random.SeedSequence(seed, spawn_key=(rnd,))
+    return np.random.default_rng(stream).random((n, 2))
 
 
 def mc_trajectories(
@@ -466,12 +382,13 @@ def mc_trajectories(
     uniform threshold, a root found without any time grid.  The channel
     is drawn from the rates ||c_k psi||^2 of the diagonalized dissipator
     modes at that root, so cross-damping models unravel correctly.
-    Trajectory i draws from the stream of
-    ``default_rng(SeedSequence(seed, spawn_key=(i,)))``, in this order: a
-    threshold, then a channel draw and the next threshold at each jump.
-    All streams are computed together (``_Streams``), with numpy's values,
-    so a fixed seed gives the same jumps and trajectory i does not depend
-    on ``n_traj``.  ``initial_state`` (default |1>) must be a finite,
+    Every trajectory still running jumps once per round, so the streams
+    are keyed by round: at round r trajectory i reads row i of
+    ``default_rng(SeedSequence(seed, spawn_key=(r,))).random((n, 2))``,
+    its first threshold at r = 0 (column 1) and the channel of its jump r
+    (column 0) and its next threshold at r >= 1.  A fixed seed gives the
+    same jumps, and trajectory i does not depend on ``n_traj`` or on the
+    other trajectories.  ``initial_state`` (default |1>) must be a finite,
     nonzero 3-vector; it is normalized.  ``sample_times`` (finite, in any
     order, within [0, t_final]) requests ensemble populations with standard
     errors, for comparison against the master equation.
@@ -497,17 +414,20 @@ def mc_trajectories(
         if np.any(sample_times < 0) or np.any(sample_times > t_final):
             raise ValueError("sample_times must lie within [0, t_final]")
         moments = np.zeros((sample_times.size, 2, 3))  # sums of p and p^2
-    streams = _Streams(seed, n_traj)  # after the checks: it grows with n_traj
+    seed = operator.index(seed)  # None would draw OS entropy
+    if n_traj >= 1 << 32:  # round 0 alone would draw 64 GiB
+        raise ValueError("n_traj must be below 2**32")
+    # thresholds lie in [SURVIVAL_FLOOR, 1]; without jump channels they are
+    # 0, which no survival falls to
+    thresholds = (1.0 - _round_draws(seed, 0, n_traj)[:, 1]) * bool(len(ops))
     # start state 0 is psi0, start state k + 1 the reset state of channel k
     evo = _NoJumpEvolution(model, np.vstack([psi0 / norm, ranges[:, :, 0]]),
                            t_final)
 
     traj, t0 = np.arange(n_traj), np.zeros(n_traj)
-    # thresholds lie in [SURVIVAL_FLOOR, 1]; without jump channels they are
-    # 0, which no survival falls to
-    thresholds = (1.0 - streams.draw(traj, 1)[:, 0]) * bool(len(ops))
     start = np.zeros(n_traj, dtype=int)
     found = [(traj[:0], t0[:0], start[:0])]
+    jump_round = 0  # not r: the sampling block binds r
     while traj.size:
         tau, psi = evo.jump_times(start, thresholds[traj], t_final - t0)
         jumped = ~np.isnan(tau)
@@ -522,7 +442,9 @@ def mc_trajectories(
         if not traj.size:
             break
         rates = (np.abs(np.einsum("kij,rj->rki", ops, psi)) ** 2).sum(axis=2)
-        draw, next_u = streams.draw(traj, 2).T
+        jump_round += 1
+        # traj increases: the rows past its last entry are not drawn
+        draw, next_u = _round_draws(seed, jump_round, traj[-1] + 1)[traj].T
         thresholds[traj] = 1.0 - next_u
         total = rates.sum(axis=1)
         channel = (np.cumsum(rates, axis=1) <= (draw * total)[:, None]).sum(1)

@@ -124,6 +124,9 @@ class SystemParams:
                     "phi", f"required for config {self.config.value}")
             if not (0.0 <= self.phi <= math.pi):
                 raise ScenarioError("phi", f"must lie in [0, pi], got {self.phi}")
+        elif self.phi is not None:
+            raise ScenarioError(
+                "phi", f"not read by config {self.config.value}")
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,34 @@ def test_near_dark_spectrum_is_rejected_input(tmp_path, capsys):
         "error: steady state is not unique: null space has dimension 2\n")
 
 
+@pytest.mark.parametrize("omega_b, code", [(0.0, 2), (5e-8, 0)],
+                         ids=["shelved", "just-above-floor"])
+def test_spectrum_pair_below_the_floor_is_rejected_input(tmp_path, capsys,
+                                                         omega_b, code):
+    # without omega_b the atom is shelved in |3>: S_a is 0 and S_b roundoff
+    payload = {"schema_version": 1, "task": "spectrum",
+               "system": {"config": "fig1a", "gamma21": 1.0, "gamma23": 0.3,
+                          "omega_a": 1.2, "omega_b": omega_b, "delta2": 0.4,
+                          "delta3": -0.6},
+               "omega_grid": [-6.0, 6.0, 201],
+               "options": {"compare_mapped": True}}
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(out)]) == code
+    if code == 2:
+        assert capsys.readouterr().err == (
+            "error: spectrum_mapped_pair_rel_diff: max|S_a| = 0.000000e+00 "
+            "and max|S_b| = 2.276264e-32 are below SPECTRUM_FLOOR = 1e-14, "
+            "too weak to compare relatively\n")
+        return
+    peaks = np.abs(np.loadtxt(out / "spectrum.dat")[:, 1:]).max(axis=0)
+    np.testing.assert_allclose(peaks, 1.169087e-14, rtol=1e-6)
+    check, = json.loads((out / "report.json").read_text())["checks"]
+    assert check["passed"] and check["value"] == pytest.approx(1.933844e-9,
+                                                               rel=1e-6)
+
+
 def test_spectrum_compare_mapped_run(tmp_path):
     payload = minimal_fig2a(task="spectrum",
                             omega_grid=[-8.0, 8.0, 201],
@@ -477,6 +505,10 @@ def test_matrix_initial_state_rejects_invalid(tmp_path):
 
 # ------------------------------------------------------- typed task options
 
+_FIG1A = {"config": "fig1a", "gamma21": 1.0, "gamma23": 0.3, "omega_a": 1.2,
+          "omega_b": 0.7, "delta2": 0.4, "delta3": -0.6}
+
+
 @pytest.mark.parametrize("verb, entry, field", [
     ("g2", {"options": {"compare_mapped": "no"}}, "options.compare_mapped"),
     ("g2", {"options": {"normalized": "yes"}}, "options.normalized"),
@@ -500,12 +532,17 @@ def test_matrix_initial_state_rejects_invalid(tmp_path):
      "initial_state"),
     ("simulate", {"tolerances": {"trace": True}}, "tolerances.trace"),
     ("simulate", {"tolerances": [1e-9]}, "tolerances"),
+    ("equiv-check", {"system": _FIG1A, "target": {
+        "config": "fig2b", "gamma21": 0.55, "gamma31": 0.55, "omega_a": 1.4,
+        "phi": 1.0}}, "target.config"),
+    ("g2", {"system": _FIG1A, "target": _FIG1A,
+            "options": {"compare_mapped": True}}, "target.config"),
 ], ids=["text-flag", "text-normalized", "fractional-n-traj", "bool-n-traj",
         "zero-n-traj", "text-threshold", "inf-threshold", "text-weight",
         "inf-weight", "bool-seed", "bool-level", "text-matrix-entry",
         "object-matrix-entry", "text-imaginary-part", "short-matrix-pair",
         "nested-matrix-pair", "bool-matrix-entry", "bool-tolerance",
-        "list-tolerances"])
+        "list-tolerances", "non-twin-target", "non-twin-compare-target"])
 def test_wrongly_typed_entries_are_named(tmp_path, capsys, verb, entry,
                                          field):
     payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],

@@ -22,7 +22,7 @@ from trilevel.observables import (
     McRun,
     SampledFunction,
     _NoJumpEvolution,
-    _Streams,
+    _round_draws,
     bright_dark_stats,
     emission_spectrum,
     g2,
@@ -406,28 +406,23 @@ def test_mc_reproducible_for_fixed_seed():
         np.testing.assert_array_equal(a.channels, b.channels)
 
 
-# records of the sampler before its stream was read in blocks (seed 8,
-# t_final = 40): trajectory 2 of the fig2a run has 38 jumps, so its stream
-# is refilled twice; the fig1b twin resets to two different states
+# records of the round-keyed sampler (seed 8, t_final = 40): trajectory 0
+# of the fig2a run jumps 24 times, so it reads rounds 0 to 24; the fig1b
+# twin resets to two different states
 _PINNED = {
-    "fig2a": ((23, 18, 38), "11111101111111111111111011111111111111", [
-        0.400560243823, 0.821240134335, 1.468974474935, 2.312851746418,
-        2.797053020810, 3.183208405987, 4.604899581905, 5.555919081918,
-        6.640692562901, 8.472418936093, 9.174436791777, 9.708864410274,
-        10.324312083235, 10.917044996532, 11.637036591868, 13.830399117821,
-        14.407112392295, 15.752636402023, 16.129823603468, 16.745229925074,
-        17.571346004749, 18.295445643472, 19.329847620096, 21.398539770813,
-        21.889013594731, 22.355160602798, 22.849701027419, 23.926490641886,
-        24.996031894306, 25.994572976296, 27.230489198895, 27.593135860062,
-        28.859717051737, 34.619648839604, 35.685292488377, 36.792785652932,
-        37.699940619125, 39.617320524671]),
-    "fig1b": ((14, 13, 24), "011111011101111011111110", [
-        0.984724547259, 2.375002809063, 3.300796628343, 4.569798436291,
-        5.242294584222, 5.770488783169, 8.812937369756, 11.312633258540,
-        13.696846436474, 16.953063141645, 17.967875367693, 19.619998502640,
-        20.494221116703, 21.332683485182, 22.377729160270, 26.104564436247,
-        27.851159041986, 30.847391473367, 31.362614608043, 32.236771747536,
-        33.471437480866, 34.523453915787, 36.353270367371, 39.889027071095]),
+    "fig2a": ((24, 23, 9), "111011111111111111100111", [
+        0.629514198766, 1.356768172987, 1.472405902454, 7.874391707140,
+        9.126675954450, 12.373509129067, 12.721630902171, 13.180873094280,
+        13.594085835694, 14.605456335360, 15.506533647031, 17.786051826246,
+        18.289288773225, 19.018757735423, 19.644581635034, 20.193595171209,
+        20.736132641936, 21.527797059094, 25.937622975237, 27.651555980918,
+        36.008274806321, 36.791503121238, 38.897172224525, 39.508152225529]),
+    "fig1b": ((18, 18, 6), "100101011111111011", [
+        2.060148194480, 3.117533162482, 3.697930462725, 12.252275717197,
+        15.150501738528, 19.197258260127, 19.670688244020, 21.151091149363,
+        21.718642239081, 23.427256667913, 24.815286731688, 28.685565700335,
+        29.386651479948, 30.447814760181, 31.338511909362, 32.109214994983,
+        33.779570462793, 34.950145386709]),
 }
 
 
@@ -439,9 +434,9 @@ def test_mc_fixed_seed_records_are_pinned(name):
     counts, channels, times = _PINNED[name]
     records = mc_trajectories(m, n_traj=3, t_final=40.0, seed=8).records
     assert tuple(r.times.size for r in records) == counts
-    np.testing.assert_array_equal(records[2].channels,
+    np.testing.assert_array_equal(records[0].channels,
                                   [int(c) for c in channels])
-    np.testing.assert_allclose(records[2].times, times, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(records[0].times, times, rtol=0, atol=1e-9)
 
 
 def test_mc_trajectory_does_not_depend_on_ensemble_size():
@@ -453,36 +448,29 @@ def test_mc_trajectory_does_not_depend_on_ensemble_size():
         np.testing.assert_array_equal(a.channels, b.channels)
 
 
-# the hash constant numpy's mixer reaches depends on the seed's word count,
-# so the list crosses the 1-4, 4-5 and 5-6 word boundaries
+# seeds of 1 to 10 32-bit words
 @pytest.mark.parametrize("seed", [0, 1, 2025, 2**32 - 1, 2**32, 2**64 + 5,
                                   2**96, 2**128 - 1, 2**128, 2**130 + 11,
                                   2**160, 2**300 + 1])
 def test_streams_match_numpy_generator(seed):
-    n, k = 2000, 40
-    ref = np.array([np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=(i,))).random(k + 3) for i in range(n)])
-    odd = np.arange(1, n, 2)
-    with np.errstate(all="raise"), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        streams = _Streams(seed, n)
-        first = streams.draw(np.arange(n), 1)
-        rest = streams.draw(np.arange(n), k - 1)
-        # a draw advances only the streams it reads
-        pair = streams.draw(odd, 2)
-        last = streams.draw(np.arange(n), 1)[:, 0]
-    np.testing.assert_array_equal(np.hstack([first, rest]), ref[:, :k])
-    np.testing.assert_array_equal(pair, ref[odd, k:k + 2])
-    np.testing.assert_array_equal(last[odd], ref[odd, k + 2])
-    np.testing.assert_array_equal(last[::2], ref[::2, k])
+    # row i of a round is draws 2i and 2i + 1 of that round's stream
+    n = 500
+    for rnd in (0, 1, 7):
+        flat = np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(rnd,))).random(2 * n)
+        np.testing.assert_array_equal(_round_draws(seed, rnd, n),
+                                      flat.reshape(n, 2))
 
 
-@given(seed=st.integers(0, 2**400), n=st.integers(1, 16))
-def test_streams_match_numpy_generator_for_any_seed(seed, n):
-    ref = [np.random.default_rng(np.random.SeedSequence(
-        seed, spawn_key=(i,))).random(3) for i in range(n)]
-    np.testing.assert_array_equal(_Streams(seed, n).draw(np.arange(n), 3),
-                                  ref)
+@given(seed=st.integers(0, 2**400), rnd=st.integers(0, 200),
+       sizes=st.tuples(st.integers(1, 64), st.integers(1, 64)))
+def test_streams_match_numpy_generator_for_any_seed(seed, rnd, sizes):
+    m, n = sorted(sizes)
+    ref = np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=(rnd,))).random((n, 2))
+    rows = _round_draws(seed, rnd, n)
+    np.testing.assert_array_equal(rows, ref)
+    np.testing.assert_array_equal(_round_draws(seed, rnd, m), rows[:m])
 
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.5, TypeError)])
@@ -496,7 +484,7 @@ def test_mc_rejects_seeds_that_seed_sequence_rejects(seed, error):
 
 @pytest.mark.parametrize("n_traj, error", [
     (2.5, TypeError),       # a count, not a float to round
-    (2**32, ValueError),    # the spawn keys are uint32 words
+    (2**32, ValueError),    # round 0 alone would draw 64 GiB
 ])
 def test_mc_rejects_n_traj_beyond_one_word_count(n_traj, error):
     with pytest.raises(error):
@@ -512,24 +500,28 @@ def test_mc_rejects_a_bad_final_time(t_final):
 
 
 def test_mc_builds_no_per_trajectory_generator(monkeypatch):
-    # one SeedSequence hashes the seed; the trajectory keys are mixed in
-    # as arrays, with no spawn_key and no generator per trajectory
-    calls = []
-    seed_sequence = np.random.SeedSequence
+    # one SeedSequence and one generator per jump round, keyed by the
+    # round, and none per trajectory
+    calls, rngs = [], []
+    seed_sequence, default_rng = np.random.SeedSequence, np.random.default_rng
 
     def count(*args, **kwargs):
         calls.append((args, kwargs))
         return seed_sequence(*args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("per-trajectory generator built")
+    def count_rng(*args, **kwargs):
+        rngs.append(args)
+        return default_rng(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", count)
-    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "default_rng", count_rng)
     run = mc_trajectories(build_model(fig2a_params()), n_traj=50,
                           t_final=5.0, seed=8)
     assert run.offsets[-1] == run.times.size > 0
-    assert calls == [((8,), {})]
+    rounds = 1 + np.diff(run.offsets).max()  # round 0 draws no jump
+    assert rounds < 50
+    assert calls == [((8,), {"spawn_key": (r,)}) for r in range(rounds)]
+    assert len(rngs) == rounds
 
 
 _RANK_TWO = LindbladModel(np.zeros((3, 3)), (ketbra(0, 1) + ketbra(1, 2),),
@@ -548,7 +540,7 @@ def test_mc_checks_its_inputs_before_building_streams(monkeypatch, bad,
     def refuse(*args, **kwargs):
         raise AssertionError("streams built before the input checks")
 
-    monkeypatch.setattr("trilevel.observables._Streams", refuse)
+    monkeypatch.setattr("trilevel.observables._round_draws", refuse)
     kw = dict(model=build_model(fig2a_params()), n_traj=10**6, t_final=1.0,
               seed=0) | bad
     with pytest.raises(ValueError, match=message):

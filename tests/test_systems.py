@@ -78,6 +78,9 @@ _CHANNELS = np.stack([ketbra(0, 1), ketbra(2, 1)])
     (lambda: SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.0,
                           omega_a=1.0, delta3=-math.inf),
      "delta3: must be finite"),
+    (lambda: SystemParams(Config.FIG1A, 1.0, 0.3, 1.2, 0.7, 0.4, -0.6,
+                          phi=0.3),
+     "phi: not read by config fig1a"),
 ])
 def test_models_and_params_reject_bad_input_by_name(make, message):
     with pytest.raises(ValueError, match=message):
@@ -160,10 +163,9 @@ def test_fig1b_hamiltonian_structure():
 # ---------------------------------------------------------------- fig2a
 
 def test_fig2a_printed_structure():
-    # a two-laser system may carry a phi; its channels still do not interfere
+    # a two-laser system has no dipole angle: its channels do not interfere
     p = SystemParams(Config.FIG2A, gamma21=1.0, gamma23_or_31=0.2,
-                     omega_a=1.5, omega_b=0.3, delta2=0.7, delta3=-0.5,
-                     phi=0.0)
+                     omega_a=1.5, omega_b=0.3, delta2=0.7, delta3=-0.5)
     m = build_model(p)
     h = m.hamiltonian
     assert h[1, 1] == -0.7
