@@ -33,8 +33,7 @@ from . import __version__
 from .defaults import (DEFAULT_OMEGA_GRID, DEFAULT_TIME_GRID,
                        DEFAULT_TOLERANCES, DENSITY_SLACK, SPECTRUM_FLOOR,
                        TINY)
-from .equivalence import (_TWIN, EquivalenceMap, map_system,
-                          verify_equivalence)
+from .equivalence import EquivalenceMap, map_system, verify_equivalence
 from .errors import ScenarioError
 from .linalg import check_density_matrix, ketbra
 from .observables import (
@@ -45,8 +44,8 @@ from .observables import (
     populations,
     waiting_time,
 )
-from .systems import (_NEEDS_PHI, Config, LindbladModel, SystemParams,
-                      build_model)
+from .systems import (_NEEDS_PHI, _TWIN, Config, LindbladModel,
+                      SystemParams, build_model)
 
 log = logging.getLogger("trilevel")
 
@@ -64,7 +63,7 @@ _SCENARIO_KEYS = {"schema_version", "task", "system", "target", "time_grid",
 # task option -> (default, kind of value, see _KINDS)
 _OPTIONS = {
     "compare_mapped": (False, "flag"),  # run the target or mapped twin too
-    "normalized": (False, "flag"),      # g2 divided by the long-time rate
+    "normalized": (False, "flag"),      # g2 divided by its last value
     "detect_weights": ((1.0, 0.0), "pair"),  # plain spectrum: w0 A_0 + w1 A_1
     "n_traj": (1000, "count"),
     "dark_threshold": (10.0, "positive"),  # longer gaps are dark periods
@@ -127,19 +126,6 @@ def _system_from_dict(raw: dict, where: str) -> SystemParams:
         raise ScenarioError(f"{where}.{err.field}", err.message) from None
 
 
-def _grid_from(raw, where: str, default: tuple) -> tuple[float, float, int]:
-    if raw is None:
-        return default
-    if not (isinstance(raw, list) and len(raw) == 3
-            and _finite(raw[0]) and _finite(raw[1]) and raw[0] <= raw[1]
-            and type(raw[2]) is int and raw[2] >= 1  # true is no count
-            and (raw[2] > 1 or raw[0] == raw[1])):
-        raise ScenarioError(where, f"must be [start, stop, count] with finite "
-                                   f"start <= stop and an integer count >= 1 "
-                                   f"(1 only if start == stop), got {raw!r}")
-    return (float(raw[0]), float(raw[1]), raw[2])
-
-
 def _finite(value) -> bool:  # JSON true and false are no numbers here
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and math.isfinite(value))
@@ -158,6 +144,13 @@ _KINDS = {
              lambda v: (isinstance(v, list) and len(v) == 2
                         and all(map(_finite, v))),
              lambda v: tuple(map(float, v))),
+    "grid": ("[start, stop, count] with finite start <= stop and an integer "
+             "count >= 1 (1 only if start == stop)",
+             lambda v: (isinstance(v, list) and len(v) == 3
+                        and _finite(v[0]) and _finite(v[1]) and v[0] <= v[1]
+                        and type(v[2]) is int and v[2] >= 1
+                        and (v[2] > 1 or v[0] == v[1])),
+             lambda v: (float(v[0]), float(v[1]), v[2])),
 }
 
 
@@ -196,8 +189,8 @@ def parse_scenario(path: str | Path) -> Scenario:
     target = None
     if raw.get("target") is not None:
         target = _system_from_dict(raw["target"], "target")
-    time_grid = _grid_from(raw.get("time_grid"), "time_grid",
-                           DEFAULT_TIME_GRID)
+    time_grid = (DEFAULT_TIME_GRID if raw.get("time_grid") is None
+                 else _typed("time_grid", raw["time_grid"], "grid"))
     initial = raw.get("initial_state", 1)
     if type(initial) is int:  # true is no level index
         if not (1 <= initial <= 3):
@@ -244,8 +237,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         system=system,
         target=target,
         time_grid=time_grid,
-        omega_grid=_grid_from(raw.get("omega_grid"), "omega_grid",
-                              DEFAULT_OMEGA_GRID),
+        omega_grid=(DEFAULT_OMEGA_GRID if raw.get("omega_grid") is None
+                    else _typed("omega_grid", raw["omega_grid"], "grid")),
         initial_state=initial,
         seed=seed,
         tolerances=tolerances,

@@ -102,7 +102,7 @@ def propagate_series(l: np.ndarray, rho0: np.ndarray,
 
     The series is :func:`propagate_vectors` of vec(rho0): shared
     exponentials, each uniform run filled by doubling.  A rho0 that is not
-    Hermitian, of unit trace and positive semidefinite to within
+    3x3, Hermitian, of unit trace and positive semidefinite to within
     DENSITY_SLACK is bad input (ValueError); every propagated state is
     re-Hermitized and a trace that drifts by more than TRACE_DRIFT is an
     internal failure (PropagationError).
@@ -123,7 +123,9 @@ def steady_state(l: np.ndarray) -> np.ndarray:
     """Unique unit-trace Hermitian null vector of the Liouvillian.
 
     Raises NonUniqueSteadyStateError when the null space is not
-    one-dimensional, e.g. for decoupled levels or dark-state manifolds.
+    one-dimensional, e.g. for decoupled levels or dark-state manifolds,
+    and ValueError when its one (unit-norm) vector has a trace below
+    TRACE_FLOOR, so that it cannot be normalized to a state.
     """
     basis = null_space(l)
     if len(basis) != 1:
@@ -131,5 +133,6 @@ def steady_state(l: np.ndarray) -> np.ndarray:
     rho = hermitize(unvec(basis[0]))
     tr = float(np.trace(rho).real)
     if abs(tr) < TRACE_FLOOR:
-        raise NonUniqueSteadyStateError(dimension=len(basis))
+        raise ValueError(f"no steady state: the only null vector has trace "
+                         f"{tr:.3e}, below TRACE_FLOOR = {TRACE_FLOOR:.0e}")
     return rho / tr

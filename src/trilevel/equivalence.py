@@ -29,7 +29,7 @@ import numpy as np
 from .defaults import DEFAULT_TOLERANCES, SNAP, UNITARITY
 from .dynamics import propagate_series
 from .errors import DegenerateBasisError, UndefinedAngleError
-from .systems import Config, LindbladModel, SystemParams
+from .systems import _TWIN, LindbladModel, SystemParams
 
 
 def _finite(**values: float) -> None:
@@ -146,9 +146,6 @@ class EquivalenceMap:
     shifted_detunings: tuple[float, float]
     mapped_rabis: tuple[float, float]
     family: str
-
-
-_TWIN = {Config.FIG1A: Config.FIG1B, Config.FIG2A: Config.FIG2B}
 
 
 def map_system(p: SystemParams) -> tuple[SystemParams, EquivalenceMap]:

@@ -91,8 +91,11 @@ def check_grid(x, name: str) -> np.ndarray:
 
 def check_density_matrix(rho: np.ndarray,
                          name: str = "density matrix") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix,
-    each to within ``DENSITY_SLACK``; errors call it ``name``."""
+    """Validate the 3x3 shape, finiteness, Hermiticity, unit trace and
+    positivity of a density matrix, the last three each to within
+    ``DENSITY_SLACK``; errors call it ``name``."""
+    if np.shape(rho) != (3, 3):
+        raise ValueError(f"{name} must be a 3x3 density matrix")
     rho = _require_finite(rho, name)
     scale = max(1.0, float(np.linalg.norm(rho)))
     if np.linalg.norm(rho - rho.conj().T) > DENSITY_SLACK * scale:

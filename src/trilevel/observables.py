@@ -3,9 +3,9 @@ populations and quantum-jump trajectories.
 
 The intensity correlation implemented here is the unnormalized detection
 rate a time tau after a detection reset (the atom restarts in the ground
-state); pass ``normalized=True`` to divide by the long-time rate.  Spectra
-are the exact resolvent form of the quantum regression theorem, with the
-coherent (Rayleigh) plateau split off as a scalar weight.
+state); pass ``normalized=True`` to divide by its value at the last grid
+point.  Spectra are the exact resolvent form of the quantum regression
+theorem, with the coherent (Rayleigh) plateau split off as a scalar weight.
 """
 
 from __future__ import annotations
@@ -48,18 +48,10 @@ class SampledFunction:
     meta: dict
 
 
-def _density_matrix(rho: np.ndarray, name: str) -> np.ndarray:
-    """A given 3x3 state, judged by ``check_density_matrix``."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (3, 3):
-        raise ValueError(f"{name} must be a 3x3 density matrix")
-    return check_density_matrix(rho, name)
-
-
 def _reset_vec(reset_state: np.ndarray | None) -> np.ndarray:
     if reset_state is None:
         return vec(ketbra(0, 0))
-    return vec(_density_matrix(reset_state, "reset_state"))
+    return vec(check_density_matrix(reset_state, "reset_state"))
 
 
 def _nonnegative_rates(raw: np.ndarray, what: str) -> np.ndarray:
@@ -148,7 +140,7 @@ def emission_spectrum(
     if rho_ss is None:
         rho_ss = steady_state(l)
     else:
-        rho_ss = _density_matrix(rho_ss, "rho_ss")
+        rho_ss = check_density_matrix(rho_ss, "rho_ss")
         resid = float(np.linalg.norm(l @ vec(rho_ss)))
         if resid > NULL_CUT * np.linalg.norm(l):
             raise ValueError(f"rho_ss is not stationary (|L rho_ss| = "

@@ -68,7 +68,10 @@ class Config(str, enum.Enum):
         return "fig1" if self in (Config.FIG1A, Config.FIG1B) else "fig2"
 
 
-_NEEDS_PHI = (Config.FIG1B, Config.FIG2B)
+# each two-laser (a) configuration and its single-laser (b) twin, the one
+# that ``equivalence.map_system`` maps it onto; only the twins read phi
+_TWIN = {Config.FIG1A: Config.FIG1B, Config.FIG2A: Config.FIG2B}
+_NEEDS_PHI = tuple(_TWIN.values())
 
 
 def _cos_dipole(phi: float) -> float:

@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trilevel
 from trilevel import cli
 from trilevel.cli import describe_map, main, parse_scenario, serialize_scenario
 from trilevel.equivalence import verify_equivalence
@@ -65,6 +70,21 @@ def test_parse_rejects_wrong_gamma_alias(tmp_path):
 def test_parse_rejects_bad_task(tmp_path):
     with pytest.raises(ScenarioError, match="task"):
         parse_scenario(write_scenario(tmp_path, minimal_fig2a(task="fly")))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "error: <file>: not valid JSON: "),
+    ("[1, 2]", "error: <file>: top level must be an object"),
+], ids=["not-json", "list-top-level"])
+def test_unreadable_scenario_files_are_named(tmp_path, capsys, text,
+                                             message):
+    path = tmp_path / "scenario.json"
+    path.write_text(text)
+    code = main(["simulate", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_missing_file():
@@ -537,12 +557,25 @@ _FIG1A = {"config": "fig1a", "gamma21": 1.0, "gamma23": 0.3, "omega_a": 1.2,
         "phi": 1.0}}, "target.config"),
     ("g2", {"system": _FIG1A, "target": _FIG1A,
             "options": {"compare_mapped": True}}, "target.config"),
+    ("simulate", {"system": [1.0, 0.1]}, "system"),
+    ("simulate", {"system": {"gamma21": 1.0, "gamma31": 0.1}},
+     "system.config"),
+    ("simulate", {"system": {"config": "fig3a", "gamma21": 1.0}},
+     "system.config"),
+    ("simulate", {"system": {"config": "fig2a", "gamma31": 0.1}},
+     "system.gamma21"),
+    ("simulate", {"schema_version": 2}, "schema_version"),
+    ("simulate", {"initial_state": 4}, "initial_state"),
+    ("simulate", {"initial_state": [[1.0, 0, 0], [0, 0, 0]]},
+     "initial_state"),
 ], ids=["text-flag", "text-normalized", "fractional-n-traj", "bool-n-traj",
         "zero-n-traj", "text-threshold", "inf-threshold", "text-weight",
         "inf-weight", "bool-seed", "bool-level", "text-matrix-entry",
         "object-matrix-entry", "text-imaginary-part", "short-matrix-pair",
         "nested-matrix-pair", "bool-matrix-entry", "bool-tolerance",
-        "list-tolerances", "non-twin-target", "non-twin-compare-target"])
+        "list-tolerances", "non-twin-target", "non-twin-compare-target",
+        "list-system", "missing-config", "unknown-config", "missing-gamma21",
+        "schema-version-2", "level-4", "two-row-matrix"])
 def test_wrongly_typed_entries_are_named(tmp_path, capsys, verb, entry,
                                          field):
     payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
@@ -572,6 +605,40 @@ def test_tol_flag_needs_compare_mapped(tmp_path, capsys, verb):
     assert ("error: --tol: not read without compare_mapped"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+# the system of the README's example scenario
+_README_FIG2A = {"config": "fig2a", "gamma21": 1.0, "gamma31": 0.1,
+                 "omega_a": 2.0, "omega_b": 0.6, "delta2": 0.4,
+                 "delta3": -0.7}
+
+
+def test_tol_flag_is_applied_to_the_equivalence_check(tmp_path, capsys):
+    # no roundoff distance is below 1e-30, so the check must fail by it
+    payload = minimal_fig2a(task="equiv-check", system=_README_FIG2A,
+                            time_grid=[0.0, 5.0, 26])
+    code = main(["equiv-check", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out"), "--tol", "1e-30"])
+    assert code == 1
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("equivalence_max_frobenius_distance: ")
+    assert first.endswith(" (tol 1.0e-30) FAIL")
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["scenario"]["tolerances"]["equivalence"] == 1e-30
+    assert report["checks"][0]["tol"] == 1e-30
+
+
+def test_tol_flag_is_applied_to_a_compared_curve(tmp_path):
+    payload = minimal_fig2a(task="g2", system=_README_FIG2A,
+                            time_grid=[0.0, 5.0, 26],
+                            options={"compare_mapped": True})
+    code = main(["g2", "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out"), "--tol", "1e-3"])
+    assert code == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["checks"][0]["tol"] == 0.001
+    assert report["scenario"]["tolerances"]["photon_statistics"] == 0.001
 
 
 TARGET = {"config": "fig2b", "gamma21": 0.55, "gamma31": 0.55,
@@ -767,3 +834,16 @@ def test_each_verb_writes_one_data_file(tmp_path, verb):
         [DATA_FILES[verb], "report.json"])
     report = json.loads((out / "report.json").read_text())
     assert report["outputs"] == [DATA_FILES[verb]]
+
+
+def test_module_entry_point_runs(tmp_path):
+    # ``python -m trilevel.cli`` runs ``main`` and exits with its status
+    cfg = write_scenario(tmp_path, minimal_fig2a(system=_README_FIG2A))
+    src = str(Path(trilevel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "trilevel.cli",
+                           "describe-map", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "target configuration : fig2b" in done.stdout.splitlines()

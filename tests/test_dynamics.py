@@ -385,8 +385,7 @@ def test_vector_of_the_wrong_size_is_named():
     with pytest.raises(ValueError, match=r"v0 has shape \(3,\), but the "
                                          r"generator is 9x9"):
         propagate_vectors(gen, np.ones(3), [0.0, 1.0])
-    with pytest.raises(ValueError, match=r"v0 has shape \(4,\), but the "
-                                         r"generator is 9x9"):
+    with pytest.raises(ValueError, match="rho0 must be a 3x3 density matrix"):
         propagate_series(gen, np.eye(2) / 2, [0.0, 1.0])
 
 
@@ -422,6 +421,16 @@ def test_steady_state_multidimensional_null_space_raises():
     with pytest.raises(NonUniqueSteadyStateError) as err:
         steady_state(liouvillian(build_model(p)))
     assert err.value.dimension == 3
+
+
+def test_steady_state_traceless_null_vector_is_named():
+    # a one-dimensional null space whose vector, the coherence |1><2| +
+    # |2><1|, has no trace: unique, but no state
+    n = vec(ketbra(0, 1) + ketbra(1, 0)) / math.sqrt(2)
+    with pytest.raises(ValueError, match=r"the only null vector has trace "
+                                         r".*below TRACE_FLOOR = 1e-08") as err:
+        steady_state(np.eye(9) - np.outer(n, n.conj()))
+    assert not isinstance(err.value, NonUniqueSteadyStateError)
 
 
 @pytest.mark.parametrize("config", list(Config))

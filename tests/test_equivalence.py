@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from trilevel.defaults import DEFAULT_TOLERANCES
 from trilevel.dynamics import liouvillian
 from trilevel.equivalence import (
     basis_unitary,
@@ -15,6 +16,7 @@ from trilevel.equivalence import (
 )
 from trilevel.errors import DegenerateBasisError, UndefinedAngleError
 from trilevel.linalg import ketbra
+from trilevel.observables import g2, waiting_time
 from trilevel.systems import Config, LindbladModel, SystemParams, build_model
 
 
@@ -168,6 +170,15 @@ def test_map_rates_conservation_and_cauchy_schwarz():
 def test_map_rates_rejects_negative():
     with pytest.raises(ValueError):
         map_rates(0.3, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("step, args, message", [
+    (dressed_block, (0.0, -1.0), "omega must be >= 0, got -1.0"),
+    (dipole_angle, (-1.0, 1.0, 0.0), "decay rates must be >= 0"),
+])
+def test_map_steps_reject_negative_input_by_name(step, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        step(*args)
 
 
 @pytest.mark.parametrize("step, args, name", [
@@ -449,3 +460,32 @@ def test_map_over_the_whole_box(config, gamma21, gamma, omega_a, omega_b,
     assert abs(emap.gamma_p21 + emap.gamma_p23_or_31 - total) <= 1e-15 * total
     assert emap.gamma_cross ** 2 <= (emap.gamma_p21 * emap.gamma_p23_or_31
                                      * (1 + 1e-13))
+
+
+_BOX_TAUS = np.linspace(0.0, 30.0, 301)
+
+
+# Spectra stay out of this property: above SPECTRUM_FLOOR a mapped pair can
+# still miss spectrum_rel from the roundoff of a badly conditioned
+# resolvent alone (ROADMAP item 8), so no outcome could be asserted there.
+@given(config=st.sampled_from([Config.FIG1A, Config.FIG2A]),
+       gamma21=_RATES, gamma=_RATES, omega_a=_RATES, omega_b=_RATES,
+       delta2=_DETUNINGS, delta3=_DETUNINGS)
+def test_mapped_photon_statistics_agree_over_the_whole_box(
+        config, gamma21, gamma, omega_a, omega_b, delta2, delta3):
+    # a point either has no map, by a named error, or its mapped pair
+    # passes the CLI's photon_statistics check, the twin reset to U|1><1|U^+
+    p = SystemParams(config, gamma21=gamma21, gamma23_or_31=gamma,
+                     omega_a=omega_a, omega_b=omega_b, delta2=delta2,
+                     delta3=delta3)
+    try:
+        target, emap = map_system(p)
+    except (DegenerateBasisError, UndefinedAngleError):
+        return
+    model_a, model_b = build_model(p), build_model(target)
+    u = emap.unitary
+    reset = u @ ketbra(0, 0) @ u.conj().T
+    for curve in (g2, waiting_time):
+        diff = np.abs(curve(model_a, _BOX_TAUS).values
+                      - curve(model_b, _BOX_TAUS, reset_state=reset).values)
+        assert diff.max() < DEFAULT_TOLERANCES["photon_statistics"], curve

@@ -63,6 +63,13 @@ def test_g2_without_drive_is_identically_zero():
     assert np.all(curve.values == 0.0)
 
 
+def test_g2_without_drive_cannot_be_normalized():
+    m = build_model(fig2a_params(omega_a=0.0, omega_b=0.0))
+    with pytest.raises(ValueError, match="cannot normalize: zero long-time "
+                                         "rate"):
+        g2(m, np.linspace(0, 5, 21), normalized=True)
+
+
 def test_g2_long_time_limit_matches_steady_rate():
     p = fig2a_params()
     m = build_model(p)
@@ -483,6 +490,7 @@ def test_mc_rejects_seeds_that_seed_sequence_rejects(seed, error):
 
 
 @pytest.mark.parametrize("n_traj, error", [
+    (0, ValueError),        # no trajectory at all
     (2.5, TypeError),       # a count, not a float to round
     (2**32, ValueError),    # round 0 alone would draw 64 GiB
 ])
