@@ -115,7 +115,7 @@ def _system_from_dict(raw: dict, where: str) -> SystemParams:
         raise ScenarioError(f"{where}.phi",
                             f"not read by config {config.value}")
     for key in (alias, "gamma21"):
-        if raw.get(key) is None:
+        if key not in raw:
             raise ScenarioError(f"{where}.{key}", "missing")
     # what is left are drives, detunings and phi, all with defaults
     rest = {key: raw[key] for key in raw.keys() - {"config", "gamma21", alias}}
@@ -186,11 +186,10 @@ def parse_scenario(path: str | Path) -> Scenario:
     if task not in TASKS:
         raise ScenarioError("task", f"must be one of {TASKS}, got {task!r}")
     system = _system_from_dict(raw.get("system"), "system")
-    target = None
-    if raw.get("target") is not None:
-        target = _system_from_dict(raw["target"], "target")
-    time_grid = (DEFAULT_TIME_GRID if raw.get("time_grid") is None
-                 else _typed("time_grid", raw["time_grid"], "grid"))
+    target = (_system_from_dict(raw["target"], "target") if "target" in raw
+              else None)
+    time_grid = (_typed("time_grid", raw["time_grid"], "grid")
+                 if "time_grid" in raw else DEFAULT_TIME_GRID)
     initial = raw.get("initial_state", 1)
     if type(initial) is int:  # true is no level index
         if not (1 <= initial <= 3):
@@ -213,15 +212,15 @@ def parse_scenario(path: str | Path) -> Scenario:
                                          f"> 0, got {time_grid[1]}")
     seed = _typed("seed", raw.get("seed", 0), "seed")
     for key in ("tolerances", "options"):
-        if not isinstance(raw.get(key) or {}, dict):
+        if not isinstance(raw.get(key, {}), dict):
             raise ScenarioError(key, "must be an object")
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in (raw.get("tolerances") or {}).items():
+    for key, val in raw.get("tolerances", {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise ScenarioError(f"tolerances.{key}", "unknown tolerance")
         tolerances[key] = _typed(f"tolerances.{key}", val, "positive")
     options = {}
-    for key, val in (raw.get("options") or {}).items():
+    for key, val in raw.get("options", {}).items():
         if key not in _OPTIONS:
             raise ScenarioError(f"options.{key}", "unknown option")
         options[key] = _typed(f"options.{key}", val, _OPTIONS[key][1])
@@ -237,8 +236,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         system=system,
         target=target,
         time_grid=time_grid,
-        omega_grid=(DEFAULT_OMEGA_GRID if raw.get("omega_grid") is None
-                    else _typed("omega_grid", raw["omega_grid"], "grid")),
+        omega_grid=(_typed("omega_grid", raw["omega_grid"], "grid")
+                    if "omega_grid" in raw else DEFAULT_OMEGA_GRID),
         initial_state=initial,
         seed=seed,
         tolerances=tolerances,
@@ -252,8 +251,8 @@ def _require_read(task: str, options: dict, raw: dict) -> None:
     set the other way (``target`` before the tolerances)."""
     spec = _TASKS[task]
     given = [f"{key}.{k}" for key in ("options", "tolerances")
-             for k in raw.get(key) or {}]
-    given += [key for key in ("seed", "target") if raw.get(key) is not None]
+             for k in raw.get(key, {})]
+    given += [key for key in ("seed", "target") if key in raw]
     ever = spec.reads({}) | spec.reads({"compare_mapped": True})
     unread = [key for key in given if key not in ever]
     if unread:
@@ -475,8 +474,7 @@ def _trajectories(s: Scenario, model: LindbladModel) -> _Output:
         [f"trilevel trajectories ({s.system.config.value}), "
          f"seed = {s.seed}, n_traj = {n_traj}",
          "trajectory [1], jump_time [1/Gamma_ref], channel [1]"],
-        [np.repeat(np.arange(n_traj), np.diff(run.offsets)).astype(float),
-         run.times, run.channels.astype(float)],
+        [run.trajectory.astype(float), run.times, run.channels.astype(float)],
         extras={"bright_dark": {"threshold": threshold}
                 | dataclasses.asdict(stats)})
 
@@ -522,12 +520,12 @@ TASKS = tuple(_TASKS)
 
 
 def run(s: Scenario, out_dir: str | Path) -> dict:
-    """Execute a scenario, writing its data file and report.json; returns
-    the report."""
+    """Execute a scenario, then write its data file and report.json (a
+    task that raises writes nothing); returns the report."""
     t0 = _time.perf_counter()
+    out = _TASKS[s.task].run(s, build_model(s.system))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    out = _TASKS[s.task].run(s, build_model(s.system))
     np.savetxt(out_dir / out.fname, np.column_stack(out.columns),
                fmt="%.12e", header="\n".join(out.header))
     emap = None if out.emap is None else (

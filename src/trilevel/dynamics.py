@@ -109,8 +109,7 @@ def propagate_series(l: np.ndarray, rho0: np.ndarray,
     """
     rho0 = check_density_matrix(rho0, "rho0")
     vs = propagate_vectors(l, vec(rho0), times)
-    # row k of vs.T is vec(rho_k), i.e. rho_k transposed in row-major order
-    rhos = hermitize(np.swapaxes(vs.T.reshape(-1, 3, 3), -1, -2))
+    rhos = hermitize(unvec(vs.T))  # row k of vs.T is vec(rho_k)
     drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
     bad = np.flatnonzero(drift > TRACE_DRIFT)
     if bad.size:

@@ -40,8 +40,9 @@ def vec(rho: np.ndarray) -> np.ndarray:
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec` for a 3x3 matrix."""
-    return np.asarray(v, dtype=complex).reshape((3, 3), order="F")
+    """Inverse of :func:`vec` on the last axis, so also of a stack."""
+    v = np.asarray(v, dtype=complex)
+    return np.swapaxes(v.reshape(*v.shape[:-1], 3, 3), -1, -2)
 
 
 def _require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -91,10 +92,14 @@ def check_grid(x, name: str) -> np.ndarray:
 
 def check_density_matrix(rho: np.ndarray,
                          name: str = "density matrix") -> np.ndarray:
-    """Validate the 3x3 shape, finiteness, Hermiticity, unit trace and
-    positivity of a density matrix, the last three each to within
+    """Validate the 3x3 numeric shape, finiteness, Hermiticity, unit trace
+    and positivity of a density matrix, the last three each to within
     ``DENSITY_SLACK``; errors call it ``name``."""
-    if np.shape(rho) != (3, 3):
+    try:
+        rho = np.asarray(rho)
+    except ValueError:  # ragged nesting
+        rho = np.empty(0)
+    if rho.shape != (3, 3) or rho.dtype.kind not in "biufc":
         raise ValueError(f"{name} must be a 3x3 density matrix")
     rho = _require_finite(rho, name)
     scale = max(1.0, float(np.linalg.norm(rho)))

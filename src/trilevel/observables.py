@@ -49,13 +49,15 @@ class SampledFunction:
 
 
 def _reset_vec(reset_state: np.ndarray | None) -> np.ndarray:
-    if reset_state is None:
-        return vec(ketbra(0, 0))
-    return vec(check_density_matrix(reset_state, "reset_state"))
+    return vec(ketbra(0, 0) if reset_state is None
+               else check_density_matrix(reset_state, "reset_state"))
 
 
-def _nonnegative_rates(raw: np.ndarray, what: str) -> np.ndarray:
-    # rates are nonnegative up to roundoff; anything beyond the floor is a bug
+def _photon_rates(model: LindbladModel, vs: np.ndarray,
+                  what: str) -> np.ndarray:
+    """tr(K rho) = vec(K^T) . vec(rho), the photon rate, of each column of
+    ``vs``; below 0 by more than roundoff it is a bug."""
+    raw = (vec(model.decay.T) @ vs).real
     floor = -ROUNDOFF * max(1.0, float(np.abs(raw).max()))
     if raw.min() < floor:
         raise RuntimeError(f"{what} went negative ({raw.min():.3e})")
@@ -72,15 +74,14 @@ def g2(model: LindbladModel, taus: np.ndarray,
     rate functional, cross-damping terms included.  ``normalized=True``
     divides by the rate at the last grid point.
     """
-    # vec(K^T) @ vec(rho) = tr(K rho), the photon rate
     vs = propagate_vectors(model.generator, _reset_vec(reset_state), taus)
-    values = _nonnegative_rates((vec(model.decay.T) @ vs).real,
-                                "intensity correlation")
+    values = _photon_rates(model, vs, "intensity correlation")
     meta = {}
     if normalized:
         tail = values[-1]
         if tail <= 0:
-            raise ValueError("cannot normalize: zero long-time rate")
+            raise ValueError(f"cannot normalize: the rate at the last grid "
+                             f"point (tau = {taus[-1]:g}) is 0")
         meta["normalization"] = tail
         values = values / tail
     return SampledFunction(np.asarray(taus, dtype=float), values, meta)
@@ -99,8 +100,7 @@ def waiting_time(model: LindbladModel, taus: np.ndarray,
     """
     v0 = _reset_vec(reset_state)
     vs = propagate_vectors(model.no_jump, v0, taus)
-    values = _nonnegative_rates((vec(model.decay.T) @ vs).real,
-                                "waiting-time density")
+    values = _photon_rates(model, vs, "waiting-time density")
     emitted = float((vec(np.eye(3)) @ (v0 - vs[:, -1])).real)
     if emitted > 1.0 + EMISSION_EXCESS:
         raise ValueError(f"waiting-time density integrates to {emitted} > 1")
@@ -189,15 +189,6 @@ class JumpRecord:
     channels: np.ndarray
 
 
-def _same_trajectory(offsets: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the n - 1 pairs of consecutive flat jumps, True where both
-    belong to one trajectory (offsets rise from 0 to n)."""
-    same = np.ones(max(n - 1, 0), dtype=bool)
-    starts = offsets[1:-1]
-    same[starts[(starts > 0) & (starts < n)] - 1] = False
-    return same
-
-
 @dataclass(frozen=True)
 class McRun:
     """Trajectory ensemble plus optional sampled ensemble populations.
@@ -217,20 +208,26 @@ class McRun:
     populations_stderr: np.ndarray | None = None
 
     def __post_init__(self):
-        offsets = np.asarray(self.offsets, dtype=int)
-        t = np.asarray(self.times, dtype=float)
-        ch = np.asarray(self.channels, dtype=int)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "channels", ch)
+        for key, kind in ("offsets", int), ("times", float), ("channels", int):
+            object.__setattr__(self, key,
+                               np.asarray(getattr(self, key), dtype=kind))
+        offsets, t, ch = self.offsets, self.times, self.channels
         if t.ndim != 1 or ch.shape != t.shape:
             raise ValueError("times and channels must have equal length")
         if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
                 or np.any(np.diff(offsets) < 0) or offsets[-1] != t.size):
             raise ValueError("offsets must rise from 0 to the number of jumps")
         if not (np.all(t >= 0) and np.all(t <= self.t_final) and np.all(
-                np.diff(t)[_same_trajectory(offsets, t.size)] > 0)):
+                np.diff(t)[np.diff(self.trajectory) == 0] > 0)):
             raise ValueError("jump times must increase within [0, t_final]")
+
+    @functools.cached_property
+    def trajectory(self) -> np.ndarray:
+        """The trajectory of each jump, read-only."""
+        counts = np.diff(self.offsets)
+        out = np.repeat(np.arange(counts.size), counts)
+        out.flags.writeable = False
+        return out
 
     @functools.cached_property
     def records(self) -> tuple[JumpRecord, ...]:
@@ -462,7 +459,7 @@ def mc_trajectories(
 
 def interjump_gaps(run: McRun) -> np.ndarray:
     """Pooled gaps between consecutive jumps of each trajectory."""
-    return np.diff(run.times)[_same_trajectory(run.offsets, run.times.size)]
+    return np.diff(run.times)[np.diff(run.trajectory) == 0]
 
 
 @dataclass(frozen=True)

@@ -247,9 +247,10 @@ def test_unread_tolerance_keys_are_rejected(tmp_path, capsys, key):
 @pytest.mark.parametrize("key", ["time_grid", "omega_grid"])
 @pytest.mark.parametrize("grid", [
     {"a": 1}, "123", [0, 20, 21.7], [0, 20, 21, 99], [0, 20], [0, 20, True],
-    [False, 20, 21], [0, "20", 21], [0, 20, 0], 5,
+    [False, 20, 21], [0, "20", 21], [0, 20, 0], 5, None,
 ], ids=["object", "text", "fractional-count", "four-entries", "two-entries",
-        "bool-count", "bool-bound", "text-bound", "zero-count", "number"])
+        "bool-count", "bool-bound", "text-bound", "zero-count", "number",
+        "null"])
 def test_malformed_grids_are_named(tmp_path, capsys, key, grid):
     verb = "simulate" if key == "time_grid" else "spectrum"
     payload = minimal_fig2a(task=verb, **{key: grid})
@@ -354,6 +355,7 @@ def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert capsys.readouterr().err == (
         "internal error: trace drifted (at t = 1.5)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_non_unique_steady_state_exits_2(tmp_path, capsys):
@@ -367,6 +369,7 @@ def test_non_unique_steady_state_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: steady state is not unique: null space has dimension 9\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_near_dark_spectrum_is_rejected_input(tmp_path, capsys):
@@ -384,6 +387,7 @@ def test_near_dark_spectrum_is_rejected_input(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == (
         "error: steady state is not unique: null space has dimension 2\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("omega_b, code", [(0.0, 2), (5e-8, 0)],
@@ -568,6 +572,11 @@ _FIG1A = {"config": "fig1a", "gamma21": 1.0, "gamma23": 0.3, "omega_a": 1.2,
     ("simulate", {"initial_state": 4}, "initial_state"),
     ("simulate", {"initial_state": [[1.0, 0, 0], [0, 0, 0]]},
      "initial_state"),
+    ("simulate", {"target": None}, "target"),
+    ("g2", {"options": None}, "options"),
+    ("equiv-check", {"tolerances": None}, "tolerances"),
+    ("g2", {"options": []}, "options"),
+    ("equiv-check", {"tolerances": False}, "tolerances"),
 ], ids=["text-flag", "text-normalized", "fractional-n-traj", "bool-n-traj",
         "zero-n-traj", "text-threshold", "inf-threshold", "text-weight",
         "inf-weight", "bool-seed", "bool-level", "text-matrix-entry",
@@ -575,7 +584,9 @@ _FIG1A = {"config": "fig1a", "gamma21": 1.0, "gamma23": 0.3, "omega_a": 1.2,
         "nested-matrix-pair", "bool-matrix-entry", "bool-tolerance",
         "list-tolerances", "non-twin-target", "non-twin-compare-target",
         "list-system", "missing-config", "unknown-config", "missing-gamma21",
-        "schema-version-2", "level-4", "two-row-matrix"])
+        "schema-version-2", "level-4", "two-row-matrix", "null-target",
+        "null-options", "null-tolerances", "list-options",
+        "false-tolerances"])
 def test_wrongly_typed_entries_are_named(tmp_path, capsys, verb, entry,
                                          field):
     payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],

@@ -366,6 +366,8 @@ def test_rho0_with_wrong_trace_is_bad_input():
 @pytest.mark.parametrize("rho0, reason", [
     (np.array([[1, 1, 0], [0, 0, 0], [0, 0, 0]]), "not Hermitian"),
     (np.diag([2.0, -1.0, 0.0]), "negative eigenvalue -1"),
+    ([[1, 0, 0], [0, 0], [0, 0, 0]], "must be a 3x3 density matrix"),
+    ([[1, 0, 0], [0, 0, 0], [0, 0, "x"]], "must be a 3x3 density matrix"),
 ])
 def test_rho0_that_is_no_density_matrix_is_bad_input(rho0, reason):
     m = build_model(random_driven_params(Config.FIG2A))

@@ -65,8 +65,8 @@ def test_g2_without_drive_is_identically_zero():
 
 def test_g2_without_drive_cannot_be_normalized():
     m = build_model(fig2a_params(omega_a=0.0, omega_b=0.0))
-    with pytest.raises(ValueError, match="cannot normalize: zero long-time "
-                                         "rate"):
+    with pytest.raises(ValueError, match=r"cannot normalize: the rate at the "
+                                         r"last grid point \(tau = 5\) is 0"):
         g2(m, np.linspace(0, 5, 21), normalized=True)
 
 
@@ -824,6 +824,9 @@ def test_mc_run_validates_flat_jumps():
     assert [r.times.tolist() for r in run.records] == [[3.0], [], [1.0, 2.0]]
     with pytest.raises(ValueError):
         run.records[0].times[0] = 0.5  # the records are read-only views
+    assert run.trajectory.tolist() == [0, 2, 2]
+    with pytest.raises(ValueError):
+        run.trajectory[0] = 1  # and so is the trajectory index
 
 
 def test_interjump_gaps_empty():
@@ -848,6 +851,9 @@ def test_flat_readers_match_per_trajectory_loops(gaps, threshold):
         float(dark.mean()) if dark.size else math.nan, dark.size, ref.size)
     np.testing.assert_equal(vars(bright_dark_stats(run, threshold)),
                             vars(expected))
+    np.testing.assert_array_equal(run.trajectory, np.concatenate(
+        [np.full(t.size, i) for i, t in enumerate(per_traj)]))
     for i, (r, t) in enumerate(zip(run.records, per_traj, strict=True)):
         assert r.trajectory == i
         np.testing.assert_array_equal(r.times, t)
+        np.testing.assert_array_equal(run.times[run.trajectory == i], t)
