@@ -15,19 +15,20 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .defaults import (EMISSION_EXCESS, NEWTON_STEP, NULL_CUT, ROUNDOFF,
                        SURVIVAL_FLOOR, TINY)
 from .errors import JumpRankError
 from .linalg import (check_density_matrix, check_grid, dagger, ketbra,
-                     mat_exp, null_space, vec)
+                     mat_exp, vec)
 from .dynamics import (_fill_powers, propagate_series, propagate_vectors,
                        steady_state)
 from .systems import LindbladModel
 
 
-# frequencies per batched resolvent solve, which bounds the (n, 9, 9) stack
-# emission_spectrum holds at once to about 1.3 MB
+# frequencies per block of emission_spectrum's solve, which bounds the
+# (9, n) and (n, 9) arrays a block holds at once to about 1.2 MB
 _SPECTRUM_BLOCK = 1024
 
 
@@ -108,6 +109,24 @@ def waiting_time(model: LindbladModel, taus: np.ndarray,
                            {"emitted_probability": emitted})
 
 
+def _rows_times(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x @ m one row at a time: BLAS may round a row of a batched
+    (n, 9) @ (9, 9) product with another kernel, chosen by n, than the row
+    alone."""
+    return (x[:, None, :] @ m)[:, 0]
+
+
+def _back_substitute(t: np.ndarray, inv: np.ndarray,
+                     y: np.ndarray) -> np.ndarray:
+    """Solve (i omega - T) y' = y for upper-triangular T, one frequency a
+    column of the (9, n) ``y`` (overwritten) with inv[k] = 1/(i omega -
+    T_kk); returns y' as (n, 9) rows."""
+    for k in range(8, -1, -1):
+        y[k] *= inv[k]
+        y[:k] += t[:k, k, None] * y[k]
+    return y.T.copy()
+
+
 def emission_spectrum(
     model: LindbladModel,
     detect: np.ndarray,
@@ -124,13 +143,19 @@ def emission_spectrum(
     normalization the spectrum integrates (over all omega) to the
     incoherent part of <detect^+ detect>_ss.
 
+    The solve takes the complex Schur form L - P0 = Z T Z^+ once, solves
+    (i omega - T) y = Z^+ (1 - P0) x by back substitution over a block of
+    frequencies at once, and makes one pass of iterative refinement whose
+    residual uses L - P0 itself.  Each frequency's value does not depend on
+    the rest of the grid, bit for bit.
+
     ``rho_ss`` overrides the steady state for models whose null space is
     degenerate (e.g. a fully decoupled spectator level); it must be a
     density matrix stationary under L, else ValueError.  By default the
     unique steady state is computed and required.  ``detect`` must be a
     finite 3x3 matrix.  ``omegas`` must be a non-empty 1-D grid of finite
-    frequencies, in any order and possibly repeated: each frequency is
-    solved on its own.  Both are checked before any solve.
+    frequencies, in any order and possibly repeated.  Both are checked
+    before any solve.
     """
     omegas = check_grid(omegas, "omegas")
     detect = np.asarray(detect, dtype=complex)
@@ -145,20 +170,35 @@ def emission_spectrum(
         if resid > NULL_CUT * np.linalg.norm(l):
             raise ValueError(f"rho_ss is not stationary (|L rho_ss| = "
                              f"{resid:.3e})")
-    # P0 = V (U^+ V)^-1 U^+ from the right and left null spaces of L
-    right = np.array(null_space(l)).T
-    left = np.array(null_space(l.conj().T)).T
+    # P0 = V (U^+ V)^-1 U^+ from the right and left null spaces of L, the
+    # small singular values' right and left singular vectors
+    u, s, vh = np.linalg.svd(l)
+    null = s <= NULL_CUT * s[0]
+    right, left = vh[null].conj().T, u[:, null]
     proj = right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
+    # adding P0 makes i omega - L + P0 invertible and leaves (1 - P0) x
+    # unchanged; with A = L - P0 = Z T Z^+ it is Z (i omega - T) Z^+
+    a = l - proj
+    t, z = scipy.linalg.schur(a, output="complex")
     x = vec(detect @ rho_ss)
-    rhs = (x - proj @ x)[:, None]
+    r = x - proj @ x
+    c = (z.conj().T @ r)[:, None]
+    # S = <detect|z>/pi with z = Z y, so S = (Z^T conj(detect)) . y / pi
+    q = (z.T @ vec(detect).conj())[:, None]
     values = np.empty(omegas.size)
     for start in range(0, omegas.size, _SPECTRUM_BLOCK):
-        block = omegas[start:start + _SPECTRUM_BLOCK, None, None]
-        # adding P0 makes the matrix invertible and leaves (1 - P0) x unchanged
-        mats = 1j * block * np.eye(9) - l + proj
-        z = np.linalg.solve(mats, np.broadcast_to(rhs, (block.size, 9, 1)))
+        block = omegas[start:start + _SPECTRUM_BLOCK]
+        # numpy may round a complex product of one element without the fused
+        # multiply-add of its array loops, so a lone frequency goes as a pair
+        iw = 1j * np.resize(block, max(block.size, 2))
+        inv = 1.0 / (iw - np.diag(t)[:, None])
+        y = _back_substitute(t, inv, np.repeat(c, iw.size, axis=1))
+        # one refinement pass against A itself: residual r - (i omega - A) z
+        zs = _rows_times(y, z.T)
+        res = r - iw[:, None] * zs + _rows_times(zs, a.T)
+        y += _back_substitute(t, inv, _rows_times(res, z.conj()).T.copy())
         values[start:start + block.size] = (
-            (z[..., 0] @ vec(detect).conj()).real / np.pi)
+            _rows_times(y, q)[:block.size, 0].real / np.pi)
     coherent = complex(np.trace(dagger(detect) @ rho_ss)
                        * np.trace(detect @ rho_ss))
     return SampledFunction(omegas, values,

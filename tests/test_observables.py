@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 from scipy.stats import kstest
 
@@ -22,6 +23,7 @@ from trilevel.observables import (
     McRun,
     SampledFunction,
     _NoJumpEvolution,
+    _SPECTRUM_BLOCK,
     _round_draws,
     bright_dark_stats,
     emission_spectrum,
@@ -289,6 +291,8 @@ def test_spectrum_rejects_a_bad_detection_operator(detect, monkeypatch):
 
     m = build_model(fig2a_params())
     monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(scipy.linalg, "schur", refuse)
     with pytest.raises(ValueError, match="detect must be a finite 3x3"):
         emission_spectrum(m, detect, np.linspace(-5, 5, 11))
 
@@ -305,6 +309,68 @@ def test_spectrum_takes_frequencies_in_any_order():
     assert spec.grid.tobytes() == omegas[perm].tobytes()
 
 
+@pytest.mark.parametrize("params", [
+    fig2a_params(),
+    SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.3, omega_a=1.2,
+                 omega_b=0.7, delta2=0.4, delta3=-0.6),
+], ids=["fig2a", "fig1a"])
+def test_spectrum_value_does_not_depend_on_the_grid(params):
+    m = build_model(params)
+    d = m.collapse_ops[0]
+    grid = np.linspace(-10, 10, 3001)
+    ref = emission_spectrum(m, d, grid).values
+    alone = np.concatenate([emission_spectrum(m, d, grid[i:i + 1]).values
+                            for i in range(grid.size)])
+    assert alone.tobytes() == ref.tobytes()
+    rng = np.random.default_rng(7)
+    sizes = rng.integers(1, 3 * _SPECTRUM_BLOCK, 20)
+    assert (sizes > _SPECTRUM_BLOCK).any()
+    for size in sizes:
+        pick = rng.integers(0, grid.size, size)  # with repeats
+        spec = emission_spectrum(m, d, grid[pick])
+        assert spec.values.tobytes() == ref[pick].tobytes()
+
+
+def _mp_spectrum(l, d, omegas):
+    """(1/pi) Re <d| (i w - L + |rho><I|)^-1 (1 - |rho><I|) |d rho> at 40
+    digits from the float L, where <I| is the trace row and rho solves
+    L rho = 0 with L's first row replaced by the trace row."""
+    import mpmath
+    with mpmath.workdps(40):
+        lm = mpmath.matrix(l.tolist())
+        trace = mpmath.matrix([vec(np.eye(3)).real.tolist()])
+        border = lm.copy()
+        for j in range(9):
+            border[0, j] = trace[0, j]
+        rho = mpmath.lu_solve(border, mpmath.matrix([1] + [0] * 8))
+        proj = rho * trace
+        x = mpmath.matrix(np.kron(np.eye(3), d).tolist()) * rho
+        rhs = x - proj * x
+        bra = mpmath.matrix([vec(d).conj().tolist()])
+        return np.array([
+            float((bra * mpmath.lu_solve(1j * w * mpmath.eye(9) - lm + proj,
+                                         rhs))[0].real / mpmath.pi)
+            for w in omegas])
+
+
+@pytest.mark.parametrize("params, bound", [
+    # near-dark, cond(L - P0) = 6.4e8: an LU solve per frequency reads 3.9e-8
+    (SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.3,
+                  omega_a=1e-4, omega_b=0.7, delta2=0.4, delta3=-0.6), 4e-8),
+    # shelving: an LU solve per frequency reads 3.6e-15
+    (SystemParams(Config.FIG2A, gamma21=1.0, gamma23_or_31=1e-3,
+                  omega_a=1.0, omega_b=0.08), 1e-13),
+], ids=["near-dark", "shelving"])
+def test_spectrum_matches_a_40_digit_reference(params, bound):
+    m = build_model(params)
+    d = m.collapse_ops[0]
+    omegas = np.concatenate([[0.0, 1e-3, -2e-3, 0.01],
+                             np.linspace(-6, 6, 41)])
+    ref = _mp_spectrum(m.generator, d, omegas)
+    spec = emission_spectrum(m, d, omegas)
+    assert np.abs(spec.values - ref).max() <= bound * np.abs(ref).max()
+
+
 def test_spectrum_requires_unique_steady_state():
     from trilevel.errors import NonUniqueSteadyStateError
     p = SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.0,
@@ -318,18 +384,22 @@ def test_spectrum_memory_is_bounded():
     import tracemalloc
     m = build_model(fig2a_params(delta2=0.4, delta3=-0.7))
     d = m.collapse_ops[0]
-    omegas = np.linspace(-10, 10, 20_000)
-    tracemalloc.start()
-    try:
-        spec = emission_spectrum(m, d, omegas)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-    # the blocked solve gives the same values as a grid of a single block
-    coarse = emission_spectrum(m, d, omegas[::1000])
-    np.testing.assert_allclose(spec.values[::1000], coarse.values,
-                               rtol=1e-12, atol=0)
+    # the peak must not grow with the grid: ten times the frequencies, the
+    # same bound
+    for size in (20_000, 200_000):
+        omegas = np.linspace(-10, 10, size)
+        tracemalloc.start()
+        try:
+            spec = emission_spectrum(m, d, omegas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        # a long grid, solved block by block, gives the values of a short
+        # grid of the same frequencies
+        coarse = emission_spectrum(m, d, omegas[::1000])
+        np.testing.assert_allclose(spec.values[::1000], coarse.values,
+                                   rtol=1e-12, atol=0)
 
 
 # ----------------------------------------------------------- result record
