@@ -18,8 +18,6 @@ import dataclasses
 import functools
 import json
 import logging
-import math
-import numbers
 import os
 import sys
 import time as _time
@@ -35,7 +33,7 @@ from .defaults import (DEFAULT_OMEGA_GRID, DEFAULT_TIME_GRID,
                        TINY)
 from .equivalence import EquivalenceMap, map_system, verify_equivalence
 from .errors import ScenarioError
-from .linalg import check_density_matrix, ketbra
+from .linalg import check_density_matrix, finite_number, ketbra
 from .observables import (
     bright_dark_stats,
     emission_spectrum,
@@ -126,11 +124,6 @@ def _system_from_dict(raw: dict, where: str) -> SystemParams:
         raise ScenarioError(f"{where}.{err.field}", err.message) from None
 
 
-def _finite(value) -> bool:  # JSON true and false are no numbers here
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
 # value kind -> (what a value must be, its test, its stored form); JSON
 # true is no integer here
 _KINDS = {
@@ -138,16 +131,16 @@ _KINDS = {
     "count": ("an integer >= 1", lambda v: type(v) is int and v >= 1, int),
     "seed": ("a non-negative integer",
              lambda v: type(v) is int and v >= 0, int),
-    "positive": ("a finite number > 0", lambda v: _finite(v) and v > 0,
+    "positive": ("a finite number > 0", lambda v: finite_number(v) and v > 0,
                  float),
     "pair": ("a pair of finite numbers",
              lambda v: (isinstance(v, list) and len(v) == 2
-                        and all(map(_finite, v))),
+                        and all(map(finite_number, v))),
              lambda v: tuple(map(float, v))),
     "grid": ("[start, stop, count] with finite start <= stop and an integer "
              "count >= 1 (1 only if start == stop)",
              lambda v: (isinstance(v, list) and len(v) == 3
-                        and _finite(v[0]) and _finite(v[1]) and v[0] <= v[1]
+                        and all(map(finite_number, v[:2])) and v[0] <= v[1]
                         and type(v[2]) is int and v[2] >= 1
                         and (v[2] > 1 or v[0] == v[1])),
              lambda v: (float(v[0]), float(v[1]), v[2])),
@@ -334,7 +327,7 @@ def _matrix_from_spec(rows) -> np.ndarray:
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             pair = entry if isinstance(entry, (list, tuple)) else (entry, 0.0)
-            if not (len(pair) == 2 and all(map(_finite, pair))):
+            if not (len(pair) == 2 and all(map(finite_number, pair))):
                 raise ValueError(f"entry ({i + 1}, {j + 1}) must be a finite "
                                  f"number or an [re, im] pair of them, got "
                                  f"{entry!r}")
@@ -428,13 +421,11 @@ def _photon_curve(s: Scenario, model: LindbladModel) -> _Output:
 
 def _spectrum(s: Scenario, model: LindbladModel) -> _Output:
     omegas = np.linspace(*s.omega_grid)
-
-    def spectrum(m: LindbladModel, w0: float, w1: float):
-        detect = w0 * m.collapse_ops[0] + w1 * m.collapse_ops[1]
-        return emission_spectrum(m, detect, omegas)
-
+    a0 = model.collapse_ops[0]
     if not s.option("compare_mapped"):
-        spec = spectrum(model, *s.option("detect_weights"))
+        w0, w1 = s.option("detect_weights")
+        spec = emission_spectrum(model, w0 * a0 + w1 * model.collapse_ops[1],
+                                 omegas)
         return _Output(
             "spectrum.dat",
             [f"trilevel spectrum ({s.system.config.value}), "
@@ -442,11 +433,11 @@ def _spectrum(s: Scenario, model: LindbladModel) -> _Output:
              "omega [Gamma_ref], S [1/Gamma_ref]"],
             [omegas, spec.values])
     model_b, emap = _twin(s)
-    # polarization-aligned detection: bare 2->1 dipole of the (a) system and
-    # the (cos, sin)-weighted combination on the (b) side
-    spec_a = spectrum(model, 1.0, 0.0).values
-    spec_b = spectrum(model_b, math.cos(emap.theta),
-                      math.sin(emap.theta)).values
+    # the (a) system is detected on its bare 2->1 dipole A0, the twin on
+    # the rotated one, U A0 U^+
+    u = emap.unitary
+    spec_a = emission_spectrum(model, a0, omegas).values
+    spec_b = emission_spectrum(model_b, u @ a0 @ u.conj().T, omegas).values
     peak_a, peak_b = (float(np.max(np.abs(v))) for v in (spec_a, spec_b))
     if max(peak_a, peak_b) < SPECTRUM_FLOOR:
         raise ValueError(

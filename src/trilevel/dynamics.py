@@ -126,10 +126,10 @@ def steady_state(l: np.ndarray) -> np.ndarray:
     and ValueError when its one (unit-norm) vector has a trace below
     TRACE_FLOOR, so that it cannot be normalized to a state.
     """
-    basis = null_space(l)
-    if len(basis) != 1:
-        raise NonUniqueSteadyStateError(dimension=len(basis))
-    rho = hermitize(unvec(basis[0]))
+    right, _ = null_space(l)
+    if right.shape[1] != 1:
+        raise NonUniqueSteadyStateError(dimension=right.shape[1])
+    rho = hermitize(unvec(right[:, 0]))
     tr = float(np.trace(rho).real)
     if abs(tr) < TRACE_FLOOR:
         raise ValueError(f"no steady state: the only null vector has trace "

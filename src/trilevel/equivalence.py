@@ -29,13 +29,15 @@ import numpy as np
 from .defaults import DEFAULT_TOLERANCES, SNAP, UNITARITY
 from .dynamics import propagate_series
 from .errors import DegenerateBasisError, UndefinedAngleError
+from .linalg import finite_number
 from .systems import _TWIN, LindbladModel, SystemParams
 
 
 def _finite(**values: float) -> None:
-    """Reject a NaN or infinite argument by name."""
+    """Reject by name an argument that is no finite number, as
+    ``linalg.finite_number`` judges it."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not finite_number(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 

@@ -7,6 +7,9 @@ rho -> A rho B is kron(B.T, A).
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 import scipy.linalg
 
@@ -18,10 +21,6 @@ def ketbra(i: int, j: int) -> np.ndarray:
     m = np.zeros((3, 3), dtype=complex)
     m[i, j] = 1.0
     return m
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
@@ -45,6 +44,18 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v.reshape(*v.shape[:-1], 3, 3), -1, -2)
 
 
+def finite_number(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that a double holds
+    finitely: true is no number, and neither NaN, an infinity nor an
+    integer beyond a double's range is finite here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large to convert to a double
+        return False
+
+
 def _require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if not np.all(np.isfinite(m)):
@@ -55,8 +66,10 @@ def _require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
 def mat_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp(m*t) via scaling-and-squaring with Pade approximation.
 
-    Backed by scipy.linalg.expm; accurate to ~1e-10 relative in Frobenius
-    norm for ||m*t|| up to ~50, which covers every generator built here.
+    Backed by scipy.linalg.expm.  Against a 30-digit mpmath.expm, the
+    relative Frobenius error on the L and G0 of four built models, at
+    steps with ||m*t|| (Frobenius) from 24 to 8300, is within 1e-12
+    (tests/test_linalg.py).
     """
     m = _require_finite(m)
     if not np.isfinite(t) or t < 0:
@@ -64,18 +77,19 @@ def mat_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
     return scipy.linalg.expm(m * t)
 
 
-def null_space(m: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal basis of the right null space of m.
+def null_space(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the right and the left null space of m, as the
+    columns of two arrays, from one SVD.
 
-    Singular values below NULL_CUT * sigma_max count as zero.  Returns an
-    empty list when the matrix has full rank.
+    Singular values below NULL_CUT * sigma_max count as zero.  Both arrays
+    have no columns when the matrix has full rank.
     """
     m = _require_finite(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    _, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    return [vh[k].conj() for k in range(len(s)) if s[k] <= NULL_CUT * smax]
+    u, s, vh = np.linalg.svd(m)
+    null = s <= NULL_CUT * (s[0] if s.size else 0.0)
+    return vh[null].conj().T, u[:, null]
 
 
 def check_grid(x, name: str) -> np.ndarray:

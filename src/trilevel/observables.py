@@ -20,8 +20,8 @@ import scipy.linalg
 from .defaults import (EMISSION_EXCESS, NEWTON_STEP, NULL_CUT, ROUNDOFF,
                        SURVIVAL_FLOOR, TINY)
 from .errors import JumpRankError
-from .linalg import (check_density_matrix, check_grid, dagger, ketbra,
-                     mat_exp, vec)
+from .linalg import (check_density_matrix, check_grid, finite_number, ketbra,
+                     mat_exp, null_space, vec)
 from .dynamics import (_fill_powers, propagate_series, propagate_vectors,
                        steady_state)
 from .systems import LindbladModel
@@ -47,6 +47,13 @@ class SampledFunction:
     grid: np.ndarray
     values: np.ndarray
     meta: dict
+
+
+def _positive(value, name: str) -> None:
+    """Reject a ``value`` that is no finite number > 0 (true is no
+    number)."""
+    if not (finite_number(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0")
 
 
 def _reset_vec(reset_state: np.ndarray | None) -> np.ndarray:
@@ -170,11 +177,8 @@ def emission_spectrum(
         if resid > NULL_CUT * np.linalg.norm(l):
             raise ValueError(f"rho_ss is not stationary (|L rho_ss| = "
                              f"{resid:.3e})")
-    # P0 = V (U^+ V)^-1 U^+ from the right and left null spaces of L, the
-    # small singular values' right and left singular vectors
-    u, s, vh = np.linalg.svd(l)
-    null = s <= NULL_CUT * s[0]
-    right, left = vh[null].conj().T, u[:, null]
+    # P0 = V (W^+ V)^-1 W^+ from L's right and left null bases V and W
+    right, left = null_space(l)
     proj = right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
     # adding P0 makes i omega - L + P0 invertible and leaves (1 - P0) x
     # unchanged; with A = L - P0 = Z T Z^+ it is Z (i omega - T) Z^+
@@ -199,7 +203,7 @@ def emission_spectrum(
         y += _back_substitute(t, inv, _rows_times(res, z.conj()).T.copy())
         values[start:start + block.size] = (
             _rows_times(y, q)[:block.size, 0].real / np.pi)
-    coherent = complex(np.trace(dagger(detect) @ rho_ss)
+    coherent = complex(np.trace(detect.conj().T @ rho_ss)
                        * np.trace(detect @ rho_ss))
     return SampledFunction(omegas, values,
                            {"coherent_weight": coherent.real})
@@ -248,6 +252,7 @@ class McRun:
     populations_stderr: np.ndarray | None = None
 
     def __post_init__(self):
+        _positive(self.t_final, "t_final")
         for key, kind in ("offsets", int), ("times", float), ("channels", int):
             object.__setattr__(self, key,
                                np.asarray(getattr(self, key), dtype=kind))
@@ -417,16 +422,20 @@ def mc_trajectories(
     its first threshold at r = 0 (column 1) and the channel of its jump r
     (column 0) and its next threshold at r >= 1.  A fixed seed gives the
     same jumps, and trajectory i does not depend on ``n_traj`` or on the
-    other trajectories.  ``initial_state`` (default |1>) must be a finite,
+    other trajectories.  ``n_traj`` (>= 1) and ``seed`` must be integers
+    and ``t_final`` a finite number > 0; true is neither (ValueError).
+    ``initial_state`` (default |1>) must be a finite,
     nonzero 3-vector; it is normalized.  ``sample_times`` (finite, in any
     order, within [0, t_final]) requests ensemble populations with standard
     errors, for comparison against the master equation.
     """
+    for name, value in ("n_traj", n_traj), ("seed", seed):
+        if isinstance(value, bool):  # true is no integer
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     n_traj = operator.index(n_traj)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
-    if not 0 < t_final < np.inf:
-        raise ValueError("t_final must be finite and > 0")
+    _positive(t_final, "t_final")
     ops = model.jump_operators
     ranges, sv, _ = np.linalg.svd(ops)
     bad = np.flatnonzero(sv[:, 1] > ROUNDOFF * sv[:, 0])
@@ -514,11 +523,11 @@ def bright_dark_stats(run: McRun, threshold: float) -> BrightDarkStats:
     """Classify inter-jump gaps above ``threshold`` as dark periods.
 
     The trailing interval after the last jump is censored and ignored.
+    ``threshold`` must be a finite number > 0 (true is no number).
     """
     if run.offsets.size < 2:
         raise ValueError("empty run: no trajectories to analyze")
-    if not (threshold > 0):
-        raise ValueError("threshold must be > 0")
+    _positive(threshold, "threshold")
     gaps = interjump_gaps(run)
     dark = gaps[gaps > threshold]
     bright = gaps[gaps <= threshold]

@@ -53,7 +53,7 @@ import numpy as np
 
 from .defaults import CHANNEL_FLOOR, ROUNDOFF, SNAP
 from .errors import ScenarioError
-from .linalg import ketbra, vec
+from .linalg import finite_number, ketbra, vec
 
 
 class Config(str, enum.Enum):
@@ -117,7 +117,7 @@ class SystemParams:
                 continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ScenarioError(name, f"must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if not finite_number(value):
                 raise ScenarioError(name, f"must be finite, got {value}")
             if value < 0 and name.startswith(("gamma", "omega")):
                 raise ScenarioError(name, f"must be >= 0, got {value}")

@@ -858,3 +858,29 @@ def test_module_entry_point_runs(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "target configuration : fig2b" in done.stdout.splitlines()
+    # an integer beyond a double's range is rejected input, not a crash
+    payload = minimal_fig2a(system=_README_FIG2A | {"gamma21": 10**400})
+    cfg = write_scenario(tmp_path, payload, "huge.json")
+    done = subprocess.run([sys.executable, "-m", "trilevel.cli", "simulate",
+                           "--config", str(cfg), "--out",
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: system.gamma21: must be finite")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"system": _README_FIG2A | {"gamma21": 10**400}}, "system.gamma21"),
+    ({"time_grid": [0.0, 10**400, 3]}, "time_grid"),
+    ({"initial_state": [[1, 0, 0], [0, 0, 0], [0, 0, 10**400]]},
+     "initial_state"),
+], ids=["rate", "grid-stop", "matrix-entry"])
+def test_integers_beyond_a_double_are_named(tmp_path, capsys, entry, field):
+    # math.isfinite raises OverflowError on these; they are bad input
+    payload = minimal_fig2a(**entry)
+    code = main(["simulate", "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: ")
+    assert not (tmp_path / "out").exists()

@@ -195,6 +195,12 @@ def test_map_steps_reject_non_finite_input_by_name(step, args, name):
         step(*args)
 
 
+def test_map_steps_reject_an_int_beyond_a_double():
+    # math.isfinite(10**400) overflows; the step names its argument instead
+    with pytest.raises(ValueError, match="^delta must be finite"):
+        dressed_block(10**400, 1.0)
+
+
 # --------------------------------------------------------- dipole angle
 
 def test_dipole_angle_orthogonal():

@@ -899,6 +899,24 @@ def test_mc_run_validates_flat_jumps():
         run.trajectory[0] = 1  # and so is the trajectory index
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda m: mc_trajectories(m, True, 1.0, 0), "n_traj must be an integer"),
+    (lambda m: mc_trajectories(m, 3, 1.0, True), "seed must be an integer"),
+    (lambda m: mc_trajectories(m, 3, True, 0), "t_final must be finite"),
+    (lambda m: bright_dark_stats(_run([[1.0]], 5.0), True),
+     "threshold must be finite"),
+    (lambda m: _run([], math.nan), "t_final must be finite"),
+    (lambda m: _run([], 0.0), "t_final must be finite"),
+    (lambda m: _run([[1.0]], -1.0), "t_final must be finite"),
+], ids=["true-n-traj", "true-seed", "true-t-final", "true-threshold",
+        "nan-run-t-final", "zero-run-t-final", "negative-run-t-final"])
+def test_true_and_bad_final_times_are_rejected(call, message):
+    # as in a scenario, true is no number; a run's t_final obeys the rule
+    # mc_trajectories applies
+    with pytest.raises(ValueError, match=message):
+        call(build_model(fig2a_params()))
+
+
 def test_interjump_gaps_empty():
     assert interjump_gaps(_run([], 5.0)).size == 0
 
