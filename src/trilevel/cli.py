@@ -67,6 +67,8 @@ _OPTIONS = {
     "dark_threshold": (10.0, "positive"),  # longer gaps are dark periods
 }
 
+_TABLE_BLOCK = 4096  # data-file rows formatted by one % in _write_table
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -245,7 +247,8 @@ def _require_read(task: str, options: dict, raw: dict) -> None:
     spec = _TASKS[task]
     given = [f"{key}.{k}" for key in ("options", "tolerances")
              for k in raw.get(key, {})]
-    given += [key for key in ("seed", "target") if key in raw]
+    given += [key for key in ("time_grid", "omega_grid", "initial_state",
+                              "seed", "target") if key in raw]
     ever = spec.reads({}) | spec.reads({"compare_mapped": True})
     unread = [key for key in given if key not in ever]
     if unread:
@@ -274,18 +277,15 @@ def _system_to_dict(p: SystemParams) -> dict:
 
 
 def serialize_scenario(s: Scenario) -> dict:
-    """Canonical JSON-ready form; parse(serialize(s)) == s.  Only the seed
-    and tolerances the task reads are echoed."""
+    """Canonical JSON-ready form; parse(serialize(s)) == s.  Only the
+    entries the task reads are echoed."""
     spec = _TASKS[s.task]
     reads = spec.reads(s.options)
     out = {
         "schema_version": SCHEMA_VERSION,
         "task": s.task,
         "system": _system_to_dict(s.system),
-        "time_grid": list(s.time_grid),
-        "omega_grid": list(s.omega_grid),
-        "initial_state": s.initial_state,
-        **({"seed": s.seed} if "seed" in reads else {}),
+        **{key: getattr(s, key) for key in spec.inputs},
         "tolerances": {key: s.tolerances[key] for key in spec.tols
                        if f"tolerances.{key}" in reads},
         "options": dict(s.options),
@@ -471,41 +471,42 @@ def _trajectories(s: Scenario, model: LindbladModel) -> _Output:
 
 
 class _Task(NamedTuple):
-    """A verb: its function, the tolerances it compares by (``--tol`` sets
-    the first), its options, whether it always compares and whether it
-    reads the seed."""
+    """A verb: its function, the scenario entries it always reads (in echo
+    order), the tolerances it compares by (``--tol`` sets the first), its
+    options and whether it always compares."""
 
     run: Callable[[Scenario, LindbladModel], _Output]
+    inputs: tuple[str, ...] = ("time_grid", "initial_state")
     tols: tuple[str, ...] = ()
     options: tuple[str, ...] = ()
     target: bool = False
-    seed: bool = False
 
     def reads(self, options: dict) -> set[str]:
-        """The entries this task reads under ``options``: its options and
-        the seed if it takes one; when it compares (always, or with
-        compare_mapped set), also ``target`` and its tolerances, but not
-        detect_weights."""
+        """The entries this task reads under ``options``: its inputs and
+        options; when it compares (always, or with compare_mapped set),
+        also ``target`` and its tolerances, but not detect_weights."""
         compare = self.target or ("compare_mapped" in self.options
                                   and options.get("compare_mapped", False))
-        return ({f"options.{key}" for key in self.options
-                 if not (compare and key == "detect_weights")}
-                | ({"seed"} if self.seed else set())
+        return ({*self.inputs}
+                | {f"options.{key}" for key in self.options
+                   if not (compare and key == "detect_weights")}
                 | ({"target", *(f"tolerances.{key}" for key in self.tols)}
                    if compare else set()))
 
 
 _TASKS = {
     "simulate": _Task(_simulate),
-    "equiv-check": _Task(_equiv_check, ("equivalence", "trace"), target=True),
-    "spectrum": _Task(_spectrum, ("spectrum_rel",),
+    "equiv-check": _Task(_equiv_check, tols=("equivalence", "trace"),
+                         target=True),
+    "spectrum": _Task(_spectrum, ("omega_grid",), ("spectrum_rel",),
                       ("compare_mapped", "detect_weights")),
-    "g2": _Task(_photon_curve, ("photon_statistics",),
+    "g2": _Task(_photon_curve, ("time_grid",), ("photon_statistics",),
                 ("compare_mapped", "normalized")),
-    "waiting-time": _Task(_photon_curve, ("photon_statistics",),
-                          ("compare_mapped",)),
+    "waiting-time": _Task(_photon_curve, ("time_grid",),
+                          ("photon_statistics",), ("compare_mapped",)),
     "trajectories": _Task(_trajectories,
-                          options=("n_traj", "dark_threshold"), seed=True),
+                          ("time_grid", "initial_state", "seed"),
+                          options=("n_traj", "dark_threshold")),
 }
 TASKS = tuple(_TASKS)
 
@@ -517,8 +518,7 @@ def run(s: Scenario, out_dir: str | Path) -> dict:
     out = _TASKS[s.task].run(s, build_model(s.system))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out_dir / out.fname, np.column_stack(out.columns),
-               fmt="%.12e", header="\n".join(out.header))
+    _write_table(out_dir / out.fname, out.header, out.columns)
     emap = None if out.emap is None else (
         dataclasses.asdict(out.emap) | {"unitary": out.emap.unitary.tolist()})
     report = {
@@ -532,15 +532,29 @@ def run(s: Scenario, out_dir: str | Path) -> dict:
         "version": __version__,
         "passed": all(check["passed"] for check in out.checks),
     }
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n",
+                                         encoding="utf-8")
     for check in out.checks:
         log.info("check %s: %s", check["name"],
                  "pass" if check["passed"] else "FAIL")
     return report
 
 
+def _write_table(path: Path, header: list[str],
+                 columns: list[np.ndarray]) -> None:
+    """Write the columns as rows of '%.12e' under '# '-prefixed header lines:
+    the bytes of ``np.savetxt(path, np.column_stack(columns), fmt="%.12e",
+    header="\\n".join(header))``, with one % per block of rows."""
+    table = np.column_stack(columns)
+    row = " ".join(["%.12e"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="latin1") as fh:
+        fh.write("".join(f"# {line}\n" for line in header))
+        for start in range(0, len(table), _TABLE_BLOCK):
+            block = table[start:start + _TABLE_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trilevel",
@@ -554,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
         spec = _TASKS.get(verb)
         if spec:
             p.add_argument("--out", default=".", help="output directory")
-        if spec and spec.seed:
+        if spec and "seed" in spec.inputs:
             p.add_argument("--seed", type=int, default=None,
                            help="override the scenario seed")
         if spec and spec.tols:
@@ -564,12 +578,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        level=os.environ.get("TRILEVEL_LOG_LEVEL", "WARNING").upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
+        try:  # read on every call: basicConfig acts on the first one only
+            log.setLevel(os.environ.get("TRILEVEL_LOG_LEVEL",
+                                        "WARNING").upper())
+        except ValueError as err:
+            raise ScenarioError("TRILEVEL_LOG_LEVEL", str(err)) from None
         scenario = parse_scenario(args.config)
         if args.verb == "describe-map":
             print(describe_map(scenario.system))

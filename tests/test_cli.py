@@ -1,5 +1,7 @@
+import argparse
 import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
@@ -33,6 +35,12 @@ def minimal_fig2a(task="simulate", **extra):
     }
     payload.update(extra)
     return payload
+
+
+def read_grid(verb, time_grid, omega_grid):
+    """The one grid entry ``verb`` reads: spectrum reads only omega_grid."""
+    return ({"omega_grid": omega_grid} if verb == "spectrum"
+            else {"time_grid": time_grid})
 
 
 # ---------------------------------------------------------------- parsing
@@ -110,10 +118,13 @@ READ_ENTRIES = {
 def test_scenario_round_trip_is_identity(tmp_path):
     assert set(READ_ENTRIES) == set(cli.TASKS)
     for task, entries in READ_ENTRIES.items():
-        payload = minimal_fig2a(task=task, time_grid=[0.0, 10.0, 101],
-                                **entries)
+        payload = minimal_fig2a(
+            task=task, **read_grid(task, [0.0, 10.0, 101], [-3.0, 3.0, 31]),
+            **entries)
         first = parse_scenario(write_scenario(tmp_path, payload))
         echo = serialize_scenario(first)
+        assert [key for key in echo if key.endswith("_grid")] == list(
+            read_grid(task, None, None)), task
         assert echo["tolerances"] == entries.get("tolerances", {}), task
         assert echo.get("seed") == entries.get("seed"), task
         second = parse_scenario(write_scenario(tmp_path, echo,
@@ -589,8 +600,8 @@ _FIG1A = {"config": "fig1a", "gamma21": 1.0, "gamma23": 0.3, "omega_a": 1.2,
         "false-tolerances"])
 def test_wrongly_typed_entries_are_named(tmp_path, capsys, verb, entry,
                                          field):
-    payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
-                            omega_grid=[-1.0, 1.0, 5], **entry)
+    payload = minimal_fig2a(task=verb, **read_grid(verb, [0.0, 1.0, 3],
+                                                   [-1.0, 1.0, 5]), **entry)
     code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
                  "--out", str(tmp_path / "out")])
     assert code == 2
@@ -608,8 +619,8 @@ def test_tol_flag_only_on_verbs_that_read_it(tmp_path, verb):
 
 @pytest.mark.parametrize("verb", ["g2", "waiting-time", "spectrum"])
 def test_tol_flag_needs_compare_mapped(tmp_path, capsys, verb):
-    payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
-                            omega_grid=[-1.0, 1.0, 5])
+    payload = minimal_fig2a(task=verb, **read_grid(verb, [0.0, 1.0, 3],
+                                                   [-1.0, 1.0, 5]))
     code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
                  "--out", str(tmp_path / "out"), "--tol", "0.5"])
     assert code == 2
@@ -695,6 +706,13 @@ TARGET = {"config": "fig2b", "gamma21": 0.55, "gamma31": 0.55,
     ("g2", {"options": {"compare_mapped": True},
             "target": {"config": "fig2a", "gamma21": 1.0, "gamma31": 0.1,
                        "omega_a": 2.0, "phi": None}}, "target.phi"),
+    ("g2", {"initial_state": 3}, "initial_state"),
+    ("waiting-time", {"initial_state": 1}, "initial_state"),
+    ("spectrum", {"initial_state": 2}, "initial_state"),
+    ("spectrum", {"time_grid": [0.0, 1.0, 3]}, "time_grid"),
+    ("simulate", {"omega_grid": [-1.0, 1.0, 5]}, "omega_grid"),
+    ("g2", {"omega_grid": [-1.0, 1.0, 5]}, "omega_grid"),
+    ("trajectories", {"omega_grid": [-1.0, 1.0, 5]}, "omega_grid"),
 ], ids=["n-traj-on-simulate", "compare-on-simulate", "target-on-simulate",
         "compare-on-equiv-check", "normalized-on-waiting-time",
         "target-without-compare", "weights-with-compare",
@@ -704,11 +722,14 @@ TARGET = {"config": "fig2b", "gamma21": 0.55, "gamma31": 0.55,
         "photon-statistics-on-g2-without-compare",
         "photon-statistics-on-waiting-time-without-compare",
         "spectrum-rel-without-compare", "phi-on-fig2a", "phi-on-fig1a",
-        "null-phi-on-fig2a-target"])
+        "null-phi-on-fig2a-target", "initial-state-on-g2",
+        "initial-state-on-waiting-time", "initial-state-on-spectrum",
+        "time-grid-on-spectrum", "omega-grid-on-simulate",
+        "omega-grid-on-g2", "omega-grid-on-trajectories"])
 def test_entries_the_task_never_reads_are_rejected(tmp_path, capsys, verb,
                                                    entry, field):
-    payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
-                            omega_grid=[-1.0, 1.0, 5], **entry)
+    payload = minimal_fig2a(task=verb, **read_grid(verb, [0.0, 1.0, 3],
+                                                   [-1.0, 1.0, 5]), **entry)
     code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
                  "--out", str(tmp_path / "out")])
     assert code == 2
@@ -718,8 +739,8 @@ def test_entries_the_task_never_reads_are_rejected(tmp_path, capsys, verb,
 
 @pytest.mark.parametrize("verb", cli.TASKS)
 def test_report_echoes_only_what_the_task_reads(tmp_path, verb):
-    payload = minimal_fig2a(task=verb, time_grid=[0.0, 2.0, 5],
-                            omega_grid=[-1.0, 1.0, 5])
+    payload = minimal_fig2a(task=verb, **read_grid(verb, [0.0, 2.0, 5],
+                                                   [-1.0, 1.0, 5]))
     if verb == "trajectories":
         payload["options"] = {"n_traj": 5}
     assert main([verb, "--config", str(write_scenario(tmp_path, payload)),
@@ -731,6 +752,12 @@ def test_report_echoes_only_what_the_task_reads(tmp_path, verb):
     expected = list(cli._TASKS[verb].tols) if verb == "equiv-check" else []
     assert list(echo["tolerances"]) == expected
     assert ("seed" in echo) == (verb == "trajectories")
+    # the grid it reads, and the initial state only where a run starts from
+    # it: simulate, equiv-check and trajectories
+    assert [key for key in echo if key.endswith("_grid")] == list(
+        read_grid(verb, None, None))
+    assert ("initial_state" in echo) == (
+        verb in ("simulate", "equiv-check", "trajectories"))
 
 
 def test_combined_gamma_spelling_is_an_unknown_field(tmp_path, capsys):
@@ -772,8 +799,8 @@ def test_seed_flag_is_checked_like_the_scenario_seed(tmp_path, capsys):
 @pytest.mark.parametrize("verb", ["g2", "waiting-time", "spectrum"])
 def test_compare_mapped_honours_target(tmp_path, verb):
     # the fig2b target of test_equiv_check_detects_wrong_target is no twin
-    payload = minimal_fig2a(task=verb, time_grid=[0.0, 5.0, 26],
-                            omega_grid=[-4.0, 4.0, 41],
+    payload = minimal_fig2a(task=verb, **read_grid(verb, [0.0, 5.0, 26],
+                                                   [-4.0, 4.0, 41]),
                             options={"compare_mapped": True})
     payload["target"] = {"config": "fig2b", "gamma21": 0.55, "gamma31": 0.55,
                          "omega_a": 1.4, "omega_b": 1.4, "delta2": -0.6,
@@ -834,8 +861,9 @@ DATA_FILES = {"simulate": "populations.dat", "equiv-check": "equivalence.dat",
 
 @pytest.mark.parametrize("verb", cli.TASKS)
 def test_each_verb_writes_one_data_file(tmp_path, verb):
-    payload = minimal_fig2a(task=verb, time_grid=[0.0, 5.0, 11],
-                            omega_grid=[-2.0, 2.0, 11], options={})
+    payload = minimal_fig2a(task=verb, **read_grid(verb, [0.0, 5.0, 11],
+                                                   [-2.0, 2.0, 11]),
+                            options={})
     if verb == "trajectories":
         payload["options"]["n_traj"] = 5
     out = tmp_path / "out"
@@ -847,24 +875,26 @@ def test_each_verb_writes_one_data_file(tmp_path, verb):
     assert report["outputs"] == [DATA_FILES[verb]]
 
 
-def test_module_entry_point_runs(tmp_path):
-    # ``python -m trilevel.cli`` runs ``main`` and exits with its status
-    cfg = write_scenario(tmp_path, minimal_fig2a(system=_README_FIG2A))
+def run_module(*args):
+    """``python -m trilevel.cli *args`` in a fresh process."""
     src = str(Path(trilevel.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "trilevel.cli",
-                           "describe-map", "--config", str(cfg)],
+    return subprocess.run([sys.executable, "-m", "trilevel.cli", *args],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_module_entry_point_runs(tmp_path):
+    # ``python -m trilevel.cli`` runs ``main`` and exits with its status
+    cfg = write_scenario(tmp_path, minimal_fig2a(system=_README_FIG2A))
+    done = run_module("describe-map", "--config", str(cfg))
     assert done.returncode == 0, done.stderr
     assert "target configuration : fig2b" in done.stdout.splitlines()
     # an integer beyond a double's range is rejected input, not a crash
     payload = minimal_fig2a(system=_README_FIG2A | {"gamma21": 10**400})
     cfg = write_scenario(tmp_path, payload, "huge.json")
-    done = subprocess.run([sys.executable, "-m", "trilevel.cli", "simulate",
-                           "--config", str(cfg), "--out",
-                           str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=60)
+    done = run_module("simulate", "--config", str(cfg),
+                      "--out", str(tmp_path / "out"))
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error: system.gamma21: must be finite")
     assert not (tmp_path / "out").exists()
@@ -884,3 +914,111 @@ def test_integers_beyond_a_double_are_named(tmp_path, capsys, entry, field):
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: ")
     assert not (tmp_path / "out").exists()
+
+
+# ------------------------------------------------- in-process calls of main
+
+@pytest.mark.parametrize("rows", [0, 1, 7, cli._TABLE_BLOCK + 1])
+@pytest.mark.parametrize("block", [3, cli._TABLE_BLOCK])
+def test_data_files_are_what_savetxt_writes(tmp_path, monkeypatch, rows,
+                                            block):
+    monkeypatch.setattr(cli, "_TABLE_BLOCK", block)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e-300,
+                5e-324, 1.0 / 3.0, -2.5e-7]
+    rng = np.random.default_rng(rows + block)
+    for n_cols in (1, 3):
+        columns = [rng.choice(specials, rows) * rng.choice([1.0, 7.3], rows)
+                   for _ in range(n_cols)]
+        header = ["trilevel test (fig2a), coherent_weight = 1e+00",
+                  "time [1/Gamma_ref], value [1]"]
+        ours, ref = tmp_path / f"ours{n_cols}.dat", tmp_path / f"ref{n_cols}.dat"
+        cli._write_table(ours, header, columns)
+        np.savetxt(ref, np.column_stack(columns), fmt="%.12e",
+                   header="\n".join(header))
+        assert ours.read_bytes() == ref.read_bytes(), (rows, block, n_cols)
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser.cache_clear()
+    try:
+        cfg = str(write_scenario(tmp_path, minimal_fig2a(
+            time_grid=[0.0, 1.0, 3])))
+        for k in range(3):
+            assert main(["simulate", "--config", cfg,
+                         "--out", str(tmp_path / f"out{k}")]) == 0
+        assert main(["describe-map", "--config", cfg]) == 0
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("trilevel") == 1
+
+
+def test_seed_flag_does_not_outlive_its_call(tmp_path):
+    payload = minimal_fig2a(task="trajectories", time_grid=[0.0, 10.0, 2],
+                            seed=11, options={"n_traj": 20})
+    cfg = str(write_scenario(tmp_path, payload))
+    assert main(["trajectories", "--config", cfg, "--seed", "5",
+                 "--out", str(tmp_path / "five")]) == 0
+    assert main(["trajectories", "--config", cfg,
+                 "--out", str(tmp_path / "again")]) == 0
+    done = run_module("trajectories", "--config", cfg,
+                      "--out", str(tmp_path / "fresh"))
+    assert done.returncode == 0, done.stderr
+    jumps = {name: (tmp_path / name / "jumps.dat").read_bytes()
+             for name in ("five", "again", "fresh")}
+    assert jumps["again"] == jumps["fresh"] != jumps["five"]
+    assert json.loads((tmp_path / "again" / "report.json").read_text())[
+        "scenario"]["seed"] == 11
+
+
+def test_tol_flag_does_not_outlive_its_call(tmp_path, capsys):
+    payload = minimal_fig2a(task="equiv-check", system=_README_FIG2A,
+                            time_grid=[0.0, 5.0, 26],
+                            tolerances={"equivalence": 1e-6})
+    cfg = str(write_scenario(tmp_path, payload))
+    assert main(["equiv-check", "--config", cfg, "--tol", "1e-30",
+                 "--out", str(tmp_path / "tight")]) == 1
+    capsys.readouterr()
+    assert main(["equiv-check", "--config", cfg,
+                 "--out", str(tmp_path / "again")]) == 0
+    again = capsys.readouterr().out
+    fresh = cli.run(parse_scenario(cfg), tmp_path / "fresh")
+    assert again.splitlines()[0].endswith(" (tol 1.0e-06) pass")
+    report = json.loads((tmp_path / "again" / "report.json").read_text())
+    assert report["checks"] == fresh["checks"]
+    assert report["scenario"] == json.loads(json.dumps(fresh["scenario"]))
+    assert ((tmp_path / "again" / "equivalence.dat").read_bytes()
+            == (tmp_path / "fresh" / "equivalence.dat").read_bytes())
+
+
+def test_bad_log_level_is_rejected_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("TRILEVEL_LOG_LEVEL", "LOUD")
+    cfg = str(write_scenario(tmp_path, minimal_fig2a(task="equiv-check")))
+    assert main(["equiv-check", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: TRILEVEL_LOG_LEVEL: Unknown level: 'LOUD'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_call_reads_the_log_level(tmp_path, caplog, monkeypatch):
+    cfg = str(write_scenario(tmp_path, minimal_fig2a(
+        task="equiv-check", time_grid=[0.0, 1.0, 3])))
+    level = cli.log.level
+    try:
+        for k, name in enumerate(["WARNING", "info", "WARNING"]):
+            monkeypatch.setenv("TRILEVEL_LOG_LEVEL", name)
+            caplog.clear()
+            assert main(["equiv-check", "--config", cfg,
+                         "--out", str(tmp_path / f"out{k}")]) == 0
+            infos = [r.getMessage() for r in caplog.records
+                     if r.name == "trilevel" and r.levelno == logging.INFO]
+            assert ("check trace_error: pass" in infos) == (name == "info")
+    finally:
+        cli.log.setLevel(level)
