@@ -388,7 +388,9 @@ def _equiv_check(s: Scenario, model: LindbladModel) -> _Output:
         [rep.times, rep.distances],
         (_check("equivalence_max_frobenius_distance", rep.max_dist, tol),
          _check("trace_error", rep.max_trace_error, s.tolerances["trace"]),
-         _check("negative_eigenvalue", -rep.min_eigenvalue, DENSITY_SLACK)),
+         # 0.0 - x, not -x: a minimum of 0.0 reports +0.0
+         _check("negative_eigenvalue", 0.0 - rep.min_eigenvalue,
+                DENSITY_SLACK)),
         emap)
 
 
@@ -577,8 +579,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the sys.stderr current when it is emitted, so
+    a caller that redirects stderr per call gets its own call's records."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.stream = sys.stderr
+        super().emit(record)
+
+
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig installs the handler on the first call only, so each
+    # record is written once however often main runs
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s",
+                        handlers=[_StderrHandler()])
     args = _build_parser().parse_args(argv)
     try:
         try:  # read on every call: basicConfig acts on the first one only

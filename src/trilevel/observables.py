@@ -284,19 +284,37 @@ class McRun:
                      for i, (a, b) in enumerate(bounds))
 
 
+# Taylor terms of each no-jump quadratic form in the offset from a table
+# point
+_TERMS = 11
+# <psi|B|psi> = w . beta(B) for Hermitian B: w holds the |psi_i|^2, then Re
+# and Im of conj(psi_i) psi_k for i < k; beta(B) the matching entries of B
+_ROW, _COL = (0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)
+
+
 class _NoJumpEvolution:
-    """exp(-i H_eff tau) psi_j of a few start states, 0 <= tau <= t_max:
-    tabulated at multiples of h = min(t_max, 1/(8 ||H_eff||)), in between
-    an 11-term Taylor polynomial from the nearest table point, exact to
-    about 16**-11 / 11! ~ 1e-21 at |delta| ||H_eff|| <= 1/16.  The table
-    also holds each start's survival ||psi||^2 and its exact slope
-    -<psi|K|psi>, K = ``model.decay``.  It stops at the first point where
-    every survival is below SURVIVAL_FLOOR, the smallest threshold a
-    trajectory draws, so a model that keeps emitting needs a bounded table
-    whatever t_max; a dark state, whose survival levels off above that,
-    keeps the whole table.  Squaring the step's exponential to
-    power-of-two points bounds that length; the table is then allocated
-    once and filled by the series' doubling, ``dynamics._fill_powers``."""
+    """Quadratic forms <psi(tau)|O|psi(tau)> of psi(tau) = exp(-i H_eff
+    tau) psi_j for a few start states, 0 <= tau <= t_max: the survival
+    (O = 1), the level populations (the projectors) and the channel rates
+    (O = c_k^+ c_k of ``model.jump_operators``).
+
+    The table holds, at multiples of h = min(t_max, 1/(8 ||H_eff||)), the
+    9 reals w of psi psi^+ of each start.  From the nearest table point, a
+    form is the real polynomial sum_n delta^n w . beta(B_n) of the offset
+    delta, with B_0 = O and (n + 1) B_(n+1) = (i H_eff^+) B_n + B_n
+    (-i H_eff), the Taylor coefficients of exp(i H_eff^+ delta) O
+    exp(-i H_eff delta).  At |delta| <= h/2 the 11 terms kept leave out at
+    most (2 ||H_eff|| |delta|)**11 / 11! ~ 2.9e-18 of the form at that
+    point.  Each start's survival is also kept as a non-increasing search
+    table.
+
+    The table stops at the first point where every survival is below
+    SURVIVAL_FLOOR, the smallest threshold a trajectory draws, so a model
+    that keeps emitting needs a bounded table whatever t_max; a dark state,
+    whose survival levels off above that, keeps the whole table.  Squaring
+    the step's exponential to power-of-two points bounds that length; the
+    table is then allocated once, and each start's states are filled by the
+    series' doubling, ``dynamics._fill_powers``, and reduced to w."""
 
     def __init__(self, model: LindbladModel, starts: np.ndarray,
                  t_max: float):
@@ -308,40 +326,62 @@ class _NoJumpEvolution:
         # of a long dark period, the root is only good to about (roundoff of
         # the survival) / |slope|: 4.9e-11 at slope -1.3e-6, say
         self.tol = NEWTON_STEP * min(t_max, scale)
-        self.gen_t = -1j * h_eff.T  # psi @ gen_t = -i H_eff psi for rows psi
-        self.decay_t = model.decay.T
-        step = mat_exp(-1j * h_eff, self.h)
+        ops = model.jump_operators
+        gen = -1j * h_eff
+        # B_0 = O: 1, the level projectors, the c_k^+ c_k
+        terms = [np.concatenate([np.eye(3)[None],
+                                 [np.diag(e) for e in np.eye(3)],
+                                 ops.conj().transpose(0, 2, 1) @ ops])]
+        for q in range(1, _TERMS):
+            terms.append((gen.conj().T @ terms[-1] + terms[-1] @ gen) / q)
+        b = np.stack(terms)[..., _ROW, _COL]  # (terms, forms, 6)
+        beta = np.concatenate([b.real * [1, 1, 1, 2, 2, 2],
+                               -2 * b[..., 3:].imag], axis=-1)
+        # (terms, 9), (terms, 3, 9) and (terms, channels, 9)
+        self.beta_survival = beta[:, 0].copy()
+        self.beta_populations = beta[:, 1:4].copy()
+        self.beta_rates = beta[:, 4:].copy()
+        step = mat_exp(gen, self.h)
         n, power, end = int(np.ceil(t_max / self.h)), step, 1
         while end < n and (np.abs(starts @ power.T) ** 2).sum(
                 axis=1).max() >= SURVIVAL_FLOOR:
             power, end = power @ power, 2 * end
-        table = np.empty((len(starts), min(end, n) + 1, 3), dtype=complex)
-        table[:, 0] = starts
-        for psi, rows in zip(starts, table[:, 1:]):
-            _fill_powers(step, psi, rows)
-        survival = (np.abs(table) ** 2).sum(axis=2)
+        table = np.empty((len(starts), min(end, n) + 1, 9))
+        psi = np.empty((table.shape[1], 3), dtype=complex)
+        for j, start in enumerate(starts):
+            psi[0] = start
+            _fill_powers(step, start, psi[1:])
+            for col, (i, k) in enumerate(zip(_ROW, _COL)):
+                z = psi[:, i].conj() * psi[:, k]
+                table[j, :, col] = z.real
+                if i < k:
+                    table[j, :, col + 3] = z.imag
+        survival = table[:, :, :3].sum(axis=2)
         below = survival.max(axis=0) < SURVIVAL_FLOOR
         end = np.argmax(below) + 1 if below.any() else table.shape[1]
         self.table = table[:, :end]
         # the survival is non-increasing: clip roundoff so it can be searched
         self.survival = np.minimum.accumulate(survival[:, :end], axis=1)
-        self.slope = -np.einsum("jmi,ki,jmk->jm", self.table.conj(),
-                                self.decay_t, self.table).real
 
-    def states(self, start: np.ndarray, tau: np.ndarray) -> np.ndarray:
-        """Rows exp(-i H_eff tau_r) psi_{start_r}."""
+    def forms(self, beta: np.ndarray, start: np.ndarray, tau: np.ndarray,
+              slope: bool = False):
+        """The forms of ``beta`` (one of the beta_* arrays) at rows
+        (start_r, tau_r), the last axis running over rows; with ``slope``,
+        also their tau derivative.  One Horner loop in the offset from the
+        nearest table point."""
         m = np.rint(tau / self.h).astype(int)
-        delta = (tau - m * self.h)[:, None]
-        base = out = self.table[start, m]
-        for n in range(10, 0, -1):  # Horner
-            out = out @ self.gen_t
-            out *= delta / n
-            out += base
-        return out
+        delta = tau - m * self.h
+        c = beta @ self.table[start, m].T  # (terms, ..., rows)
+        value, deriv = c[-1], 0.0
+        for n in range(_TERMS - 2, -1, -1):
+            if slope:
+                deriv = deriv * delta + value
+            value = value * delta + c[n]
+        return (value, deriv) if slope else value
 
     def jump_times(self, start, u, t_left):
         """Times at which the survival ||psi(tau)||^2 falls to u, NaN where
-        it stays >= u on [0, t_left], and the states psi(tau) there."""
+        it stays >= u on [0, t_left]."""
         m = np.empty(u.size, dtype=int)
         for j, survival in enumerate(self.survival):
             m[start == j] = np.searchsorted(-survival, -u[start == j],
@@ -349,7 +389,6 @@ class _NoJumpEvolution:
         # table point m is the first below u, so the root lies in [lo, hi]
         k = np.maximum(m - 1, 0)
         tau = np.full(u.size, np.nan)
-        psi_at = np.full((u.size, 3), np.nan, dtype=complex)
         rows = np.flatnonzero((m < self.table.shape[1])
                               & (k * self.h < t_left))
         start, u, k, m = start[rows], u[rows], k[rows], m[rows]
@@ -357,10 +396,10 @@ class _NoJumpEvolution:
         # start from the root of the cubic Hermite interpolant of the
         # survival and its slope on [lo, hi], in x = (t - lo) / (hi - lo):
         # from the secant root, two Newton steps on the cubic, clipped to
-        # the bracket
+        # the bracket.  The slope at a table point is w . beta(B_1) = -<K>
         s0, s1 = self.survival[start, k], self.survival[start, m]
-        d0, d1 = (self.slope[start, k] * (hi - lo),
-                  self.slope[start, m] * (hi - lo))
+        d0, d1 = (self.table[start, k] @ self.beta_survival[1] * (hi - lo),
+                  self.table[start, m] @ self.beta_survival[1] * (hi - lo))
         c2, c3 = 3 * (s1 - s0) - 2 * d0 - d1, d0 + d1 - 2 * (s1 - s0)
         x = np.clip((s0 - u) / np.maximum(s0 - s1, TINY), 0.0, 1.0)
         for _ in range(2):
@@ -368,16 +407,15 @@ class _NoJumpEvolution:
             df = d0 + x * (2 * c2 + 3 * x * c3)
             x = np.clip(x - f / np.minimum(df, -TINY), 0.0, 1.0)
         t = lo + x * (hi - lo)
-        # Newton with the exact slope -<psi|K|psi> polishes the root in
-        # [lo, hi] and bisects where a step would leave it or not halve the
-        # step before last (rtsafe)
+        # Newton on the survival polynomial polishes the root in [lo, hi]
+        # and bisects where a step would leave it or not halve the step
+        # before last (rtsafe)
         step = before = hi - lo
         for _ in range(100):  # the step halves at least every other time
             if not rows.size:
-                return np.where(tau <= t_left, tau, np.nan), psi_at
-            psi = self.states(start, t)
-            f = (np.abs(psi) ** 2).sum(axis=1) - u
-            slope = -np.einsum("ri,ri->r", psi.conj(), psi @ self.decay_t).real
+                return np.where(tau <= t_left, tau, np.nan)
+            f, slope = self.forms(self.beta_survival, start, t, slope=True)
+            f -= u
             lo, hi = np.where(f >= 0, t, lo), np.where(f >= 0, hi, t)
             newton = f / np.minimum(slope, -TINY)  # slope <= 0 up to roundoff
             bisect = ~((t - newton >= lo) & (t - newton <= hi)
@@ -386,7 +424,6 @@ class _NoJumpEvolution:
             t = t - step
             done = np.abs(step) <= self.tol  # |step| <= hi - lo
             tau[rows[done]] = t[done]
-            psi_at[rows[done]] = psi[done]
             rows, start, u, lo, hi, t, step, before = (
                 a[~done] for a in (rows, start, u, lo, hi, t, step, before))
         raise RuntimeError("jump-time root search did not converge")
@@ -415,7 +452,10 @@ def mc_trajectories(
     under H_eff = H - i K / 2 until its survival ||psi||^2 falls to a
     uniform threshold, a root found without any time grid.  The channel
     is drawn from the rates ||c_k psi||^2 of the diagonalized dissipator
-    modes at that root, so cross-damping models unravel correctly.
+    modes at that root, so cross-damping models unravel correctly.  The
+    survival, the rates and the sampled populations are each a real
+    polynomial in the offset from a table point of ``_NoJumpEvolution``,
+    so no state is evaluated in a round.
     Every trajectory still running jumps once per round, so the streams
     are keyed by round: at round r trajectory i reads row i of
     ``default_rng(SeedSequence(seed, spawn_key=(r,))).random((n, 2))``,
@@ -467,19 +507,22 @@ def mc_trajectories(
     found = [(traj[:0], t0[:0], start[:0])]
     jump_round = 0  # not r: the sampling block binds r
     while traj.size:
-        tau, psi = evo.jump_times(start, thresholds[traj], t_final - t0)
+        tau = evo.jump_times(start, thresholds[traj], t_final - t0)
         jumped = ~np.isnan(tau)
         t_end = np.where(jumped, np.minimum(t0 + tau, t_final), np.inf)
         if sample_times is not None:  # samples within each segment [t0, t_end)
             r, j = np.nonzero((t0[:, None] <= sample_times)
                               & (sample_times < t_end[:, None]))
-            p = np.abs(evo.states(start[r], sample_times[j] - t0[r])) ** 2
+            # a form of a PSD operator dips below 0 by roundoff at most
+            p = np.maximum(evo.forms(evo.beta_populations, start[r],
+                                     sample_times[j] - t0[r]).T, 0.0)
             p /= p.sum(axis=1, keepdims=True)
             np.add.at(moments, j, np.stack([p, p ** 2], axis=1))
-        traj, t0, psi = traj[jumped], t_end[jumped], psi[jumped]
+        traj, t0 = traj[jumped], t_end[jumped]
         if not traj.size:
             break
-        rates = (np.abs(np.einsum("kij,rj->rki", ops, psi)) ** 2).sum(axis=2)
+        rates = np.maximum(evo.forms(evo.beta_rates, start[jumped],
+                                     tau[jumped]).T, 0.0)
         jump_round += 1
         # traj increases: the rows past its last entry are not drawn
         draw, next_u = _round_draws(seed, jump_round, traj[-1] + 1)[traj].T

@@ -1022,3 +1022,57 @@ def test_every_call_reads_the_log_level(tmp_path, caplog, monkeypatch):
             assert ("check trace_error: pass" in infos) == (name == "info")
     finally:
         cli.log.setLevel(level)
+
+
+def test_zero_minimum_eigenvalue_reports_plus_zero(tmp_path, capsys):
+    # the fig2a scenario's states have a minimum eigenvalue of exactly 0.0,
+    # which the negative_eigenvalue check reports as +0.0, not -0.0
+    cfg = write_scenario(tmp_path, minimal_fig2a(
+        task="equiv-check", time_grid=[0.0, 5.0, 11]))
+    assert main(["equiv-check", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    value = {c["name"]: c["value"] for c in report["checks"]}[
+        "negative_eigenvalue"]
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert "negative_eigenvalue: 0.000000e+00 (tol" in capsys.readouterr().out
+
+
+def test_log_records_go_to_the_stderr_of_their_call(tmp_path):
+    # in a fresh process, so that no handler of pytest's is installed:
+    # two calls under two redirected stderr buffers, each with only its own
+    # call's records, each written once
+    equiv = write_scenario(tmp_path, minimal_fig2a(
+        task="equiv-check", time_grid=[0.0, 1.0, 3]), "equiv.json")
+    spectrum = write_scenario(tmp_path, minimal_fig2a(
+        task="spectrum", omega_grid=[-2.0, 2.0, 5],
+        options={"compare_mapped": True}), "spectrum.json")
+    calls = [["equiv-check", "--config", str(equiv),
+              "--out", str(tmp_path / "a")],
+             ["spectrum", "--config", str(spectrum),
+              "--out", str(tmp_path / "b")]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from trilevel.cli import main\n"
+        "buffers = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    buffers.append(io.StringIO())\n"
+        "    with contextlib.redirect_stderr(buffers[-1]):\n"
+        "        assert main(argv) == 0\n"
+        "print(json.dumps([b.getvalue() for b in buffers]))\n")
+    src = str(Path(trilevel.__file__).resolve().parents[1])
+    env = dict(os.environ, TRILEVEL_LOG_LEVEL="INFO",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    first, second = json.loads(done.stdout.splitlines()[-1])
+    assert first.splitlines() == [
+        "INFO trilevel: check equivalence_max_frobenius_distance: pass",
+        "INFO trilevel: check trace_error: pass",
+        "INFO trilevel: check negative_eigenvalue: pass"]
+    assert second.splitlines() == [
+        "INFO trilevel: check spectrum_mapped_pair_rel_diff: pass"]

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -516,6 +517,30 @@ def test_mc_fixed_seed_records_are_pinned(name):
     np.testing.assert_allclose(records[0].times, times, rtol=0, atol=1e-9)
 
 
+# the benchmark's two shelving ensembles, fig2a (gamma31 = 0.005) and its
+# fig2b twin, 1000 trajectories to t = 20: the seed, the total jumps and
+# the SHA-256 of the offsets, then the channels, as little-endian int64
+_PINNED_ENSEMBLES = {
+    "fig2a": (2025, 12628, "341410f151bd996b458627389b6d5e90"
+                           "3988af3fe865484a2866fc09a27c0de7"),
+    "fig2b": (4050, 12523, "8fbed91a2ff85671043902a96f6e477c"
+                           "60c394b3da2550cb38ee92c0be14a4f1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_ENSEMBLES))
+def test_mc_benchmark_ensembles_are_pinned(name):
+    p = SystemParams(Config.FIG2A, gamma21=1.0, gamma23_or_31=0.005,
+                     omega_a=1.0, omega_b=0.08)
+    m = mapped_pair(p)[name == "fig2b"]
+    seed, jumps, digest = _PINNED_ENSEMBLES[name]
+    run = mc_trajectories(m, n_traj=1000, t_final=20.0, seed=seed)
+    assert run.offsets[-1] == jumps
+    data = b"".join(a.astype("<i8").tobytes()
+                    for a in (run.offsets, run.channels))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_mc_trajectory_does_not_depend_on_ensemble_size():
     m = build_model(fig2a_params())
     few = mc_trajectories(m, n_traj=5, t_final=40.0, seed=8).records
@@ -666,6 +691,14 @@ _TABLE_MODELS = {
 }
 
 
+def _outer_reals(psi):
+    """The 9 reals of psi psi^+ of each row: the |psi_i|^2, then Re and Im
+    of conj(psi_i) psi_k for (i, k) = (0, 1), (0, 2), (1, 2)."""
+    i, k = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    z = psi[..., i].conj() * psi[..., k]
+    return np.concatenate([z.real, z[..., 3:].imag], axis=-1)
+
+
 @pytest.mark.parametrize("name", sorted(_TABLE_MODELS))
 def test_no_jump_table_rows_are_step_powers(name):
     m, t_max = _TABLE_MODELS[name]
@@ -674,13 +707,51 @@ def test_no_jump_table_rows_are_step_powers(name):
     n = evo.table.shape[1]
     for k in (1, n // 2, n - 1):
         ref = mat_exp(-1j * m.effective_hamiltonian, k * evo.h) @ starts.T
-        np.testing.assert_allclose(evo.table[:, k], ref.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(evo.table[:, k], _outer_reals(ref.T),
+                                   rtol=0, atol=1e-12)
     # the table ends at the first point where every survival is below the
     # floor, or at the horizon when some survival never gets there
-    below = (np.abs(evo.table) ** 2).sum(axis=2).max(axis=0) < SURVIVAL_FLOOR
+    below = evo.table[:, :, :3].sum(axis=2).max(axis=0) < SURVIVAL_FLOOR
     assert not below[:-1].any()
     assert below[-1] or n == math.ceil(t_max / evo.h) + 1
     assert below[-1] == (name != "lambda")
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_MODELS))
+def test_no_jump_forms_match_mat_exp(name):
+    # the survival, populations and channel rates of the polynomials against
+    # the states exp(-i H_eff tau) psi of mat_exp, at table points, at
+    # midpoints (the largest offset) and at random tau.  Over the first 100
+    # steps, where the table's own roundoff stays far below 1e-13 of the
+    # survival (the row test bounds the whole table)
+    m, t_max = _TABLE_MODELS[name]
+    starts = np.eye(3, dtype=complex)
+    evo = _NoJumpEvolution(m, starts, t_max)
+    steps = np.arange(101) * evo.h
+    taus = np.concatenate([steps, steps[:-1] + evo.h / 2,
+                           np.random.default_rng(1).uniform(0, steps[-1], 50)])
+    ops = m.jump_operators
+    for j, start in enumerate(starts):
+        psi = np.stack([mat_exp(-1j * m.effective_hamiltonian, t) @ start
+                        for t in taus])
+        which = np.full(taus.size, j)
+        survival = (np.abs(psi) ** 2).sum(axis=1)
+        got = np.column_stack([
+            evo.forms(evo.beta_survival, which, taus),
+            evo.forms(evo.beta_populations, which, taus).T,
+            evo.forms(evo.beta_rates, which, taus).T])
+        want = np.column_stack([
+            survival, np.abs(psi) ** 2,
+            (np.abs(np.einsum("kij,rj->rki", ops, psi)) ** 2).sum(2)])
+        err = np.abs(got - want).max(axis=1) / survival
+        assert err.max() < 1e-13, (j, err.max(), taus[np.argmax(err)])
+    # the slope at a table point is -<psi|K|psi>
+    psi = mat_exp(-1j * m.effective_hamiltonian, steps[7]) @ starts.T
+    _, slope = evo.forms(evo.beta_survival, np.arange(3), np.full(3, steps[7]),
+                         slope=True)
+    np.testing.assert_allclose(
+        slope, -np.einsum("ik,ij,jk->k", psi.conj(), m.decay, psi).real,
+        rtol=1e-13)
 
 
 def test_mc_first_jump_times_follow_exact_distribution():
