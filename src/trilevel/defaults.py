@@ -29,6 +29,9 @@ STEP_SHARE = 4.0           # ulps of the grid end by which steps sharing one
                            # exponential may differ (linspace: at most 2)
 TRACE_DRIFT = 1e-6         # a propagated state that drifts more has failed
 DENSITY_SLACK = 1e-9       # Hermiticity, trace and eigenvalues of a given rho
+EIG_SCREEN = 1e-13         # closed-form 3x3 smallest eigenvalue: error of r
+                           # per unit 1 + |q|/p, and of the value per unit
+                           # |q| + 2p (measured: 2.3 and 6.8 ulps)
 UNITARITY = 1e-10          # |U U^+ - 1| of a basis change
 CHANNEL_FLOOR = 1e-14      # a smaller share of the largest rate is no channel
 EMISSION_EXCESS = 1e-6     # a waiting-time density may integrate to 1 + this

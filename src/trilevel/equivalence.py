@@ -16,7 +16,8 @@ Both families diagonalize the same block [[0, Omega], [Omega, delta]]
 block's detuning and the resulting detuning shifts differ between them.
 
 ``verify_equivalence`` certifies a mapped pair numerically by integrating
-both master equations and comparing the rotated trajectories.
+both master equations in one stacked propagation and comparing the
+rotated trajectories.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import DEFAULT_TOLERANCES, SNAP, UNITARITY
+from .defaults import DEFAULT_TOLERANCES, EIG_SCREEN, SNAP, UNITARITY
 from .dynamics import propagate_series
 from .errors import DegenerateBasisError, UndefinedAngleError
-from .linalg import finite_number
+from .linalg import check_density_matrix, finite_number, kron
 from .systems import _TWIN, LindbladModel, SystemParams
 
 
@@ -194,6 +195,57 @@ def map_system(p: SystemParams) -> tuple[SystemParams, EquivalenceMap]:
     return target, emap
 
 
+def _smallest_eigenvalue_bounds(stack: np.ndarray):
+    """Lower and upper bounds on the smallest eigenvalue of each state of
+    an (n, 3, 3) Hermitian stack (lower triangles read), as
+    ``np.linalg.eigvalsh`` computes it; NaN where a state has a non-finite
+    entry.
+
+    The trigonometric closed form (O. K. Smith, Commun. ACM 4, 168
+    (1961)): with q = tr/3 and the spread p = sqrt(tr (A - q)^2 / 6), the
+    smallest eigenvalue is q + p beta(r) for r = det((A - q)/p)/2, where
+    beta(r) = 2 cos(acos(r)/3 + 2 pi/3) is the smallest root of beta^3 -
+    3 beta = 2r and rises with r.  Forming A - q errs by ulps of q, so the
+    computed r is within dr = EIG_SCREEN (1 + |q|/p) of the exact one, and
+    beta(r -+ dr) bound the exact root.  This interval widens by itself,
+    to about sqrt(dr), near a double root, where acos is ill-conditioned
+    (J. Kopp, Int. J. Mod. Phys. C 19, 523 (2008)).  The bounds then widen
+    by EIG_SCREEN (|q| + 2p) for the final rounding and for LAPACK's own
+    error.
+    """
+    d = np.diagonal(stack, axis1=1, axis2=2).real
+    q = d.sum(axis=1) / 3
+    b = d - q[:, None]
+    x, y, z = stack[:, 1, 0], stack[:, 2, 0], stack[:, 2, 1]
+    p = np.sqrt(((b * b).sum(axis=1) + 2 * (abs(x) ** 2 + abs(y) ** 2
+                                            + abs(z) ** 2)) / 6)
+    scale = np.where(p > 0, p, 1.0)  # A = q I makes B = 0, so r = 0
+    b, x, y, z = b / scale[:, None], x / scale, y / scale, z / scale
+    r = (b[:, 0] * b[:, 1] * b[:, 2] - b[:, 0] * abs(z) ** 2
+         - b[:, 1] * abs(y) ** 2 - b[:, 2] * abs(x) ** 2
+         + 2 * (x * z * y.conj()).real) / 2
+    dr = EIG_SCREEN * (1 + abs(q) / scale)
+    slack = EIG_SCREEN * (abs(q) + 2 * p)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+
+    def smallest(r):
+        beta = 2 * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3 + 2 * np.pi / 3)
+        return np.where(finite, q + p * beta, np.nan)
+
+    return smallest(r - dr) - slack, smallest(r + dr) + slack
+
+
+def _min_eigenvalue(stack: np.ndarray) -> float:
+    """``np.linalg.eigvalsh(stack).min()`` of an (n, 3, 3) Hermitian stack,
+    bit for bit, with LAPACK run only on the states whose lower bound is
+    below the least upper bound (``_smallest_eigenvalue_bounds``): no other
+    state can hold the minimum.  A state with a non-finite entry is always
+    kept."""
+    lower, upper = _smallest_eigenvalue_bounds(stack)
+    top = np.min(upper, initial=np.inf, where=~np.isnan(upper))
+    return float(np.linalg.eigvalsh(stack[~(lower > top)]).min())
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Result of a numerical equivalence check."""
@@ -217,11 +269,14 @@ def verify_equivalence(
 ) -> EquivalenceReport:
     """Integrate both master equations and compare rotated trajectories.
 
-    model_a starts from rho0, model_b from U rho0 U^+; the report carries
-    the maximum Frobenius distance max_t || U rho_a(t) U^+ - rho_b(t) ||
-    together with conservation diagnostics of both trajectories.  rho0
-    must be a density matrix, as ``propagate_series`` checks, ``unitary``
-    a finite 3x3 unitary and ``tol`` a finite number > 0 (ValueError).
+    model_a starts from rho0, model_b from U rho0 U^+, both in one stacked
+    ``propagate_series`` call; the report carries the maximum Frobenius
+    distance max_t || U rho_a(t) U^+ - rho_b(t) || together with
+    conservation diagnostics of both trajectories: the largest trace error
+    and the smallest eigenvalue, ``np.linalg.eigvalsh``'s over both series
+    bit for bit (``_min_eigenvalue``).  rho0 must be a density matrix, as
+    ``propagate_series`` checks, ``unitary`` a finite 3x3 unitary and
+    ``tol`` a finite number > 0 (ValueError).
     """
     u = np.asarray(unitary, dtype=complex)
     if (u.shape != (3, 3) or not np.isfinite(u).all()
@@ -230,13 +285,14 @@ def verify_equivalence(
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     times = np.asarray(times, dtype=float)
+    rho0 = check_density_matrix(rho0, "rho0")  # named before U rho0 U^+
 
-    series_a = propagate_series(model_a.generator, rho0, times)
-    series_b = propagate_series(model_b.generator, u @ rho0 @ u.conj().T,
-                                times)
-    dists = np.linalg.norm(u @ series_a @ u.conj().T - series_b, axis=(1, 2))
-    both = np.concatenate([series_a, series_b])
-    trace_err = np.abs(np.trace(both, axis1=1, axis2=2).real - 1.0)
+    gens = np.stack([model_a.generator, model_b.generator])
+    series = propagate_series(gens, [rho0, u @ rho0 @ u.conj().T], times)
+    # U rho U^+ flattened row-major is (U (x) conj(U)) times rho flattened
+    flat = series.reshape(2, -1, 9)
+    dists = np.linalg.norm(flat[0] @ kron(u, u.conj()).T - flat[1], axis=1)
+    trace_err = np.abs(np.trace(series, axis1=2, axis2=3).real - 1.0)
     max_dist = float(dists.max())
     return EquivalenceReport(
         max_dist=max_dist,
@@ -245,5 +301,5 @@ def verify_equivalence(
         times=times,
         distances=dists,
         max_trace_error=float(trace_err.max()),
-        min_eigenvalue=float(np.linalg.eigvalsh(both).min()),
+        min_eigenvalue=_min_eigenvalue(series.reshape(-1, 3, 3)),
     )

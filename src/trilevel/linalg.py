@@ -33,9 +33,17 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 3x3 matrices, the same products by one broadcast:
+    entry (3i + k, 3j + l) is a[i, j] b[k, l]."""
+    return (np.asarray(a)[:, None, :, None]
+            * np.asarray(b)[None, :, None, :]).reshape(9, 9)
+
+
 def vec(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+    """Column-stack a matrix, or each of a stack, into a vector."""
+    rho = np.asarray(rho, dtype=complex)
+    return np.swapaxes(rho, -1, -2).reshape(*rho.shape[:-2], -1)
 
 
 def unvec(v: np.ndarray) -> np.ndarray:

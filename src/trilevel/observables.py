@@ -169,8 +169,10 @@ def emission_spectrum(
     if detect.shape != (3, 3) or not np.isfinite(detect).all():
         raise ValueError("detect must be a finite 3x3 matrix")
     l = model.generator
+    # one SVD gives the steady state and P0 below
+    right, left = null_space(l)
     if rho_ss is None:
-        rho_ss = steady_state(l)
+        rho_ss = steady_state(l, right)
     else:
         rho_ss = check_density_matrix(rho_ss, "rho_ss")
         resid = float(np.linalg.norm(l @ vec(rho_ss)))
@@ -178,7 +180,6 @@ def emission_spectrum(
             raise ValueError(f"rho_ss is not stationary (|L rho_ss| = "
                              f"{resid:.3e})")
     # P0 = V (W^+ V)^-1 W^+ from L's right and left null bases V and W
-    right, left = null_space(l)
     proj = right @ np.linalg.solve(left.conj().T @ right, left.conj().T)
     # adding P0 makes i omega - L + P0 invertible and leaves (1 - P0) x
     # unchanged; with A = L - P0 = Z T Z^+ it is Z (i omega - T) Z^+
@@ -359,7 +360,8 @@ class _NoJumpEvolution:
         survival = table[:, :, :3].sum(axis=2)
         below = survival.max(axis=0) < SURVIVAL_FLOOR
         end = np.argmax(below) + 1 if below.any() else table.shape[1]
-        self.table = table[:, :end]
+        # a cut table is copied, so that its unused tail is freed
+        self.table = table[:, :end].copy() if end < table.shape[1] else table
         # the survival is non-increasing: clip roundoff so it can be searched
         self.survival = np.minimum.accumulate(survival[:, :end], axis=1)
 

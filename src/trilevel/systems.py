@@ -53,7 +53,7 @@ import numpy as np
 
 from .defaults import CHANNEL_FLOOR, ROUNDOFF, SNAP
 from .errors import ScenarioError
-from .linalg import finite_number, ketbra, vec
+from .linalg import finite_number, ketbra, kron, vec
 
 
 class Config(str, enum.Enum):
@@ -198,7 +198,7 @@ class LindbladModel:
         """G0 = -i (I (x) H_eff - conj(H_eff) (x) I), the 9x9 no-jump part
         of L; the trace it loses is the probability of an emission."""
         h_eff, eye = self.effective_hamiltonian, np.eye(3)
-        return -1j * (np.kron(eye, h_eff) - np.kron(h_eff.conj(), eye))
+        return -1j * (kron(eye, h_eff) - kron(h_eff.conj(), eye))
 
     @cached_property
     def feeding(self) -> np.ndarray:

@@ -369,6 +369,22 @@ def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_propagated_state_exits_3(tmp_path, capsys):
+    # rates and drive of 1e200 overflow the step's exponential; the NaN
+    # states are an internal failure, not a populations file
+    payload = minimal_fig2a()
+    payload["system"].update(gamma21=1e200, omega_a=1e200)
+    code = main(["simulate", "--config",
+                 str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "internal error: a propagated state has a non-finite entry "
+        "(at t = 0.1)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_unique_steady_state_exits_2(tmp_path, capsys):
     # nothing drives or damps the atom: the null space is all of L's space
     payload = minimal_fig2a(task="spectrum", omega_grid=[-1.0, 1.0, 5])

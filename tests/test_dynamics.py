@@ -17,7 +17,7 @@ from trilevel.dynamics import (
 )
 from trilevel.equivalence import verify_equivalence
 from trilevel.errors import NonUniqueSteadyStateError, PropagationError
-from trilevel.linalg import ketbra, mat_exp, vec
+from trilevel.linalg import ketbra, mat_exp, null_space, vec
 from trilevel.observables import (emission_spectrum, g2, populations,
                                   waiting_time)
 from trilevel.systems import Config, LindbladModel, SystemParams, build_model
@@ -28,6 +28,12 @@ RNG = np.random.default_rng(555)
 def random_hermitian(rng, scale=1.0):
     a = scale * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     return 0.5 * (a + a.conj().T)
+
+
+def random_density_matrix(rng):
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
 
 
 def random_driven_params(config, rng=RNG):
@@ -121,6 +127,17 @@ def test_no_jump_generator_and_photon_rate(config):
     np.testing.assert_allclose(vec(np.eye(3)) @ feed,
                                vec(m.decay.T),
                                rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("config", list(Config))
+def test_no_jump_generator_is_its_kronecker_form(config):
+    # G0 = -i (I (x) H_eff - conj(H_eff) (x) I), byte for byte
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        m = build_model(random_driven_params(config, rng))
+        h, eye = m.effective_hamiltonian, np.eye(3)
+        ref = -1j * (np.kron(eye, h) - np.kron(h.conj(), eye))
+        assert m.no_jump.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("config", list(Config))
@@ -239,6 +256,12 @@ def test_linspace_grid_costs_one_exponential(monkeypatch):
     calls.clear()
     propagate_series(liouvillian(m), ketbra(0, 0), [0.3, 1.0, 1.3, 2.0])
     assert len(calls) == 2
+    # a stack takes one exponential of the whole stack per class
+    calls.clear()
+    gens, v0 = np.stack([m.generator, m.no_jump]), np.eye(2, 9)
+    propagate_vectors(gens, v0, taus)
+    propagate_vectors(gens, v0, [0.3, 1.0, 1.3, 2.0])
+    assert len(calls) == 3
 
 
 @contextlib.contextmanager
@@ -391,6 +414,85 @@ def test_vector_of_the_wrong_size_is_named():
         propagate_series(gen, np.eye(2) / 2, [0.0, 1.0])
 
 
+# ------------------------------------------------------- stacked propagation
+
+_STACK_GRIDS = {
+    "uniform": np.linspace(0.0, 20.0, 200),
+    "runs": np.concatenate([np.linspace(0.0, 1.0, 11),
+                            1.0 + np.linspace(0.0, 3.0, 13)[1:]]),
+    "ragged": np.array([0.0, 0.3, 1.0, 1.3, 2.0, 3.7, 3.75]),
+    "one point": np.array([1.5]),
+    "zero only": np.array([0.0]),
+    "late start": np.linspace(2.0, 7.0, 33),
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), grid=st.sampled_from(
+    sorted(_STACK_GRIDS)))
+def test_stacked_propagation_equals_lone_calls(seed, grid):
+    # every member of a stack comes out as a lone call would give it, bit
+    # for bit: the generators and no-jump generators of four box models
+    rng = np.random.default_rng(seed)
+    times = _STACK_GRIDS[grid]
+    models = [build_model(random_driven_params(c, rng)) for c in Config]
+    gens = np.stack([m.generator for m in models]
+                    + [m.no_jump for m in models])
+    v0 = rng.standard_normal((8, 9)) + 1j * rng.standard_normal((8, 9))
+    stacked = propagate_vectors(gens, v0, times)
+    assert stacked.shape == (8, 9, times.size)
+    for gen, v, member in zip(gens, v0, stacked, strict=True):
+        assert _bits(member) == _bits(propagate_vectors(gen, v, times))
+    rho0 = [random_density_matrix(rng) for _ in models]
+    series = propagate_series(gens[:4], rho0, times)
+    assert series.shape == (4, times.size, 3, 3)
+    for gen, r, member in zip(gens[:4], rho0, series, strict=True):
+        assert _bits(member) == _bits(propagate_series(gen, r, times))
+
+
+def test_stacked_starts_must_match_the_stack():
+    gens = np.stack([build_model(random_driven_params(c)).generator
+                     for c in (Config.FIG1A, Config.FIG2A)])
+    with pytest.raises(ValueError, match=r"v0 has shape \(3, 9\), but the "
+                                         r"generator is 2x9x9"):
+        propagate_vectors(gens, np.ones((3, 9)), [0.0, 1.0])
+    good = ketbra(0, 0)
+    with pytest.raises(ValueError, match="rho0 has negative eigenvalue"):
+        propagate_series(gens, [good, np.diag([2.0, -1.0, 0.0])], [0.0, 1.0])
+    # a member whose trace drifts fails the stack at its first such time
+    with pytest.raises(PropagationError, match=r"at t = 1\)"):
+        propagate_series(np.stack([gens[0], -0.1 * np.eye(9)]), [good, good],
+                         [0.0, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_state_is_an_internal_failure():
+    # rates and drive that overflow the step's exponential: every
+    # propagated state past t = 0 is NaN
+    m = build_model(SystemParams(Config.FIG2A, gamma21=1e200,
+                                 gamma23_or_31=0.1, omega_a=1e200,
+                                 omega_b=0.6))
+    rho0, grid = ketbra(0, 0), np.linspace(0.0, 5.0, 11)
+    calls = [
+        lambda: propagate_vectors(m.generator, vec(rho0), grid),
+        lambda: propagate_vectors(m.no_jump, vec(rho0), grid),
+        lambda: propagate_series(m.generator, rho0, grid),
+        lambda: g2(m, grid),
+        lambda: waiting_time(m, grid),
+        lambda: populations(m, rho0, grid),
+        lambda: verify_equivalence(m, m, np.eye(3), rho0, grid),
+    ]
+    for call in calls:
+        with pytest.raises(PropagationError,
+                           match="non-finite entry") as err:
+            call()
+        assert err.value.time == 0.5
+
+
 # ----------------------------------------------------------- steady state
 
 def test_steady_state_undriven_v_system():
@@ -433,6 +535,15 @@ def test_steady_state_traceless_null_vector_is_named():
                                          r".*below TRACE_FLOOR = 1e-08") as err:
         steady_state(np.eye(9) - np.outer(n, n.conj()))
     assert not isinstance(err.value, NonUniqueSteadyStateError)
+
+
+def test_steady_state_reads_a_null_basis_it_is_given():
+    lm = liouvillian(build_model(random_driven_params(Config.FIG2A)))
+    right, _ = null_space(lm)
+    assert steady_state(lm, right).tobytes() == steady_state(lm).tobytes()
+    # the uniqueness rule holds for a given basis too
+    with pytest.raises(NonUniqueSteadyStateError):
+        steady_state(lm, np.eye(9)[:, :2])
 
 
 @pytest.mark.parametrize("config", list(Config))

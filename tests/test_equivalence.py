@@ -1,12 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from trilevel.defaults import DEFAULT_TOLERANCES
-from trilevel.dynamics import liouvillian
+from trilevel.defaults import DEFAULT_TOLERANCES, DENSITY_SLACK
+from trilevel.dynamics import liouvillian, propagate_series
 from trilevel.equivalence import (
+    _min_eigenvalue,
+    _smallest_eigenvalue_bounds,
     basis_unitary,
     dipole_angle,
     dressed_block,
@@ -353,6 +356,127 @@ def test_verify_equivalence_rejects_a_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be a finite number > 0"):
         verify_equivalence(m, m, np.eye(3), ketbra(0, 0),
                            np.linspace(0, 1, 5), tol=tol)
+
+
+# ------------------------------------------- screened minimum eigenvalue
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+def _screened_equals_lapack(stack):
+    ref = float(np.linalg.eigvalsh(stack).min())
+    assert _bits(_min_eigenvalue(stack)) == _bits(ref)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), pure=st.booleans(),
+       n=st.integers(1, 200))
+def test_screened_minimum_is_lapack_minimum_on_box_trajectories(seed, pure,
+                                                                 n):
+    # both trajectories of a mapped box pair, from a mixed or a pure start,
+    # as verify_equivalence screens them
+    rng = np.random.default_rng(seed)
+    p = (random_fig1a if seed % 2 else random_fig2a)(rng)
+    target, emap = map_system(p)
+    if pure:
+        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    else:
+        rho0 = random_density_matrix(rng)
+    u = emap.unitary
+    gens = np.stack([build_model(p).generator, build_model(target).generator])
+    series = propagate_series(gens, [rho0, u @ rho0 @ u.conj().T],
+                              np.linspace(0.0, 20.0, n))
+    stack = series.reshape(-1, 3, 3)
+    _screened_equals_lapack(stack)
+    report = verify_equivalence(build_model(p), build_model(target), u, rho0,
+                                np.linspace(0.0, 20.0, n))
+    assert _bits(report.min_eigenvalue) == _bits(
+        float(np.linalg.eigvalsh(stack).min()))
+
+
+def _random_unitary(rng):
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return np.linalg.qr(a)[0]
+
+
+def _mixed_state(u, eigenvalues):
+    """The Hermitian U diag(eigenvalues) U^+."""
+    rho = (u * eigenvalues) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)
+
+
+# eigenvalue triples where the closed form is least accurate or the minima
+# of many states nearly tie: pure states, I/3, double roots at either end
+# and smallest eigenvalues a few ulps around -DENSITY_SLACK
+def _spectrum(kind, rng):
+    tiny = rng.integers(-4, 5) * 2.0 ** -60
+    a = rng.uniform(0.0, 0.5)
+    spread = 2.0 ** -rng.integers(1, 50)
+    return {
+        "pure": [1.0, tiny, 0.0],
+        "third": [1 / 3, 1 / 3 + tiny, 1 / 3],
+        "low double": [a, a + tiny, 1.0 - 2 * a],
+        "high double": [1.0 - 2 * a, a, a + tiny],
+        "slack": [-DENSITY_SLACK * (1 + 4 * tiny), 0.5, 0.5 + DENSITY_SLACK],
+        # a double root just below I/3: A - q I is formed with errors of
+        # ulps of q, large against the spread
+        "near third": [1 / 3 - spread, 1 / 3 - spread * (1 + tiny), 1 / 3],
+    }[kind]
+
+
+_KINDS = st.sampled_from(["pure", "third", "low double", "high double",
+                          "slack", "near third", "exact third"])
+
+
+@settings(max_examples=200)
+@given(states=st.lists(st.tuples(_KINDS, st.integers(0, 2**32 - 1)),
+                       min_size=1, max_size=40))
+def test_screened_minimum_is_lapack_minimum_on_adversarial_stacks(states):
+    stack = []
+    for kind, seed in states:
+        rng = np.random.default_rng(seed)
+        if kind == "exact third":
+            stack.append(np.eye(3, dtype=complex) / 3)
+            continue
+        stack.append(_mixed_state(_random_unitary(rng), _spectrum(kind, rng)))
+    stack = np.array(stack)
+    lower, upper = _smallest_eigenvalue_bounds(stack)
+    smallest = np.linalg.eigvalsh(stack)[:, 0]
+    assert (lower <= smallest).all() and (smallest <= upper).all()
+    _screened_equals_lapack(stack)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_non_finite_state_is_never_screened_out(monkeypatch):
+    rng = np.random.default_rng(21)
+    stack = np.array([_mixed_state(_random_unitary(rng), w)
+                      for w in rng.dirichlet([1.0, 1.0, 1.0], 50)])
+    seen = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: seen.append(a) or real_eigvalsh(a))
+    _min_eigenvalue(stack)
+    assert len(seen[-1]) < 10  # the screen leaves LAPACK few states
+    far = int(np.argmax(_smallest_eigenvalue_bounds(stack)[0]))
+    def outcome(call, a):
+        try:
+            value = float(call(a))
+        except np.linalg.LinAlgError:
+            return "LinAlgError"
+        return "nan" if math.isnan(value) else _bits(value)
+
+    for value in (np.nan, np.inf, -np.inf, complex(0.3, np.nan)):
+        for where in ((0, 0), (1, 1), (1, 0), (2, 0), (2, 1), (0, 2)):
+            bad = stack.copy()
+            bad[far][where] = value
+            seen.clear()
+            # the same value, or the same error, as LAPACK on every state
+            assert outcome(_min_eigenvalue, bad) == outcome(
+                lambda a: real_eigvalsh(a).min(), bad)
+            assert any(np.array_equal(a, bad[far], equal_nan=True)
+                       for a in seen[0]), (value, where)
 
 
 def test_branch_independence_of_dressed_root():

@@ -250,6 +250,24 @@ def test_spectrum_mapped_pair_equality():
                                sb.meta["coherent_weight"], atol=1e-10)
 
 
+def test_spectrum_takes_one_svd_of_l(monkeypatch):
+    # the steady state reads the null basis the spectrum takes for P0
+    import trilevel.dynamics
+    import trilevel.observables
+    m = build_model(fig2a_params())
+    detect, omegas = m.collapse_ops[0], np.linspace(-6.0, 6.0, 41)
+    explicit = emission_spectrum(m, detect, omegas,
+                                 rho_ss=steady_state(m.generator))
+    calls = []
+    real = trilevel.observables.null_space
+    for module in (trilevel.dynamics, trilevel.observables):
+        monkeypatch.setattr(module, "null_space",
+                            lambda l: calls.append(l) or real(l))
+    spec = emission_spectrum(m, detect, omegas)
+    assert len(calls) == 1
+    assert spec.values.tobytes() == explicit.values.tobytes()
+
+
 def test_spectrum_rejects_nonstationary_rho_ss():
     p = SystemParams(Config.FIG1A, gamma21=1.0, gamma23_or_31=0.0,
                      omega_a=1.0, omega_b=0.0)
@@ -672,6 +690,19 @@ def test_mc_jump_table_is_bounded_for_emitting_models():
         early = b.times <= 10.0
         np.testing.assert_array_equal(a.times, b.times[early])
         np.testing.assert_array_equal(a.channels, b.channels[early])
+
+
+def test_a_cut_jump_table_keeps_only_its_points():
+    # the table is allocated to the first power-of-two point past the floor
+    # (1025 points here) and then cut; the cut copy owns just its points
+    m = build_model(fig2a_params(gamma23_or_31=0.5, omega_a=2.0,
+                                 omega_b=0.5, delta2=0.0, delta3=0.0))
+    resets = np.linalg.svd(m.jump_operators)[0][:, :, 0]
+    starts = np.vstack([[1.0, 0.0, 0.0], resets])  # the sampler's starts
+    evo = _NoJumpEvolution(m, starts, 1e5)
+    assert evo.table.shape == (3, 768, 9)
+    assert evo.table.flags.owndata and evo.table.base is None
+    assert evo.survival.shape == (3, 768)
 
 
 # the emitting fig2a model of the bounded-table test; criterion 7's Lambda
