@@ -11,6 +11,7 @@ theorem, with the coherent (Rayleigh) plateau split off as a scalar weight.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -285,12 +286,29 @@ class McRun:
                      for i, (a, b) in enumerate(bounds))
 
 
+# (sample time, trajectory) pairs per forms call of the ensemble
+# populations, which bounds the (27, n) product a call holds to 221 kB
+_PAIR_BLOCK = 1024
 # Taylor terms of each no-jump quadratic form in the offset from a table
 # point
 _TERMS = 11
 # <psi|B|psi> = w . beta(B) for Hermitian B: w holds the |psi_i|^2, then Re
 # and Im of conj(psi_i) psi_k for i < k; beta(B) the matching entries of B
 _ROW, _COL = (0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)
+
+
+def _powers(delta: np.ndarray) -> np.ndarray:
+    """The (_TERMS, rows) powers delta**n, highest first: row _TERMS - 1 - n
+    holds delta**n.  Each filled block times its last power gives the
+    next."""
+    p = np.empty((_TERMS, delta.size))
+    q = p[::-1]
+    q[0], q[1], n = 1.0, delta, 2
+    while n < _TERMS:  # q[n - 1 + j] = q[j] q[n - 1]
+        k = min(n - 1, _TERMS - n)
+        np.multiply(q[1:k + 1], q[n - 1], out=q[n:n + k])
+        n += k
+    return p
 
 
 class _NoJumpEvolution:
@@ -306,8 +324,14 @@ class _NoJumpEvolution:
     (-i H_eff), the Taylor coefficients of exp(i H_eff^+ delta) O
     exp(-i H_eff delta).  At |delta| <= h/2 the 11 terms kept leave out at
     most (2 ||H_eff|| |delta|)**11 / 11! ~ 2.9e-18 of the form at that
-    point.  Each start's survival is also kept as a non-increasing search
-    table.
+    point.  Each family of forms keeps these coefficients as one (2, ...,
+    9, _TERMS) array, ``beta_survival``, ``beta_populations`` or
+    ``beta_rates``: those of delta^n in each form, then those of its tau
+    derivative, highest power first, so that ``forms`` evaluates a family
+    at any rows as one product with the powers of delta (the small terms
+    summed before the large ones, as in Horner's rule), contracted with the
+    9 reals each row gathers from the table.  Each start's survival is also
+    kept as a non-increasing search table.
 
     The table stops at the first point where every survival is below
     SURVIVAL_FLOOR, the smallest threshold a trajectory draws, so a model
@@ -335,13 +359,17 @@ class _NoJumpEvolution:
                                  ops.conj().transpose(0, 2, 1) @ ops])]
         for q in range(1, _TERMS):
             terms.append((gen.conj().T @ terms[-1] + terms[-1] @ gen) / q)
-        b = np.stack(terms)[..., _ROW, _COL]  # (terms, forms, 6)
-        beta = np.concatenate([b.real * [1, 1, 1, 2, 2, 2],
-                               -2 * b[..., 3:].imag], axis=-1)
-        # (terms, 9), (terms, 3, 9) and (terms, channels, 9)
-        self.beta_survival = beta[:, 0].copy()
-        self.beta_populations = beta[:, 1:4].copy()
-        self.beta_rates = beta[:, 4:].copy()
+        # (forms, 9, terms)
+        b = np.moveaxis(np.stack(terms)[..., _ROW, _COL], 0, -1)
+        beta = np.concatenate([b.real * [[1], [1], [1], [2], [2], [2]],
+                               -2 * b[:, 3:].imag], axis=1)
+        # d/dtau sum_n delta^n c_n = sum_n delta^n (n + 1) c_(n+1)
+        deriv = np.zeros_like(beta)
+        deriv[..., :-1] = beta[..., 1:] * np.arange(1, _TERMS)
+        both = np.stack([beta, deriv])[..., ::-1]
+        self.beta_survival = both[:, 0].copy()
+        self.beta_populations = both[:, 1:4].copy()
+        self.beta_rates = both[:, 4:].copy()
         step = mat_exp(gen, self.h)
         n, power, end = int(np.ceil(t_max / self.h)), step, 1
         while end < n and (np.abs(starts @ power.T) ** 2).sum(
@@ -369,65 +397,82 @@ class _NoJumpEvolution:
               slope: bool = False):
         """The forms of ``beta`` (one of the beta_* arrays) at rows
         (start_r, tau_r), the last axis running over rows; with ``slope``,
-        also their tau derivative.  One Horner loop in the offset from the
-        nearest table point."""
+        also their tau derivative.  One product of the family's
+        coefficients with the powers of the offset from the nearest table
+        point, contracted with that point's 9 reals.  BLAS rounds a
+        product with one column by another kernel than one with more, so a
+        lone row goes as a pair: each row's value does not depend on the
+        others, bit for bit."""
+        rows = tau.size
+        if rows == 1:
+            start, tau = np.resize(start, 2), np.resize(tau, 2)
         m = np.rint(tau / self.h).astype(int)
-        delta = tau - m * self.h
-        c = beta @ self.table[start, m].T  # (terms, ..., rows)
-        value, deriv = c[-1], 0.0
-        for n in range(_TERMS - 2, -1, -1):
-            if slope:
-                deriv = deriv * delta + value
-            value = value * delta + c[n]
-        return (value, deriv) if slope else value
+        coef = beta if slope else beta[0]
+        c = coef.reshape(-1, _TERMS) @ _powers(tau - m * self.h)
+        w = self.table.reshape(-1, 9).take(start * self.table.shape[1] + m,
+                                           axis=0)
+        out = np.einsum("kir,ir->kr", c.reshape(-1, 9, tau.size), w.T.copy())
+        out = out[:, :rows].reshape(coef.shape[:-2] + (rows,))
+        return tuple(out) if slope else out
 
     def jump_times(self, start, u, t_left):
         """Times at which the survival ||psi(tau)||^2 falls to u, NaN where
         it stays >= u on [0, t_left]."""
-        m = np.empty(u.size, dtype=int)
+        n = self.table.shape[1]
+        m, neg_u = np.empty(u.size, dtype=int), -u
         for j, survival in enumerate(self.survival):
-            m[start == j] = np.searchsorted(-survival, -u[start == j],
-                                            side="right")
+            mine = start == j
+            m[mine] = np.searchsorted(-survival, neg_u[mine], side="right")
         # table point m is the first below u, so the root lies in [lo, hi]
         k = np.maximum(m - 1, 0)
         tau = np.full(u.size, np.nan)
-        rows = np.flatnonzero((m < self.table.shape[1])
-                              & (k * self.h < t_left))
+        rows = np.flatnonzero((m < n) & (k * self.h < t_left))
         start, u, k, m = start[rows], u[rows], k[rows], m[rows]
         lo, hi = k * self.h, m * self.h
+        width = hi - lo
         # start from the root of the cubic Hermite interpolant of the
         # survival and its slope on [lo, hi], in x = (t - lo) / (hi - lo):
         # from the secant root, two Newton steps on the cubic, clipped to
-        # the bracket.  The slope at a table point is w . beta(B_1) = -<K>
-        s0, s1 = self.survival[start, k], self.survival[start, m]
-        d0, d1 = (self.table[start, k] @ self.beta_survival[1] * (hi - lo),
-                  self.table[start, m] @ self.beta_survival[1] * (hi - lo))
-        c2, c3 = 3 * (s1 - s0) - 2 * d0 - d1, d0 + d1 - 2 * (s1 - s0)
-        x = np.clip((s0 - u) / np.maximum(s0 - s1, TINY), 0.0, 1.0)
+        # the bracket.  The slope at a table point is w . beta(B_1) = -<K>,
+        # summed row by row: a BLAS (rows, 9) @ (9,) product rounds a row
+        # by how many there are
+        at_k, at_m = start * n + k, start * n + m
+        s0, s1 = self.survival.take(at_k), self.survival.take(at_m)
+        flat, beta_1 = self.table.reshape(-1, 9), self.beta_survival[0, :, -2]
+        d0 = (flat.take(at_k, axis=0) * beta_1).sum(axis=1) * width
+        d1 = (flat.take(at_m, axis=0) * beta_1).sum(axis=1) * width
+        fall, f0 = s0 - s1, s0 - u
+        c2, c3 = -3 * fall - 2 * d0 - d1, d0 + d1 + 2 * fall
+        x = np.clip(f0 / np.maximum(fall, TINY), 0.0, 1.0)
         for _ in range(2):
-            f = s0 - u + x * (d0 + x * (c2 + x * c3))
+            f = f0 + x * (d0 + x * (c2 + x * c3))
             df = d0 + x * (2 * c2 + 3 * x * c3)
             x = np.clip(x - f / np.minimum(df, -TINY), 0.0, 1.0)
-        t = lo + x * (hi - lo)
+        t = lo + x * width
         # Newton on the survival polynomial polishes the root in [lo, hi]
         # and bisects where a step would leave it or not halve the step
         # before last (rtsafe)
-        step = before = hi - lo
+        step = before = width
         for _ in range(100):  # the step halves at least every other time
             if not rows.size:
                 return np.where(tau <= t_left, tau, np.nan)
             f, slope = self.forms(self.beta_survival, start, t, slope=True)
             f -= u
-            lo, hi = np.where(f >= 0, t, lo), np.where(f >= 0, hi, t)
+            above = f >= 0
+            lo, hi = np.where(above, t, lo), np.where(above, hi, t)
             newton = f / np.minimum(slope, -TINY)  # slope <= 0 up to roundoff
-            bisect = ~((t - newton >= lo) & (t - newton <= hi)
-                       & (2.0 * np.abs(newton) <= np.abs(before)))
-            before, step = step, np.where(bisect, t - 0.5 * (lo + hi), newton)
+            t_newton = t - newton
+            inside = ((t_newton >= lo) & (t_newton <= hi)
+                      & (2.0 * np.abs(newton) <= np.abs(before)))
+            before, step = step, np.where(inside, newton, t - 0.5 * (lo + hi))
             t = t - step
             done = np.abs(step) <= self.tol  # |step| <= hi - lo
-            tau[rows[done]] = t[done]
-            rows, start, u, lo, hi, t, step, before = (
-                a[~done] for a in (rows, start, u, lo, hi, t, step, before))
+            if done.any():
+                tau[rows[done]] = t[done]
+                keep = ~done
+                rows, start, u, lo, hi, t, step, before = (
+                    a[keep] for a in (rows, start, u, lo, hi, t, step,
+                                      before))
         raise RuntimeError("jump-time root search did not converge")
 
 
@@ -455,9 +500,9 @@ def mc_trajectories(
     uniform threshold, a root found without any time grid.  The channel
     is drawn from the rates ||c_k psi||^2 of the diagonalized dissipator
     modes at that root, so cross-damping models unravel correctly.  The
-    survival, the rates and the sampled populations are each a real
-    polynomial in the offset from a table point of ``_NoJumpEvolution``,
-    so no state is evaluated in a round.
+    survival and the rates are each a real polynomial in the offset from a
+    table point of ``_NoJumpEvolution``, so no state is evaluated in a
+    round.
     Every trajectory still running jumps once per round, so the streams
     are keyed by round: at round r trajectory i reads row i of
     ``default_rng(SeedSequence(seed, spawn_key=(r,))).random((n, 2))``,
@@ -469,7 +514,9 @@ def mc_trajectories(
     ``initial_state`` (default |1>) must be a finite,
     nonzero 3-vector; it is normalized.  ``sample_times`` (finite, in any
     order, within [0, t_final]) requests ensemble populations with standard
-    errors, for comparison against the master equation.
+    errors, for comparison against the master equation; they are read from
+    the same polynomials once, after the last round, from the finished
+    record (a jump at a sample time owns it).
     """
     for name, value in ("n_traj", n_traj), ("seed", seed):
         if isinstance(value, bool):  # true is no integer
@@ -493,7 +540,6 @@ def mc_trajectories(
         sample_times = check_grid(sample_times, "sample_times")
         if np.any(sample_times < 0) or np.any(sample_times > t_final):
             raise ValueError("sample_times must lie within [0, t_final]")
-        moments = np.zeros((sample_times.size, 2, 3))  # sums of p and p^2
     seed = operator.index(seed)  # None would draw OS entropy
     if n_traj >= 1 << 32:  # round 0 alone would draw 64 GiB
         raise ValueError("n_traj must be below 2**32")
@@ -507,27 +553,18 @@ def mc_trajectories(
     traj, t0 = np.arange(n_traj), np.zeros(n_traj)
     start = np.zeros(n_traj, dtype=int)
     found = [(traj[:0], t0[:0], start[:0])]
-    jump_round = 0  # not r: the sampling block binds r
-    while traj.size:
+    for rnd in itertools.count(1):
         tau = evo.jump_times(start, thresholds[traj], t_final - t0)
         jumped = ~np.isnan(tau)
-        t_end = np.where(jumped, np.minimum(t0 + tau, t_final), np.inf)
-        if sample_times is not None:  # samples within each segment [t0, t_end)
-            r, j = np.nonzero((t0[:, None] <= sample_times)
-                              & (sample_times < t_end[:, None]))
-            # a form of a PSD operator dips below 0 by roundoff at most
-            p = np.maximum(evo.forms(evo.beta_populations, start[r],
-                                     sample_times[j] - t0[r]).T, 0.0)
-            p /= p.sum(axis=1, keepdims=True)
-            np.add.at(moments, j, np.stack([p, p ** 2], axis=1))
-        traj, t0 = traj[jumped], t_end[jumped]
+        traj = traj[jumped]
         if not traj.size:
             break
-        rates = np.maximum(evo.forms(evo.beta_rates, start[jumped],
-                                     tau[jumped]).T, 0.0)
-        jump_round += 1
+        tau, start = tau[jumped], start[jumped]
+        t0 = np.minimum(t0[jumped] + tau, t_final)
+        # a form of a PSD operator dips below 0 by roundoff at most
+        rates = np.maximum(evo.forms(evo.beta_rates, start, tau).T, 0.0)
         # traj increases: the rows past its last entry are not drawn
-        draw, next_u = _round_draws(seed, jump_round, traj[-1] + 1)[traj].T
+        draw, next_u = _round_draws(seed, rnd, traj[-1] + 1)[traj].T
         thresholds[traj] = 1.0 - next_u
         total = rates.sum(axis=1)
         channel = (np.cumsum(rates, axis=1) <= (draw * total)[:, None]).sum(1)
@@ -541,14 +578,46 @@ def mc_trajectories(
     by_traj = np.argsort(who, kind="stable")  # rounds come in time order
     offsets = np.concatenate([[0], np.cumsum(np.bincount(who,
                                                          minlength=n_traj))])
+    who, when, which = who[by_traj], when[by_traj], which[by_traj]
     pops = stderr = None
     if sample_times is not None:
-        pops, mean_sq = np.moveaxis(moments / n_traj, 1, 0)
-        var = np.maximum(mean_sq - pops ** 2, 0.0)
-        stderr = np.sqrt(var / n_traj)
-    return McRun(offsets, when[by_traj], which[by_traj], float(t_final), seed,
+        pops, stderr = _ensemble_populations(evo, offsets, who, when, which,
+                                             sample_times)
+    return McRun(offsets, when, which, float(t_final), seed,
                  sample_times=sample_times, populations=pops,
                  populations_stderr=stderr)
+
+
+def _ensemble_populations(evo: _NoJumpEvolution, offsets: np.ndarray,
+                          traj: np.ndarray, times: np.ndarray,
+                          channels: np.ndarray, sample_times: np.ndarray):
+    """Mean level populations at each sample time, and their standard
+    errors, from a finished trajectory-major record (jump k of trajectory
+    traj_k at times_k into channels_k).  Trajectory i is at time s in the
+    segment of its last jump at or before s, evolving from the reset state
+    of that jump's channel, else in its first segment, from psi0 at t = 0.
+    ``forms`` evaluates the (sample time, trajectory) pairs in blocks."""
+    n_traj = offsets.size - 1
+    grid, column = np.unique(sample_times, return_inverse=True)
+    # a jump counts at every grid time from the first one not below it on
+    width = grid.size + 1
+    first = np.searchsorted(grid, times)
+    hist = np.bincount(traj * width + first, minlength=n_traj * width)
+    counts = np.cumsum(hist.reshape(n_traj, width), axis=1)[:, column].T
+    # segment 0 starts at t = 0 in psi0 (start state 0), segment k + 1 at
+    # jump k in the reset state of its channel (start state channel + 1)
+    seg = np.where(counts > 0, offsets[:-1] + counts, 0)
+    tau = (sample_times[:, None] - np.concatenate([[0.0], times])[seg]).ravel()
+    start = np.concatenate([[0], channels + 1])[seg].ravel()
+    p = np.empty((3, tau.size))
+    for a in range(0, tau.size, _PAIR_BLOCK):
+        b = a + _PAIR_BLOCK
+        p[:, a:b] = evo.forms(evo.beta_populations, start[a:b], tau[a:b])
+    # (3, sample times, trajectories); clipped like the rates
+    p = np.maximum(p, 0.0, out=p).reshape(3, *seg.shape)
+    p /= p.sum(axis=0)
+    pops, mean_sq = p.sum(axis=2).T / n_traj, (p ** 2).sum(axis=2).T / n_traj
+    return pops, np.sqrt(np.maximum(mean_sq - pops ** 2, 0.0) / n_traj)
 
 
 def interjump_gaps(run: McRun) -> np.ndarray:

@@ -132,6 +132,24 @@ class SystemParams:
                 "phi", f"not read by config {self.config.value}")
 
 
+def _roundoff_defect(a: np.ndarray, defect) -> float | None:
+    """||defect(a)|| where it exceeds ROUNDOFF * max(1, ||a||), else None
+    (Frobenius norms).
+
+    ``defect`` is linear, and both norms are taken of ``a`` divided by its
+    largest |entry|, so neither overflows (or warns) at any finite scale.
+    """
+    scale = float(np.abs(a).max(initial=0.0))
+    if scale == 0.0:
+        return None
+    a = a / scale
+    d = defect(a)
+    resid = math.sqrt(np.vdot(d, d).real)
+    if resid > ROUNDOFF * max(1.0 / scale, math.sqrt(np.vdot(a, a).real)):
+        return resid * scale
+    return None
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """Hamiltonian plus dissipative channels of one master equation, and
@@ -164,14 +182,13 @@ class LindbladModel:
                         ("collapse operators", ops)):
             if not np.isfinite(a).all():
                 raise ValueError(f"{name} must be finite")
-        norm = np.linalg.norm
-        if norm(h - h.conj().T) > ROUNDOFF * max(1.0, norm(h)):
+        if _roundoff_defect(h, lambda a: a - a.conj().T) is not None:
             raise ValueError("hamiltonian must be Hermitian")
         n = len(ops)
         if r.shape != (n, n):
             raise ValueError(f"rate matrix shape {r.shape} does not match "
                              f"{n} collapse operators")
-        if n and norm(r - r.T) > ROUNDOFF * max(1.0, norm(r)):
+        if _roundoff_defect(r, lambda a: a - a.T) is not None:
             raise ValueError("rate matrix must be symmetric")
         w, o = np.linalg.eigh(r)
         wmin = float(w.min(initial=0.0))
@@ -213,8 +230,8 @@ class LindbladModel:
         """L = G0 + F, with L vec(rho) = vec(-i[H, rho] + dissipators)."""
         l = self.no_jump + self.feeding
         # trace preservation is an algebraic identity of this construction
-        resid = np.linalg.norm(vec(np.eye(3)) @ l)
-        if resid > ROUNDOFF * max(1.0, np.linalg.norm(l)):
+        resid = _roundoff_defect(l, lambda a: vec(np.eye(3)) @ a)
+        if resid is not None:
             raise RuntimeError(
                 f"Liouvillian is not trace preserving ({resid=})")
         return l

@@ -568,6 +568,20 @@ def test_mc_trajectory_does_not_depend_on_ensemble_size():
         np.testing.assert_array_equal(a.channels, b.channels)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_mc_first_trajectories_are_the_same_in_any_ensemble(seed):
+    # late rounds and the last Newton iterations often hold one or two
+    # trajectories, so no row's value may depend on how many rows go with
+    # it (BLAS rounds a lone row, and a gemv row, by the row count)
+    m = build_model(fig2a_params())
+    runs = [mc_trajectories(m, n_traj=n, t_final=40.0, seed=seed).records
+            for n in (3, 1, 2, 64)]
+    for records in runs[1:]:
+        for a, b in zip(runs[0], records):
+            np.testing.assert_array_equal(a.times, b.times)
+            np.testing.assert_array_equal(a.channels, b.channels)
+
+
 # seeds of 1 to 10 32-bit words
 @pytest.mark.parametrize("seed", [0, 1, 2025, 2**32 - 1, 2**32, 2**64 + 5,
                                   2**96, 2**128 - 1, 2**128, 2**130 + 11,
@@ -785,6 +799,20 @@ def test_no_jump_forms_match_mat_exp(name):
         rtol=1e-13)
 
 
+def test_mc_dark_state_run_memory_is_bounded():
+    # criterion 7's Lambda model to t = 1e4: its dark state keeps the whole
+    # table (a 58.6 MB peak at 9 reals per point and start state), so a
+    # second copy of the table would take the peak past the bound
+    m = _TABLE_MODELS["lambda"][0]
+    tracemalloc.start()
+    try:
+        mc_trajectories(m, n_traj=2, t_final=1e4, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, peak
+
+
 def test_mc_first_jump_times_follow_exact_distribution():
     # a first jump by t has probability P(t) = 1 - tr rho_nj(t), the trace
     # the no-jump state has lost; here conditioned on a jump before t_final
@@ -865,6 +893,47 @@ def test_mc_sample_times_may_come_in_any_order():
                                sample_times=[2.0, 0.5, 1.0])
     np.testing.assert_array_equal(shuffled.populations,
                                   ordered.populations[[2, 0, 1]])
+
+
+def _record_populations(model, run, psi0, sample_times):
+    """Ensemble populations and standard errors of ``run``, one trajectory
+    and sample time at a time: the normalised populations of mat_exp(-i
+    H_eff (s - t0)) psi_start, with t0 the trajectory's last jump at or
+    before s and psi_start the reset state of its channel, else t0 = 0 and
+    psi_start = psi0."""
+    resets = np.linalg.svd(model.jump_operators)[0][:, :, 0]
+    p = np.empty((len(run.records), len(sample_times), 3))
+    for rec in run.records:
+        for j, s in enumerate(sample_times):
+            k = np.searchsorted(rec.times, s, side="right") - 1
+            t0, psi = ((rec.times[k], resets[rec.channels[k]]) if k >= 0
+                       else (0.0, psi0))
+            pops = np.abs(mat_exp(-1j * model.effective_hamiltonian, s - t0)
+                          @ psi) ** 2
+            p[rec.trajectory, j] = pops / pops.sum()
+    mean = p.mean(axis=0)
+    var = np.maximum((p ** 2).mean(axis=0) - mean ** 2, 0.0)
+    return mean, np.sqrt(var / len(run.records))
+
+
+@pytest.mark.parametrize("name", ["fig2a", "complex"])
+def test_mc_populations_are_read_from_the_record(name):
+    # sample times at 0, at t_final, at a recorded jump (the reference
+    # puts it in the segment the jump starts), repeated and unsorted
+    m = build_model(fig2a_params()) if name == "fig2a" \
+        else _TABLE_MODELS["complex"][0]
+    plain = mc_trajectories(m, n_traj=30, t_final=5.0, seed=4)
+    assert plain.offsets[2] > plain.offsets[1]
+    jump = float(plain.times[plain.offsets[1]])  # trajectory 1's first jump
+    sample = np.array([5.0, jump, 0.0, 1.3, jump, 0.4, 1.3])
+    run = mc_trajectories(m, n_traj=30, t_final=5.0, seed=4,
+                          sample_times=sample)
+    np.testing.assert_array_equal(run.times, plain.times)
+    np.testing.assert_array_equal(run.channels, plain.channels)
+    pops, stderr = _record_populations(m, run, np.eye(3)[0], sample)
+    np.testing.assert_allclose(run.populations, pops, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(run.populations_stderr, stderr, rtol=0,
+                               atol=1e-13)
 
 
 def test_mc_initial_state_must_be_a_finite_nonzero_3_vector():

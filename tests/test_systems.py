@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,42 @@ _CHANNELS = np.stack([ketbra(0, 1), ketbra(2, 1)])
 def test_models_and_params_reject_bad_input_by_name(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+# rates and drive whose squares overflow: the Hermitian, symmetric and
+# trace-preservation checks compare norms of their operands divided by the
+# largest |entry|, so they neither warn nor go blind at this scale
+_HUGE = SystemParams(Config.FIG2A, gamma21=1e200, gamma23_or_31=0.1,
+                     omega_a=1e200, omega_b=0.6)
+
+
+def test_roundoff_checks_do_not_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = build_model(_HUGE)
+        assert np.isfinite(m.generator).all()
+        assert np.abs(m.generator).max() > 1e200
+
+
+def test_roundoff_checks_fire_at_any_scale():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e200):
+            with pytest.raises(ValueError, match="must be Hermitian"):
+                LindbladModel(scale * (ketbra(0, 1) + 0.9 * ketbra(1, 0)),
+                              _CHANNELS, np.eye(2))
+            with pytest.raises(ValueError, match="must be symmetric"):
+                LindbladModel(np.zeros((3, 3)), _CHANNELS,
+                              scale * np.array([[1.0, 0.5], [0.4, 1.0]]))
+            # a defect within roundoff of the operand's size is accepted
+            h = scale * (ketbra(0, 1) + (1 + 1e-15) * ketbra(1, 0))
+            LindbladModel(h, _CHANNELS, np.eye(2))
+        # a generator that loses trace at that scale: half the feeding
+        # does not give back what the no-jump part loses
+        m = build_model(_HUGE)
+        m.__dict__["feeding"] = 0.5 * m.feeding
+        with pytest.raises(RuntimeError, match="not trace preserving"):
+            m.generator
 
 
 # ---------------------------------------------------------------- fig1a
