@@ -136,6 +136,11 @@ def propagate_series(l: np.ndarray, rho0: np.ndarray,
         rho0 = np.stack([check_density_matrix(r, "rho0") for r in rho0])
     else:
         rho0 = check_density_matrix(rho0, "rho0")
+    return _series(l, rho0, times)
+
+
+def _series(l: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """:func:`propagate_series` of start states its caller has checked."""
     vs = propagate_vectors(l, vec(rho0), times)
     # row j of each member's vs^T is vec(rho_j)
     rhos = hermitize(unvec(np.swapaxes(vs, -1, -2)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULT_TOLERANCES, EIG_SCREEN, SNAP, UNITARITY
-from .dynamics import propagate_series
+from .dynamics import _series
 from .errors import DegenerateBasisError, UndefinedAngleError
 from .linalg import check_density_matrix, finite_number, kron
 from .systems import _TWIN, LindbladModel, SystemParams
@@ -112,21 +112,23 @@ def map_rates(theta: float, gamma_a: float,
 def dipole_angle(gamma_p_a: float, gamma_p_b: float, gamma_cross: float) -> float:
     """Dipole angle phi reproducing a given cross-damping rate.
 
-    cos(phi) = gamma_cross / sqrt(gamma_p_a * gamma_p_b), with the sign of
-    the cross rate folded in, so phi lies in [0, pi].  Ratios within SNAP
-    of +-1 snap to exactly 0 or pi (a rate pattern produced by a dark
-    input channel saturates Cauchy-Schwarz only up to roundoff).
+    cos(phi) = gamma_cross / (sqrt(gamma_p_a) sqrt(gamma_p_b)), with the
+    sign of the cross rate folded in, so phi lies in [0, pi].  Each rate
+    has its own root, since their product may overflow or underflow where
+    the geometric mean does not.  Ratios within SNAP of +-1 snap to
+    exactly 0 or pi (a rate pattern produced by a dark input channel
+    saturates Cauchy-Schwarz only up to roundoff).
     """
     _finite(gamma_p_a=gamma_p_a, gamma_p_b=gamma_p_b, gamma_cross=gamma_cross)
     if gamma_p_a < 0 or gamma_p_b < 0:
         raise ValueError("decay rates must be >= 0")
-    prod = gamma_p_a * gamma_p_b
-    if prod <= 0.0:
+    mean = math.sqrt(gamma_p_a) * math.sqrt(gamma_p_b)
+    if mean <= 0.0:
         raise UndefinedAngleError(
             "dipole angle undefined: one decay channel is dark "
             f"(gamma_p_a = {gamma_p_a}, gamma_p_b = {gamma_p_b})"
         )
-    ratio = gamma_cross / math.sqrt(prod)
+    ratio = gamma_cross / mean
     if ratio >= 1.0 - SNAP:
         return 0.0
     if ratio <= -1.0 + SNAP:
@@ -270,13 +272,15 @@ def verify_equivalence(
     """Integrate both master equations and compare rotated trajectories.
 
     model_a starts from rho0, model_b from U rho0 U^+, both in one stacked
-    ``propagate_series`` call; the report carries the maximum Frobenius
-    distance max_t || U rho_a(t) U^+ - rho_b(t) || together with
-    conservation diagnostics of both trajectories: the largest trace error
-    and the smallest eigenvalue, ``np.linalg.eigvalsh``'s over both series
-    bit for bit (``_min_eigenvalue``).  rho0 must be a density matrix, as
-    ``propagate_series`` checks, ``unitary`` a finite 3x3 unitary and
-    ``tol`` a finite number > 0 (ValueError).
+    propagation; the report carries the maximum Frobenius distance
+    max_t || U rho_a(t) U^+ - rho_b(t) || together with conservation
+    diagnostics of both trajectories: the largest trace error and the
+    smallest eigenvalue, ``np.linalg.eigvalsh``'s over both series bit for
+    bit (``_min_eigenvalue``).  rho0 must be a density matrix
+    (``linalg.check_density_matrix``), ``unitary`` a finite 3x3 unitary to
+    within UNITARITY and ``tol`` a finite number > 0 (ValueError).  Only
+    rho0 is checked: U rho0 U^+ of a checked rho0 and a checked unitary
+    needs no check of its own.
     """
     u = np.asarray(unitary, dtype=complex)
     if (u.shape != (3, 3) or not np.isfinite(u).all()
@@ -285,10 +289,10 @@ def verify_equivalence(
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     times = np.asarray(times, dtype=float)
-    rho0 = check_density_matrix(rho0, "rho0")  # named before U rho0 U^+
+    rho0 = check_density_matrix(rho0, "rho0")
 
     gens = np.stack([model_a.generator, model_b.generator])
-    series = propagate_series(gens, [rho0, u @ rho0 @ u.conj().T], times)
+    series = _series(gens, np.stack([rho0, u @ rho0 @ u.conj().T]), times)
     # U rho U^+ flattened row-major is (U (x) conj(U)) times rho flattened
     flat = series.reshape(2, -1, 9)
     dists = np.linalg.norm(flat[0] @ kron(u, u.conj()).T - flat[1], axis=1)

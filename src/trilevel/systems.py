@@ -18,8 +18,13 @@ moments form an angle phi:
 
 The four differ only in where level 3 sits, which level pairs the two
 drives couple and which matrix units decay.  One table, ``_LAYOUT``, holds
-those three entries per configuration, and ``build_model`` fills every
-model from it.
+those three entries per configuration.  Within one configuration a model is
+a point in seven real coordinates: the energies of levels 2 and 3 and the
+two drives, which make H, and R[0, 0], R[0, 1] = R[1, 0] and R[1, 1].  K
+and F are linear in R alone, so ``build_model`` forms both as one product
+of R's three coordinates with the configuration's rate basis, which
+``LindbladModel``'s own formulas form once.  It skips the checks that hold
+by construction (see ``LindbladModel`` for which run on each path).
 
 Conventions
 -----------
@@ -45,8 +50,8 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -160,16 +165,26 @@ class LindbladModel:
     information lives in ``rate_matrix``, so the generator is trace
     preserving by construction.
 
+    A model built here is checked in full: finite arrays, a Hermitian H,
+    and a symmetric R of matching shape that is PSD by its eigenvalues.
+    ``build_model`` hands in K and F from its rate-basis product, bit for
+    bit what the formulas below give, and checks only that H and R are
+    finite and that R is PSD by the closed form of a 2x2 matrix: its H is
+    Hermitian and R symmetric by construction.  G0 keeps its Kronecker
+    form on both paths (a product gives its values bit for bit, but not
+    the signs of its zero entries), and L = G0 + F is checked for trace
+    preservation when first read.
+
     ``jump_operators`` is the (m, 3, 3) stack c_k = sqrt(r_k) sum_a O[a, k]
     A_a from the PSD R = O diag(r) O^T: the same dissipator in single-sum
     Lindblad form, without the channels whose r_k is below CHANNEL_FLOOR
-    times the largest rate (or 1).
+    times the largest rate (or 1).  It is formed on first use: only the
+    jump sampler reads it.
     """
 
     hamiltonian: np.ndarray
     collapse_ops: np.ndarray
     rate_matrix: np.ndarray
-    jump_operators: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -190,13 +205,25 @@ class LindbladModel:
                              f"{n} collapse operators")
         if _roundoff_defect(r, lambda a: a - a.T) is not None:
             raise ValueError("rate matrix must be symmetric")
-        w, o = np.linalg.eigh(r)
-        wmin = float(w.min(initial=0.0))
+        wmin = float(np.linalg.eigvalsh(r).min(initial=0.0))
         if wmin < -ROUNDOFF * max(1.0, float(np.abs(r).max(initial=0.0))):
             raise ValueError(f"rate matrix is not PSD (min eigenvalue {wmin})")
+
+    @classmethod
+    def _unchecked(cls, h, ops, r, **operators) -> LindbladModel:
+        """A model of arrays valid by construction, without the checks of
+        ``__post_init__``, holding ``operators`` (by name) as formed."""
+        model = object.__new__(cls)
+        model.__dict__.update(hamiltonian=h, collapse_ops=ops, rate_matrix=r,
+                              **operators)
+        return model
+
+    @cached_property
+    def jump_operators(self) -> np.ndarray:
+        w, o = np.linalg.eigh(self.rate_matrix)
         keep = w > CHANNEL_FLOOR * max(float(w.max(initial=0.0)), 1.0)
-        object.__setattr__(self, "jump_operators", np.einsum(
-            "ak,aij->kij", o[:, keep] * np.sqrt(w[keep]), ops))
+        return np.einsum("ak,aij->kij", o[:, keep] * np.sqrt(w[keep]),
+                         self.collapse_ops)
 
     @cached_property
     def decay(self) -> np.ndarray:
@@ -253,6 +280,29 @@ _LAYOUT = {
 }
 
 
+# collapse units per configuration, shared (read-only) by every built model
+_CHANNELS = {config: np.stack([ketbra(i, j) for i, j in layout.channels])
+             for config, layout in _LAYOUT.items()}
+for _units in _CHANNELS.values():
+    _units.flags.writeable = False
+
+
+@cache
+def _rate_basis(config: Config) -> np.ndarray:
+    """(3, 180) reals: row c is K then F of ``config``, by
+    ``LindbladModel``'s formulas, at R's unit coordinate c, complex entries
+    as (real, imag) pairs.  Its entries are 0 or 1, and each entry of K or
+    F sums at most two coordinates, so a product with it rounds as the
+    formulas do, bit for bit."""
+    rows = []
+    for r in ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]],
+              [[0.0, 0.0], [0.0, 1.0]]):
+        m = LindbladModel._unchecked(np.zeros((3, 3), dtype=complex),
+                                     _CHANNELS[config], np.array(r))
+        rows.append(np.concatenate([m.decay.ravel(), m.feeding.ravel()]))
+    return np.array(rows).view(float)
+
+
 def build_model(p: SystemParams) -> LindbladModel:
     """The Lindblad model of ``p.config``, filled in from ``_LAYOUT``.
 
@@ -262,17 +312,35 @@ def build_model(p: SystemParams) -> LindbladModel:
     collapse operators are |1><2|, |3><2| for fig1 (level 2 decays into 1
     and 3) and |1><2|, |1><3| for fig2 (levels 2 and 3 decay into 1), with
     R = 2 [[gamma21, x], [x, gamma23_or_31]].  The cross weight
-    x = sqrt(gamma21 * gamma23_or_31) cos(phi) makes the channels of the
-    single-laser members interfere; x = 0 for the two-laser members.
+    x = sqrt(gamma21) sqrt(gamma23_or_31) cos(phi) makes the channels of
+    the single-laser members interfere; x = 0 for the two-laser members.
+    It takes each rate's root, since their product may overflow or
+    underflow where x does not.
+
+    K and F are R's coordinates (2 gamma21, 2x, 2 gamma23_or_31) times
+    ``_rate_basis(p.config)``.  An E3 or a rate coordinate that overflows
+    is a ValueError, as is an R whose closed-form smallest eigenvalue
+    (a + b)/2 - hypot((a - b)/2, 2x), with a, b its diagonal, is negative
+    beyond roundoff.
     """
     layout = _LAYOUT[p.config]
     h = np.zeros((3, 3), dtype=complex)
     h[1, 1] = -p.delta2
-    h[2, 2] = -p.delta3 if layout.level3_bare else p.delta3 - p.delta2
+    h[2, 2] = e3 = -p.delta3 if layout.level3_bare else p.delta3 - p.delta2
     for (i, j), omega in zip(layout.drives, (p.omega_a, p.omega_b)):
         h[i, j] = h[j, i] = omega
     g21, g = p.gamma21, p.gamma23_or_31
-    x = (math.sqrt(g21 * g) * _cos_dipole(p.phi)
+    x = (math.sqrt(g21) * math.sqrt(g) * _cos_dipole(p.phi)
          if p.config in _NEEDS_PHI else 0.0)
-    rates = 2.0 * np.array([[g21, x], [x, g]])
-    return LindbladModel(h, [ketbra(i, j) for i, j in layout.channels], rates)
+    rates = (a, rx, b) = (2.0 * g21, 2.0 * x, 2.0 * g)
+    if not math.isfinite(e3):
+        raise ValueError("hamiltonian must be finite")
+    if not all(map(math.isfinite, rates)):
+        raise ValueError("rate matrix must be finite")
+    wmin = 0.5 * a + 0.5 * b - math.hypot(0.5 * a - 0.5 * b, rx)
+    if wmin < -ROUNDOFF * max(1.0, a, b, abs(rx)):
+        raise ValueError(f"rate matrix is not PSD (min eigenvalue {wmin})")
+    parts = (np.array(rates) @ _rate_basis(p.config)).view(complex)
+    return LindbladModel._unchecked(
+        h, _CHANNELS[p.config], np.array([[a, rx], [rx, b]]),
+        decay=parts[:9].reshape(3, 3), feeding=parts[9:].reshape(9, 9))

@@ -1,10 +1,12 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trilevel import dynamics, equivalence, linalg, observables
 from trilevel.defaults import DEFAULT_TOLERANCES, DENSITY_SLACK
 from trilevel.dynamics import liouvillian, propagate_series
 from trilevel.equivalence import (
@@ -342,6 +344,44 @@ def test_verify_equivalence_rejects_bad_unitary():
                            np.linspace(0, 1, 5))
 
 
+@pytest.mark.parametrize("family", ["fig1", "fig2"])
+def test_verify_equivalence_rejects_a_unitary_off_by_1e_6(family):
+    # U rho0 U^+ is not checked as a state, so the unitarity check must
+    # hold to UNITARITY, not to some looser bound
+    m = build_model(random_fig1a(np.random.default_rng(16)))
+    u = basis_unitary(0.4, family)
+    verify_equivalence(m, m, u, ketbra(0, 0), np.linspace(0, 1, 5))
+    off = u.copy()
+    off[0, 0] += 1e-6  # |U U^+ - 1| is about 2e-6
+    with pytest.raises(ValueError, match="unitary must be a 3x3 unitary"):
+        verify_equivalence(m, m, off, ketbra(0, 0), np.linspace(0, 1, 5))
+
+
+def test_an_equivalence_item_checks_each_given_state_once(monkeypatch):
+    # verify_equivalence checks rho0 but not U rho0 U^+, and g2 and
+    # waiting_time check the twin's reset state: three checks, not five
+    names = []
+
+    def counted(rho, name="density matrix"):
+        names.append(name)
+        return linalg.check_density_matrix(rho, name)
+
+    for module in (dynamics, equivalence, observables):
+        monkeypatch.setattr(module, "check_density_matrix", counted)
+    rng = np.random.default_rng(21)
+    p = random_fig1a(rng)
+    target, emap = map_system(p)
+    model_a, model_b = build_model(p), build_model(target)
+    u = emap.unitary
+    verify_equivalence(model_a, model_b, u, random_density_matrix(rng),
+                       np.linspace(0.0, 5.0, 20))
+    reset = u @ ketbra(0, 0) @ u.conj().T
+    for curve in (g2, waiting_time):
+        curve(model_a, np.linspace(0.0, 5.0, 20))
+        curve(model_b, np.linspace(0.0, 5.0, 20), reset_state=reset)
+    assert names == ["rho0", "reset_state", "reset_state"]
+
+
 def test_verify_equivalence_rejects_a_non_finite_unitary():
     m = build_model(random_fig1a(np.random.default_rng(16)))
     for bad in (np.full((3, 3), np.nan), np.diag([1.0, 1.0, np.inf])):
@@ -514,6 +554,38 @@ def generator_distance(p):
     lb = liouvillian(build_model(target))
     s = np.kron(emap.unitary.conj(), emap.unitary)
     return np.linalg.norm(s @ la @ s.conj().T - lb) / np.linalg.norm(la)
+
+
+# the cli_verbs fig1a numbers as a fig2a system: its twin has cos(phi) =
+# 0.506, whatever the common scale of rates, drives and detunings
+_SCALABLE = (1.0, 0.3, 1.2, 0.7, 0.4, -0.6)
+
+
+def test_map_and_twin_at_1e160():
+    # products of two rates overflow at this scale, their roots do not:
+    # the map keeps phi, the twin is built, and the generator identity holds
+    phi = map_system(SystemParams(Config.FIG2A, *_SCALABLE))[0].phi
+    p = SystemParams(Config.FIG2A, *(1e160 * v for v in _SCALABLE))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        target, emap = map_system(p)
+        assert abs(target.phi - phi) <= 1e-15 * phi
+        assert abs(math.cos(target.phi) - 0.506) < 1e-3
+        # norms at this scale overflow, so compare L / 1e160
+        la, lb = (liouvillian(build_model(q)) / 1e160 for q in (p, target))
+    s = np.kron(emap.unitary.conj(), emap.unitary)
+    assert (np.linalg.norm(s @ la @ s.conj().T - lb)
+            <= 1e-14 * np.linalg.norm(la))
+
+
+@pytest.mark.parametrize("config", [Config.FIG1A, Config.FIG2A])
+def test_map_of_rates_whose_product_underflows(config):
+    # gamma'_a gamma'_b underflows to 0 here, but neither channel is dark;
+    # phi is that of rates scaled up by 1e170
+    drive = (1.2, 0.7, 0.4, -0.6)
+    target, _ = map_system(SystemParams(config, 1e-170, 3e-170, *drive))
+    ref, _ = map_system(SystemParams(config, 1.0, 3.0, *drive))
+    assert abs(target.phi - ref.phi) <= 1e-15 * ref.phi
 
 
 # omega_b << |delta3| with the sign at which (delta -+ disc)/2 cancels,

@@ -3,8 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from trilevel.defaults import CHANNEL_FLOOR, ROUNDOFF, SNAP
 from trilevel.dynamics import liouvillian, propagate_series
+from trilevel.equivalence import map_system
+from trilevel.errors import DegenerateBasisError, UndefinedAngleError
 from trilevel.linalg import ketbra, vec
 from trilevel.systems import (
     Config,
@@ -93,14 +97,21 @@ def test_models_and_params_reject_bad_input_by_name(make, message):
 # largest |entry|, so they neither warn nor go blind at this scale
 _HUGE = SystemParams(Config.FIG2A, gamma21=1e200, gamma23_or_31=0.1,
                      omega_a=1e200, omega_b=0.6)
+# and a single-laser model whose cross rate 2 sqrt(gamma21) sqrt(gamma31)
+# is finite although gamma21 * gamma31 is not
+_HUGE_B = SystemParams(Config.FIG2B, gamma21=1e200, gamma23_or_31=1e200,
+                       omega_a=1e200, omega_b=0.6, phi=0.0)
 
 
 def test_roundoff_checks_do_not_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        m = build_model(_HUGE)
-        assert np.isfinite(m.generator).all()
-        assert np.abs(m.generator).max() > 1e200
+        for p in (_HUGE, _HUGE_B):
+            m = build_model(p)
+            assert np.isfinite(m.generator).all()
+            assert np.abs(m.generator).max() > 1e200
+        assert m.rate_matrix[0, 1] == 2e200
+        assert np.isfinite(m.jump_operators).all()
 
 
 def test_roundoff_checks_fire_at_any_scale():
@@ -318,3 +329,113 @@ def test_effective_hamiltonian_consistent_with_jumps():
     m = build_model(p)
     k = sum(c.conj().T @ c for c in m.jump_operators)
     np.testing.assert_allclose(m.decay, k, atol=1e-12)
+
+
+# ------------------------------------------------ assembly by the rate basis
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _einsum_operators(m):
+    """K, G0, F and L of a model's H, collapse units A and rate matrix R by
+    the einsum and Kronecker formulas, written out as the reference."""
+    a, r = m.collapse_ops, m.rate_matrix
+    k = np.einsum("ab,bji,ajk->ik", r, a.conj(), a)
+    h_eff, eye = m.hamiltonian - 0.5j * k, np.eye(3)
+    g0 = -1j * (np.kron(eye, h_eff) - np.kron(h_eff.conj(), eye))
+    f = np.einsum("ab,bij,akl->ikjl", r, a.conj(), a).reshape(9, 9)
+    return k, g0, f, g0 + f
+
+
+def _box_params(config, rng):
+    """A point of the parameter box: rates and drives 0 or log-uniform on
+    [1e-6, 10], detunings +-0.0 or log-uniform of either sign."""
+    def rate():
+        return 0.0 if rng.random() < 0.15 else 10.0 ** rng.uniform(-6, 1)
+
+    def detuning():
+        if rng.random() < 0.1:
+            return float(rng.choice([0.0, -0.0]))
+        return float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-6, 1)
+
+    return SystemParams(config, rate(), rate(), rate(), rate(), detuning(),
+                        detuning())
+
+
+# the two systems that all 14 scenarios of the benchmark's cli_verbs
+# workload run on, each verb on both, with compare_mapped on their twins
+_CLI_SYSTEMS = (SystemParams(Config.FIG1A, 1.0, 0.3, 1.2, 0.7, 0.4, -0.6),
+                SystemParams(Config.FIG2A, 1.0, 0.1, 2.0, 0.6, 0.4, -0.7))
+
+
+def _with_twins(params):
+    for p in params:
+        yield p
+        try:
+            yield map_system(p)[0]
+        except (DegenerateBasisError, UndefinedAngleError):
+            pass
+
+
+def test_rate_basis_assembly_is_the_einsum_assembly_bit_for_bit():
+    # K and F from the rate-basis product, G0 and L from them, equal the
+    # einsum and Kronecker formulas byte for byte (signed zeros included)
+    rng = np.random.default_rng(2026)
+    box = [_box_params(config, rng)
+           for config in (Config.FIG1A, Config.FIG2A) for _ in range(1000)]
+    models = 0
+    for p in _with_twins(_CLI_SYSTEMS + tuple(box)):
+        m = build_model(p)
+        got = (m.decay, m.no_jump, m.feeding, m.generator)
+        for name, a, b in zip(("K", "G0", "F", "L"), got,
+                              _einsum_operators(m), strict=True):
+            assert _bits(a) == _bits(b), (name, p)
+        models += 1
+    assert models > 3900  # a few box points have no twin
+
+
+def _eigh_reference(r, channels):
+    """The PSD test and jump operators of a rate matrix on the collapse
+    units ``channels`` by its eigendecomposition, as LindbladModel forms
+    them: None if R is rejected."""
+    if not np.isfinite(r).all():
+        return None
+    w, o = np.linalg.eigh(r)
+    if w.min() < -ROUNDOFF * max(1.0, float(np.abs(r).max())):
+        return None
+    keep = w > CHANNEL_FLOOR * max(float(w.max()), 1.0)
+    return np.einsum("ak,aij->kij", o[:, keep] * np.sqrt(w[keep]),
+                     np.stack([ketbra(i, j) for i, j in channels]))
+
+
+# rates from 0 through every scale a double holds, up to where 2 gamma
+# overflows; dipole angles with the endpoints and values that snap to them
+_ANY_RATE = st.one_of(st.just(0.0),
+                      st.floats(-320.0, 308.25).map(lambda e: 10.0 ** e))
+_PHI = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, 1e-9,
+                                  math.pi - 1e-9]),
+                 st.floats(0.0, math.pi))
+
+
+@given(config=st.sampled_from([Config.FIG1B, Config.FIG2B]),
+       gamma21=_ANY_RATE, gamma=_ANY_RATE, phi=_PHI)
+def test_closed_form_psd_test_accepts_where_the_eigh_test_does(
+        config, gamma21, gamma, phi):
+    p = SystemParams(config, gamma21=gamma21, gamma23_or_31=gamma,
+                     omega_a=1.0, omega_b=0.5, phi=phi)
+    c = math.cos(phi)
+    x = math.sqrt(gamma21) * math.sqrt(gamma) * (0.0 if abs(c) < SNAP else c)
+    r = np.array([[2.0 * gamma21, 2.0 * x], [2.0 * x, 2.0 * gamma]])
+    channels = ((0, 1), (2, 1)) if config is Config.FIG1B else ((0, 1),
+                                                                 (0, 2))
+    expected = _eigh_reference(r, channels)
+    try:
+        m = build_model(p)
+    except ValueError as err:
+        assert expected is None, err
+        assert "rate matrix must be finite" in str(err)
+        return
+    assert expected is not None
+    assert _bits(m.rate_matrix) == _bits(r)
+    assert _bits(m.jump_operators) == _bits(expected)
