@@ -191,7 +191,7 @@ def parse_scenario(path: str | Path) -> Scenario:
             raise ScenarioError("initial_state", "level index must be 1..3")
     elif isinstance(initial, list):
         try:
-            _matrix_from_spec(initial)
+            check_density_matrix(_matrix_from_spec(initial))
         except ValueError as err:
             raise ScenarioError("initial_state", str(err)) from None
         initial = tuple(tuple(tuple(e) if isinstance(e, list) else e
@@ -318,8 +318,8 @@ def describe_map(p: SystemParams) -> str:
 
 
 def _matrix_from_spec(rows) -> np.ndarray:
-    """3x3 density matrix from nested lists; entries are finite numbers or
-    [re, im] pairs of them."""
+    """3x3 complex matrix from nested lists; entries are finite numbers or
+    [re, im] pairs of them.  ``parse_scenario`` checks it as a state."""
     if not (isinstance(rows, (list, tuple)) and len(rows) == 3 and all(
             isinstance(row, (list, tuple)) and len(row) == 3 for row in rows)):
         raise ValueError("matrix must be 3 rows of 3 entries")
@@ -332,7 +332,6 @@ def _matrix_from_spec(rows) -> np.ndarray:
                                  f"number or an [re, im] pair of them, got "
                                  f"{entry!r}")
             out[i, j] = complex(*pair)
-    check_density_matrix(out)
     return out
 
 
@@ -620,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
             scenario = dataclasses.replace(
                 scenario, tolerances=scenario.tolerances | tols)
         report = run(scenario, args.out)
-    except (ValueError, TypeError, OSError) as err:  # rejected input
+    except (ValueError, OSError) as err:  # rejected input
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # internal, e.g. PropagationError

@@ -286,7 +286,7 @@ def verify_equivalence(
     if (u.shape != (3, 3) or not np.isfinite(u).all()
             or np.linalg.norm(u @ u.conj().T - np.eye(3)) > UNITARITY):
         raise ValueError("unitary must be a 3x3 unitary matrix")
-    if not 0 < tol < np.inf:
+    if not (finite_number(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     times = np.asarray(times, dtype=float)
     rho0 = check_density_matrix(rho0, "rho0")

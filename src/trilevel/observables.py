@@ -163,7 +163,10 @@ def emission_spectrum(
     unique steady state is computed and required.  ``detect`` must be a
     finite 3x3 matrix.  ``omegas`` must be a non-empty 1-D grid of finite
     frequencies, in any order and possibly repeated.  Both are checked
-    before any solve.
+    before any solve.  A value or coherent weight that is not finite, such
+    as one that overflows (both grow as |detect|^2, so past |detect| ~
+    1e154), is an internal failure: a RuntimeError names the first such
+    frequency of the grid, or the coherent weight.
     """
     omegas = check_grid(omegas, "omegas")
     detect = np.asarray(detect, dtype=complex)
@@ -186,27 +189,39 @@ def emission_spectrum(
     # unchanged; with A = L - P0 = Z T Z^+ it is Z (i omega - T) Z^+
     a = l - proj
     t, z = scipy.linalg.schur(a, output="complex")
-    x = vec(detect @ rho_ss)
-    r = x - proj @ x
-    c = (z.conj().T @ r)[:, None]
-    # S = <detect|z>/pi with z = Z y, so S = (Z^T conj(detect)) . y / pi
-    q = (z.T @ vec(detect).conj())[:, None]
-    values = np.empty(omegas.size)
-    for start in range(0, omegas.size, _SPECTRUM_BLOCK):
-        block = omegas[start:start + _SPECTRUM_BLOCK]
-        # numpy may round a complex product of one element without the fused
-        # multiply-add of its array loops, so a lone frequency goes as a pair
-        iw = 1j * np.resize(block, max(block.size, 2))
-        inv = 1.0 / (iw - np.diag(t)[:, None])
-        y = _back_substitute(t, inv, np.repeat(c, iw.size, axis=1))
-        # one refinement pass against A itself: residual r - (i omega - A) z
-        zs = _rows_times(y, z.T)
-        res = r - iw[:, None] * zs + _rows_times(zs, a.T)
-        y += _back_substitute(t, inv, _rows_times(res, z.conj()).T.copy())
-        values[start:start + block.size] = (
-            _rows_times(y, q)[:block.size, 0].real / np.pi)
-    coherent = complex(np.trace(detect.conj().T @ rho_ss)
-                       * np.trace(detect @ rho_ss))
+    # S grows as |detect|^2: a value that overflows is found below, not
+    # warned about
+    with np.errstate(all="ignore"):
+        x = vec(detect @ rho_ss)
+        r = x - proj @ x
+        c = (z.conj().T @ r)[:, None]
+        # S = <detect|z>/pi with z = Z y, so S = (Z^T conj(detect)) . y / pi
+        q = (z.T @ vec(detect).conj())[:, None]
+        values = np.empty(omegas.size)
+        for start in range(0, omegas.size, _SPECTRUM_BLOCK):
+            block = omegas[start:start + _SPECTRUM_BLOCK]
+            # numpy may round a complex product of one element without the
+            # fused multiply-add of its array loops, so a lone frequency goes
+            # as a pair
+            iw = 1j * np.resize(block, max(block.size, 2))
+            inv = 1.0 / (iw - np.diag(t)[:, None])
+            y = _back_substitute(t, inv, np.repeat(c, iw.size, axis=1))
+            # one refinement pass against A itself: residual
+            # r - (i omega - A) z
+            zs = _rows_times(y, z.T)
+            res = r - iw[:, None] * zs + _rows_times(zs, a.T)
+            y += _back_substitute(t, inv, _rows_times(res, z.conj()).T.copy())
+            values[start:start + block.size] = (
+                _rows_times(y, q)[:block.size, 0].real / np.pi)
+        coherent = complex(np.trace(detect.conj().T @ rho_ss)
+                           * np.trace(detect @ rho_ss))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise RuntimeError(f"emission spectrum is not finite at omega = "
+                           f"{omegas[bad[0]]:g}")
+    if not np.isfinite(coherent):
+        raise RuntimeError("coherent weight of the emission spectrum is not "
+                           "finite")
     return SampledFunction(omegas, values,
                            {"coherent_weight": coherent.real})
 

@@ -120,10 +120,11 @@ class SystemParams:
             value = getattr(self, name)
             if value is None and name == "phi":
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ScenarioError(name, f"must be a number, got {value!r}")
             if not finite_number(value):
-                raise ScenarioError(name, f"must be finite, got {value}")
+                raise ScenarioError(name, f"must be finite, got {value}" if (
+                    isinstance(value, numbers.Real)
+                    and not isinstance(value, bool))
+                    else f"must be a number, got {value!r}")
             if value < 0 and name.startswith(("gamma", "omega")):
                 raise ScenarioError(name, f"must be >= 0, got {value}")
         if self.config in _NEEDS_PHI:
@@ -169,8 +170,8 @@ class LindbladModel:
     and a symmetric R of matching shape that is PSD by its eigenvalues.
     ``build_model`` hands in K and F from its rate-basis product, bit for
     bit what the formulas below give, and checks only that H and R are
-    finite and that R is PSD by the closed form of a 2x2 matrix: its H is
-    Hermitian and R symmetric by construction.  G0 keeps its Kronecker
+    finite: its H is Hermitian and R symmetric and PSD by construction
+    (``SystemParams`` bounds |cos(phi)| by 1).  G0 keeps its Kronecker
     form on both paths (a product gives its values bit for bit, but not
     the signs of its zero entries), and L = G0 + F is checked for trace
     preservation when first read.
@@ -319,9 +320,8 @@ def build_model(p: SystemParams) -> LindbladModel:
 
     K and F are R's coordinates (2 gamma21, 2x, 2 gamma23_or_31) times
     ``_rate_basis(p.config)``.  An E3 or a rate coordinate that overflows
-    is a ValueError, as is an R whose closed-form smallest eigenvalue
-    (a + b)/2 - hypot((a - b)/2, 2x), with a, b its diagonal, is negative
-    beyond roundoff.
+    is a ValueError.  R needs no PSD test: its determinant is
+    4 gamma21 gamma23_or_31 sin(phi)^2 >= 0.
     """
     layout = _LAYOUT[p.config]
     h = np.zeros((3, 3), dtype=complex)
@@ -337,9 +337,6 @@ def build_model(p: SystemParams) -> LindbladModel:
         raise ValueError("hamiltonian must be finite")
     if not all(map(math.isfinite, rates)):
         raise ValueError("rate matrix must be finite")
-    wmin = 0.5 * a + 0.5 * b - math.hypot(0.5 * a - 0.5 * b, rx)
-    if wmin < -ROUNDOFF * max(1.0, a, b, abs(rx)):
-        raise ValueError(f"rate matrix is not PSD (min eigenvalue {wmin})")
     parts = (np.array(rates) @ _rate_basis(p.config)).view(complex)
     return LindbladModel._unchecked(
         h, _CHANNELS[p.config], np.array([[a, rx], [rx, b]]),

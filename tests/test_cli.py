@@ -6,13 +6,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trilevel
-from trilevel import cli
+from trilevel import cli, dynamics, equivalence, linalg, observables
 from trilevel.cli import describe_map, main, parse_scenario, serialize_scenario
 from trilevel.equivalence import verify_equivalence
 from trilevel.errors import PropagationError, ScenarioError
@@ -385,6 +386,36 @@ def test_non_finite_propagated_state_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_type_error_inside_a_task_exits_3(tmp_path, capsys, monkeypatch):
+    # every scenario entry is typed by parse_scenario, so a TypeError in a
+    # run is a fault of the program, not rejected input
+    def fail(*args, **kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "populations", fail)
+    code = main(["simulate", "--config",
+                 str(write_scenario(tmp_path, minimal_fig2a())),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == "internal error: unsupported operand\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_that_overflows_exits_3(tmp_path, capsys):
+    # S grows as |w|^2: a detection weight of 1e160 overflows every value
+    payload = minimal_fig2a(task="spectrum", omega_grid=[-4.0, 4.0, 41],
+                            options={"detect_weights": [1e160, 0]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectrum", "--config",
+                     str(write_scenario(tmp_path, payload)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "internal error: emission spectrum is not finite at omega = -4\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_unique_steady_state_exits_2(tmp_path, capsys):
     # nothing drives or damps the atom: the null space is all of L's space
     payload = minimal_fig2a(task="spectrum", omega_grid=[-1.0, 1.0, 5])
@@ -545,6 +576,27 @@ def test_matrix_initial_state(tmp_path):
     assert code == 0
     data = np.loadtxt(tmp_path / "out" / "populations.dat", ndmin=2)
     np.testing.assert_allclose(data[0, 1:], [0.5, 0.3, 0.2], atol=1e-12)
+
+
+@pytest.mark.parametrize("verb", ["simulate", "equiv-check"])
+def test_a_matrix_initial_state_is_checked_twice(tmp_path, monkeypatch,
+                                                 verb):
+    # once by parse_scenario, once by the library as rho0
+    names = []
+
+    def counted(rho, name="density matrix"):
+        names.append(name)
+        return linalg.check_density_matrix(rho, name)
+
+    for module in (cli, dynamics, equivalence, observables):
+        monkeypatch.setattr(module, "check_density_matrix", counted)
+    payload = minimal_fig2a(task=verb, time_grid=[0.0, 1.0, 3],
+                            initial_state=[[0.5, 0, 0], [0, 0.5, 0],
+                                           [0, 0, 0]])
+    code = main([verb, "--config", str(write_scenario(tmp_path, payload)),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert names == ["density matrix", "rho0"]
 
 
 def test_matrix_initial_state_rejects_invalid(tmp_path):

@@ -197,6 +197,18 @@ def test_propagate_rejects_trace_drift():
         propagate_series(-0.1 * np.eye(9), np.diag([1.0, 0, 0]), [1.0])
 
 
+def test_trace_drift_is_judged_against_trace_drift():
+    # a generator that loses trace at rate k drifts by about k t: 1e-8 by
+    # t = 1 stays below TRACE_DRIFT (1e-6), 1e-5 by the first grid time
+    # does not
+    lm = liouvillian(build_model(random_driven_params(Config.FIG2A)))
+    times = np.linspace(0.0, 1.0, 11)
+    propagate_series(lm - 1e-8 * np.eye(9), ketbra(0, 0), times)
+    with pytest.raises(PropagationError, match=r"trace drifted by "
+                                               r"1\.000e-05 \(at t = 0\.1\)"):
+        propagate_series(lm - 1e-4 * np.eye(9), ketbra(0, 0), times)
+
+
 def test_propagate_series_consistency():
     m = build_model(random_driven_params(Config.FIG2A))
     lm = liouvillian(m)

@@ -390,7 +390,8 @@ def test_verify_equivalence_rejects_a_non_finite_unitary():
             verify_equivalence(m, m, bad, ketbra(0, 0), np.linspace(0, 1, 5))
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, True, "1e-8",
+                                 None])
 def test_verify_equivalence_rejects_a_bad_tolerance(tol):
     m = build_model(random_fig1a(np.random.default_rng(16)))
     with pytest.raises(ValueError, match="tol must be a finite number > 0"):

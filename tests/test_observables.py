@@ -181,6 +181,18 @@ def test_reset_state_must_be_a_density_matrix(curve):
             curve(m, taus, reset_state=bad)
 
 
+@pytest.mark.parametrize("curve, what", [
+    (g2, "intensity correlation"), (waiting_time, "waiting-time density")])
+def test_a_negative_photon_rate_is_an_internal_failure(curve, what):
+    # L is formed from K first; a K negated after that makes every photon
+    # rate tr(K rho) of the propagated states negative
+    m = build_model(fig2a_params())
+    m.generator, m.no_jump
+    object.__setattr__(m, "decay", -m.decay)
+    with pytest.raises(RuntimeError, match=f"{what} went negative"):
+        curve(m, np.linspace(0.0, 5.0, 11))
+
+
 # ----------------------------------------------------------------- spectra
 
 def test_spectrum_without_drive_is_dark():
@@ -314,6 +326,32 @@ def test_spectrum_rejects_a_bad_detection_operator(detect, monkeypatch):
     monkeypatch.setattr(scipy.linalg, "schur", refuse)
     with pytest.raises(ValueError, match="detect must be a finite 3x3"):
         emission_spectrum(m, detect, np.linspace(-5, 5, 11))
+
+
+def test_spectrum_that_overflows_is_an_internal_failure():
+    # S grows as |detect|^2: the first frequency of the grid whose value is
+    # not finite is named, and numpy does not warn on the way
+    m = build_model(fig2a_params(delta2=0.0, delta3=0.0, omega_a=1e-4))
+    omegas = np.linspace(-4, 4, 41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        emission_spectrum(m, 1e158 * m.collapse_ops[0], omegas)
+        with pytest.raises(RuntimeError, match="emission spectrum is not "
+                                               "finite at omega = -4$"):
+            emission_spectrum(m, 1e160 * m.collapse_ops[0], omegas)
+        # here only the frequencies near the line centre overflow
+        with pytest.raises(RuntimeError) as err:
+            emission_spectrum(m, 6.3e158 * m.collapse_ops[0], omegas)
+    assert -4 < float(str(err.value).rsplit("= ", 1)[1]) < 0
+    # a strong drive scatters mostly coherently: the coherent weight, 0.11
+    # |w|^2, overflows while every value is still finite
+    m = build_model(fig2a_params(delta2=0.0, delta3=0.0, gamma21=100.0,
+                                 omega_a=100.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="coherent weight of the "
+                                               "emission spectrum is not"):
+            emission_spectrum(m, 1e155 * m.collapse_ops[0], omegas)
 
 
 def test_spectrum_takes_frequencies_in_any_order():
