@@ -49,6 +49,19 @@ def _length_classes(dts: np.ndarray, width: float) -> np.ndarray:
     return np.searchsorted(lengths[opens], dts, side="right") - 1
 
 
+def _step_runs(dts: np.ndarray, width: float) -> list[tuple[int, int, int]]:
+    """(start, stop, class) of each run of consecutive steps of one length
+    class (:func:`_length_classes`).  Steps that all fit one class are one
+    run, found by the comparison the class search makes at its first
+    class, ``max <= min + width``, with no sort or search."""
+    if dts.max() <= dts.min() + width:
+        return [(0, dts.size, 0)]
+    classes = _length_classes(dts, width)
+    bounds = [0, *(np.flatnonzero(np.diff(classes)) + 1).tolist(), dts.size]
+    return [(start, stop, int(classes[start]))
+            for start, stop in zip(bounds[:-1], bounds[1:])]
+
+
 def _fill_powers(step: np.ndarray, v: np.ndarray, rows: np.ndarray) -> None:
     """rows[..., i, :] = step^(i+1) v, by doubling the filled rows each
     pass.  ``step`` may be a (k, n, n) stack with ``v`` (k, n) and ``rows``
@@ -80,12 +93,15 @@ def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
     two.  Each run of consecutive steps of one class is filled by doubling
     (E^m times the first m columns, then E^m squared), so it costs about
     2 log2 of its length in small products.  There is no loop over grid
-    points.  A state with a non-finite entry is an internal failure
-    (PropagationError at the first such grid time).
+    points, and little besides the products: steps that fit one class are
+    found by one comparison (:func:`_step_runs`), and finiteness is one
+    reduction over the result.  A state with a non-finite entry is an
+    internal failure (PropagationError at the first such grid time, which
+    only a failed call scans for).
     """
     times = check_grid(times, "times")
-    dts = np.diff(times, prepend=0.0)
-    if times[0] < 0 or (dts[1:] <= 0).any():
+    dts = np.diff(times)
+    if times[0] < 0 or (dts <= 0).any():
         raise ValueError("times must be strictly increasing and start at >= 0")
     v = np.asarray(v0, dtype=complex)
     if v.shape != np.shape(generator)[:-1]:
@@ -94,26 +110,24 @@ def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
     out = np.empty((*v.shape[:-1], times.size, v.shape[-1]), dtype=complex)
     lead = int(times[0] == 0.0)  # a grid from t = 0 starts with v0 itself
     out[..., :lead, :] = v[..., None, :]
-    dts = dts[lead:]
+    if not lead:  # the first step is from t = 0 to the grid's start
+        dts = np.concatenate([times[:1], dts])
     if dts.size:
-        classes = _length_classes(dts, STEP_SHARE * np.spacing(times[-1]))
-        bounds = [0, *(np.flatnonzero(np.diff(classes)) + 1).tolist(),
-                  dts.size]
         cache: dict[int, np.ndarray] = {}
         rows = out[..., lead:, :]
-        for start, stop in zip(bounds[:-1], bounds[1:]):
+        for start, stop, cls in _step_runs(
+                dts, STEP_SHARE * np.spacing(times[-1])):
             # a class's first run in grid order starts at its first step
-            cls = int(classes[start])
             step = cache.get(cls)
             if step is None:
                 step = cache[cls] = mat_exp(generator, dts[start])
             _fill_powers(step, v, rows[..., start:stop, :])
             v = rows[..., stop - 1, :]
-    finite = np.isfinite(out).all(axis=-1).reshape(-1, times.size).all(axis=0)
-    if not finite.all():
-        first = int(np.argmin(finite))
+    if not np.isfinite(out.view(float)).all():
+        finite = np.isfinite(out).all(axis=-1).reshape(-1, times.size).all(
+            axis=0)
         raise PropagationError("a propagated state has a non-finite entry",
-                               time=float(times[first]))
+                               time=float(times[np.argmin(finite)]))
     return np.swapaxes(out, -1, -2)
 
 
@@ -136,11 +150,14 @@ def propagate_series(l: np.ndarray, rho0: np.ndarray,
         rho0 = np.stack([check_density_matrix(r, "rho0") for r in rho0])
     else:
         rho0 = check_density_matrix(rho0, "rho0")
-    return _series(l, rho0, times)
+    return _series(l, rho0, times)[0]
 
 
-def _series(l: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """:func:`propagate_series` of start states its caller has checked."""
+def _series(l: np.ndarray, rho0: np.ndarray,
+            times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`propagate_series` of start states its caller has checked,
+    with each state's trace error |tr rho - 1| (same shape, less the two
+    matrix axes)."""
     vs = propagate_vectors(l, vec(rho0), times)
     # row j of each member's vs^T is vec(rho_j)
     rhos = hermitize(unvec(np.swapaxes(vs, -1, -2)))
@@ -151,7 +168,7 @@ def _series(l: np.ndarray, rho0: np.ndarray, times: np.ndarray) -> np.ndarray:
         raise PropagationError(
             f"trace drifted by {drift[..., bad[0]].max():.3e}",
             time=float(np.asarray(times)[bad[0]]))
-    return rhos
+    return rhos, drift
 
 
 def steady_state(l: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:

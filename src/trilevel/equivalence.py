@@ -292,11 +292,11 @@ def verify_equivalence(
     rho0 = check_density_matrix(rho0, "rho0")
 
     gens = np.stack([model_a.generator, model_b.generator])
-    series = _series(gens, np.stack([rho0, u @ rho0 @ u.conj().T]), times)
+    series, trace_err = _series(gens, np.stack([rho0, u @ rho0 @ u.conj().T]),
+                                times)
     # U rho U^+ flattened row-major is (U (x) conj(U)) times rho flattened
     flat = series.reshape(2, -1, 9)
     dists = np.linalg.norm(flat[0] @ kron(u, u.conj()).T - flat[1], axis=1)
-    trace_err = np.abs(np.trace(series, axis1=2, axis2=3).real - 1.0)
     max_dist = float(dists.max())
     return EquivalenceReport(
         max_dist=max_dist,

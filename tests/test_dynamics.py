@@ -10,6 +10,7 @@ import trilevel.dynamics as dynamics
 from trilevel.defaults import STEP_SHARE
 from trilevel.dynamics import (
     _length_classes,
+    _step_runs,
     liouvillian,
     propagate_series,
     propagate_vectors,
@@ -302,6 +303,54 @@ def test_linspace_steps_share_one_exponential(start, span, n):
     assert len(calls) == 1
 
 
+def _alternating_grid(gap_ulps):
+    """0.5 and 0.5 + gap alternating ten times, the gap in ulps of the grid
+    end (about 10, so 2**-49): every time is exact, and so is every step."""
+    ulp = 2.0**-49
+    times = np.cumsum([0.0] + [0.5, 0.5 + gap_ulps * ulp] * 10)
+    assert np.spacing(times[-1]) == ulp
+    assert set(np.diff(times)) == {0.5, 0.5 + gap_ulps * ulp}
+    return times
+
+
+@pytest.mark.parametrize("gap_ulps, exponentials", [(2, 1), (100, 2)])
+def test_steps_share_an_exponential_only_a_few_ulps_apart(gap_ulps,
+                                                          exponentials):
+    # linspace steps differ by at most 2 ulps of the grid end and share one
+    # exponential; steps 100 ulps apart are two lengths
+    with _counted_exponentials() as calls:
+        propagate_vectors(_GEN, _V0, _alternating_grid(gap_ulps))
+    assert len(calls) == exponentials
+
+
+def _ulps_from(x, k):
+    """``x`` moved by k ulps (of wherever it lands) up, or down for k < 0."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# shortest steps at or just below a power of two, so that min + width may
+# cross into the next binade and round, and longest steps a few ulps either
+# side of that sum
+@given(power=st.integers(-6, 6), below=st.integers(0, 9),
+       end=st.integers(1, 300), top=st.integers(-4, 4),
+       inner=st.lists(st.floats(0.0, 1.0), max_size=6),
+       order=st.randoms(use_true_random=False))
+def test_one_class_comparison_is_the_class_search(power, below, end, top,
+                                                  inner, order):
+    shortest = _ulps_from(np.float64(2.0**power), -below)
+    width = STEP_SHARE * np.spacing(end * 2.0**power)
+    longest = _ulps_from(shortest + width, top)
+    steps = [shortest, longest,
+             *(shortest + f * (longest - shortest) for f in inner)]
+    order.shuffle(steps)
+    dts = np.array(steps)
+    one_class = bool(dts.max() <= dts.min() + width)
+    assert (_length_classes(dts, width) == 0).all() == one_class
+    assert (len(_step_runs(dts, width)) == 1) == one_class
+
+
 # steps a few ulps of the grid end (<= 26) around a handful of lengths, in
 # any order, so that lengths near one another straddle class boundaries
 _NEAR_STEPS = st.lists(st.tuples(st.sampled_from([0.1, 0.25, 1 / 3, 0.7]),
@@ -503,6 +552,51 @@ def test_a_non_finite_state_is_an_internal_failure():
                            match="non-finite entry") as err:
             call()
         assert err.value.time == 0.5
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_the_first_non_finite_time_is_named_past_a_finite_step(stacked):
+    # a step of 1e-190 leaves the overflowing model's state finite; the
+    # next one does not, so the scan that names the failure must find 0.5
+    huge = build_model(SystemParams(Config.FIG2A, gamma21=1e200,
+                                    gamma23_or_31=0.1, omega_a=1e200,
+                                    omega_b=0.6)).generator
+    gen, v0 = huge, _V0
+    if stacked:  # behind a finite member
+        gen, v0 = np.stack([_GEN, huge]), np.stack([_V0, _V0])
+    grid = [0.0, 1e-190, 0.5, 1.0]
+    with pytest.raises(PropagationError, match="non-finite entry") as err:
+        propagate_vectors(gen, v0, grid)
+    assert err.value.time == 0.5
+
+
+def _assert_hermitian_bit_for_bit(series):
+    assert np.array_equal(series, np.swapaxes(series.conj(), -1, -2))
+
+
+def test_every_propagated_state_is_hermitian_bit_for_bit(monkeypatch):
+    import trilevel.observables as observables
+    models = [build_model(random_driven_params(c, np.random.default_rng(9)))
+              for c in Config]
+    rho0 = [random_density_matrix(np.random.default_rng(k)) for k in range(4)]
+    ragged = _STACK_GRIDS["ragged"]
+    for grid in (_STACK_GRIDS["uniform"], ragged):
+        for m, r in zip(models, rho0):
+            _assert_hermitian_bit_for_bit(propagate_series(m.generator, r,
+                                                           grid))
+        _assert_hermitian_bit_for_bit(propagate_series(
+            np.stack([m.generator for m in models]), rho0, grid))
+    # and the series populations reads its diagonal from
+    read = []
+
+    def spy(*args):
+        read.append(propagate_series(*args))
+        return read[-1]
+
+    monkeypatch.setattr(observables, "propagate_series", spy)
+    populations(models[1], rho0[1], ragged)
+    assert len(read) == 1
+    _assert_hermitian_bit_for_bit(read[0])
 
 
 # ----------------------------------------------------------- steady state
