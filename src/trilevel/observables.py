@@ -339,14 +339,15 @@ class _NoJumpEvolution:
     (-i H_eff), the Taylor coefficients of exp(i H_eff^+ delta) O
     exp(-i H_eff delta).  At |delta| <= h/2 the 11 terms kept leave out at
     most (2 ||H_eff|| |delta|)**11 / 11! ~ 2.9e-18 of the form at that
-    point.  Each family of forms keeps these coefficients as one (2, ...,
-    9, _TERMS) array, ``beta_survival``, ``beta_populations`` or
-    ``beta_rates``: those of delta^n in each form, then those of its tau
-    derivative, highest power first, so that ``forms`` evaluates a family
-    at any rows as one product with the powers of delta (the small terms
-    summed before the large ones, as in Horner's rule), contracted with the
-    9 reals each row gathers from the table.  Each start's survival is also
-    kept as a non-increasing search table.
+    point.  Each family of forms keeps these coefficients as one (forms,
+    9, _TERMS) array, highest power first: ``beta_populations`` and
+    ``beta_rates``, and ``beta_survival``, the survival and then its tau
+    derivative, whose coefficients are (n + 1) c_(n+1), a family of its
+    own.  ``forms`` evaluates a family at any rows as one product with the
+    powers of delta (the small terms summed before the large ones, as in
+    Horner's rule), contracted with the 9 reals each row gathers from the
+    table.  Each start's survival is also kept as a non-increasing search
+    table.
 
     The table stops at the first point where every survival is below
     SURVIVAL_FLOOR, the smallest threshold a trajectory draws, so a model
@@ -372,25 +373,37 @@ class _NoJumpEvolution:
         terms = [np.concatenate([np.eye(3)[None],
                                  [np.diag(e) for e in np.eye(3)],
                                  ops.conj().transpose(0, 2, 1) @ ops])]
-        for q in range(1, _TERMS):
-            terms.append((gen.conj().T @ terms[-1] + terms[-1] @ gen) / q)
-        # (forms, 9, terms)
-        b = np.moveaxis(np.stack(terms)[..., _ROW, _COL], 0, -1)
-        beta = np.concatenate([b.real * [[1], [1], [1], [2], [2], [2]],
-                               -2 * b[:, 3:].imag], axis=1)
-        # d/dtau sum_n delta^n c_n = sum_n delta^n (n + 1) c_(n+1)
-        deriv = np.zeros_like(beta)
-        deriv[..., :-1] = beta[..., 1:] * np.arange(1, _TERMS)
-        both = np.stack([beta, deriv])[..., ::-1]
-        self.beta_survival = both[:, 0].copy()
-        self.beta_populations = both[:, 1:4].copy()
-        self.beta_rates = both[:, 4:].copy()
+        # B_10 grows as ||H_eff||^10 ||O||: the test after the block names
+        # an overflow, which numpy would only warn of
+        with np.errstate(over="ignore", invalid="ignore"):
+            for q in range(1, _TERMS):
+                terms.append((gen.conj().T @ terms[-1] + terms[-1] @ gen) / q)
+            # (forms, 9, terms), highest power first
+            b = np.moveaxis(np.stack(terms[::-1])[..., _ROW, _COL], 0, -1)
+            beta = np.concatenate([b.real * [[1], [1], [1], [2], [2], [2]],
+                                   -2 * b[:, 3:].imag], axis=1)
+            # d/dtau sum_n delta^n c_n = sum_n delta^n (n + 1) c_(n+1)
+            slope = np.zeros_like(beta[0])
+            slope[:, 1:] = beta[0, :, :-1] * np.arange(_TERMS - 1, 0, -1)
+        if not (np.isfinite(beta).all() and np.isfinite(slope).all()):
+            raise RuntimeError(f"jump sampler: the no-jump Taylor "
+                               f"coefficients overflow at ||H_eff|| = "
+                               f"{norm:.3g}")
+        self.beta_survival = np.stack([beta[0], slope])
+        self.beta_populations = beta[1:4].copy()
+        self.beta_rates = beta[4:].copy()
         step = mat_exp(gen, self.h)
         n, power, end = int(np.ceil(t_max / self.h)), step, 1
         while end < n and (np.abs(starts @ power.T) ** 2).sum(
                 axis=1).max() >= SURVIVAL_FLOOR:
             power, end = power @ power, 2 * end
-        table = np.empty((len(starts), min(end, n) + 1, 9))
+        try:
+            table = np.empty((len(starts), min(end, n) + 1, 9))
+        except ValueError as err:  # numpy refuses the shape
+            raise RuntimeError(
+                f"jump sampler: a no-jump table of {min(end, n) + 1:.3g} "
+                f"points (step {self.h:.3g} to t = {t_max:g}) exceeds "
+                f"numpy's array size") from err
         psi = np.empty((table.shape[1], 3), dtype=complex)
         for j, start in enumerate(starts):
             psi[0] = start
@@ -408,27 +421,25 @@ class _NoJumpEvolution:
         # the survival is non-increasing: clip roundoff so it can be searched
         self.survival = np.minimum.accumulate(survival[:, :end], axis=1)
 
-    def forms(self, beta: np.ndarray, start: np.ndarray, tau: np.ndarray,
-              slope: bool = False):
+    def forms(self, beta: np.ndarray, start: np.ndarray,
+              tau: np.ndarray) -> np.ndarray:
         """The forms of ``beta`` (one of the beta_* arrays) at rows
-        (start_r, tau_r), the last axis running over rows; with ``slope``,
-        also their tau derivative.  One product of the family's
-        coefficients with the powers of the offset from the nearest table
-        point, contracted with that point's 9 reals.  BLAS rounds a
-        product with one column by another kernel than one with more, so a
-        lone row goes as a pair: each row's value does not depend on the
-        others, bit for bit."""
+        (start_r, tau_r), the last axis running over rows; the survival's
+        family gives the survival and its tau derivative.  One product of
+        the family's coefficients with the powers of the offset from the
+        nearest table point, contracted with that point's 9 reals.  BLAS
+        rounds a product with one column by another kernel than one with
+        more, so a lone row goes as a pair: each row's value does not
+        depend on the others, bit for bit."""
         rows = tau.size
         if rows == 1:
             start, tau = np.resize(start, 2), np.resize(tau, 2)
         m = np.rint(tau / self.h).astype(int)
-        coef = beta if slope else beta[0]
-        c = coef.reshape(-1, _TERMS) @ _powers(tau - m * self.h)
+        c = beta.reshape(-1, _TERMS) @ _powers(tau - m * self.h)
         w = self.table.reshape(-1, 9).take(start * self.table.shape[1] + m,
                                            axis=0)
         out = np.einsum("kir,ir->kr", c.reshape(-1, 9, tau.size), w.T.copy())
-        out = out[:, :rows].reshape(coef.shape[:-2] + (rows,))
-        return tuple(out) if slope else out
+        return out[:, :rows].reshape(beta.shape[:-2] + (rows,))
 
     def jump_times(self, start, u, t_left):
         """Times at which the survival ||psi(tau)||^2 falls to u, NaN where
@@ -449,11 +460,11 @@ class _NoJumpEvolution:
         # survival and its slope on [lo, hi], in x = (t - lo) / (hi - lo):
         # from the secant root, two Newton steps on the cubic, clipped to
         # the bracket.  The slope at a table point is w . beta(B_1) = -<K>,
-        # summed row by row: a BLAS (rows, 9) @ (9,) product rounds a row
-        # by how many there are
+        # with the slope family's delta^0 coefficients, summed row by row:
+        # a BLAS (rows, 9) @ (9,) product rounds a row by how many there are
         at_k, at_m = start * n + k, start * n + m
         s0, s1 = self.survival.take(at_k), self.survival.take(at_m)
-        flat, beta_1 = self.table.reshape(-1, 9), self.beta_survival[0, :, -2]
+        flat, beta_1 = self.table.reshape(-1, 9), self.beta_survival[1, :, -1]
         d0 = (flat.take(at_k, axis=0) * beta_1).sum(axis=1) * width
         d1 = (flat.take(at_m, axis=0) * beta_1).sum(axis=1) * width
         fall, f0 = s0 - s1, s0 - u
@@ -471,7 +482,7 @@ class _NoJumpEvolution:
         for _ in range(100):  # the step halves at least every other time
             if not rows.size:
                 return np.where(tau <= t_left, tau, np.nan)
-            f, slope = self.forms(self.beta_survival, start, t, slope=True)
+            f, slope = self.forms(self.beta_survival, start, t)
             f -= u
             above = f >= 0
             lo, hi = np.where(above, t, lo), np.where(above, hi, t)
@@ -582,8 +593,9 @@ def mc_trajectories(
         draw, next_u = _round_draws(seed, rnd, traj[-1] + 1)[traj].T
         thresholds[traj] = 1.0 - next_u
         total = rates.sum(axis=1)
-        channel = (np.cumsum(rates, axis=1) <= (draw * total)[:, None]).sum(1)
-        channel = np.minimum(channel, len(ops) - 1)
+        # the last channel takes every draw past the others
+        past = np.cumsum(rates, axis=1)[:, :-1] <= (draw * total)[:, None]
+        channel = past.sum(axis=1)
         # a numerically fully decayed state picks its channel uniformly
         channel = np.where(total > 0, channel, (draw * len(ops)).astype(int))
         start = channel + 1

@@ -386,6 +386,29 @@ def test_non_finite_propagated_state_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("gamma21, limit", [
+    # a start frozen by the Zeno effect survives to t = 20, so the table
+    # would run there at h = 1/(8 ||H_eff||): 1.6e22 points
+    (1e20, "a no-jump table of 1.6e+22 points (step 1.25e-21 to t = 20) "
+           "exceeds numpy's array size"),
+    # the rates' Taylor coefficients grow as gamma21^11
+    (1e30, "the no-jump Taylor coefficients overflow at ||H_eff|| = 1e+30"),
+], ids=["table", "coefficients"])
+def test_jump_sampler_limits_are_named_internal_failures(tmp_path, capsys,
+                                                         gamma21, limit):
+    payload = minimal_fig2a(task="trajectories", time_grid=[0.0, 20.0, 2],
+                            options={"n_traj": 2})
+    payload["system"].update(gamma21=gamma21, omega_a=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["trajectories", "--config",
+                     str(write_scenario(tmp_path, payload)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert capsys.readouterr().err == f"internal error: jump sampler: {limit}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_type_error_inside_a_task_exits_3(tmp_path, capsys, monkeypatch):
     # every scenario entry is typed by parse_scenario, so a TypeError in a
     # run is a fault of the program, not rejected input

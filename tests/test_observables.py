@@ -16,6 +16,7 @@ from trilevel.dynamics import (
     propagate_vectors,
     steady_state,
 )
+from trilevel import observables
 from trilevel.errors import JumpRankError
 from trilevel.defaults import SURVIVAL_FLOOR
 from trilevel.linalg import ketbra, mat_exp, vec
@@ -697,6 +698,33 @@ def test_mc_builds_no_per_trajectory_generator(monkeypatch):
     assert len(rngs) == rounds
 
 
+def test_mc_last_channel_takes_a_draw_past_every_cumulative_rate(monkeypatch):
+    # two channel rates of 1e-310 (subnormal): the draw 1 - 2^-53 times
+    # their total rounds to the total, at or past every cumulative rate.
+    # fig1a's channels reset to |1> and |3>, so an index of 2 would name a
+    # start state that does not exist
+    m = build_model(SystemParams(Config.FIG1A, gamma21=1.0,
+                                 gamma23_or_31=0.3, omega_a=1.2,
+                                 omega_b=0.7, delta2=0.4, delta3=-0.6))
+    forms, round_draws = _NoJumpEvolution.forms, _round_draws
+
+    def subnormal_rates(self, beta, start, tau):
+        if beta is self.beta_rates:
+            return np.full((len(beta), tau.size), 1e-310)
+        return forms(self, beta, start, tau)
+
+    def top_channel_draws(seed, rnd, n):
+        draws = round_draws(seed, rnd, n)
+        draws[:, 0] = 1.0 - 2.0 ** -53
+        return draws
+
+    monkeypatch.setattr(_NoJumpEvolution, "forms", subnormal_rates)
+    monkeypatch.setattr(observables, "_round_draws", top_channel_draws)
+    run = mc_trajectories(m, n_traj=5, t_final=20.0, seed=3)
+    assert run.channels.size > 0
+    np.testing.assert_array_equal(run.channels, 1)
+
+
 _RANK_TWO = LindbladModel(np.zeros((3, 3)), (ketbra(0, 1) + ketbra(1, 2),),
                           np.array([[1.0]]))
 
@@ -820,7 +848,7 @@ def test_no_jump_forms_match_mat_exp(name):
         which = np.full(taus.size, j)
         survival = (np.abs(psi) ** 2).sum(axis=1)
         got = np.column_stack([
-            evo.forms(evo.beta_survival, which, taus),
+            evo.forms(evo.beta_survival, which, taus)[0],
             evo.forms(evo.beta_populations, which, taus).T,
             evo.forms(evo.beta_rates, which, taus).T])
         want = np.column_stack([
@@ -830,11 +858,53 @@ def test_no_jump_forms_match_mat_exp(name):
         assert err.max() < 1e-13, (j, err.max(), taus[np.argmax(err)])
     # the slope at a table point is -<psi|K|psi>
     psi = mat_exp(-1j * m.effective_hamiltonian, steps[7]) @ starts.T
-    _, slope = evo.forms(evo.beta_survival, np.arange(3), np.full(3, steps[7]),
-                         slope=True)
+    _, slope = evo.forms(evo.beta_survival, np.arange(3), np.full(3, steps[7]))
     np.testing.assert_allclose(
         slope, -np.einsum("ik,ij,jk->k", psi.conj(), m.decay, psi).real,
         rtol=1e-13)
+
+
+def test_jump_times_match_mpmath_roots():
+    # the benchmark's shelving model from |1>, |2> and |3>: 34 uniform
+    # thresholds above each survival at t = 20, and u = 1 - 10^-k
+    # (k = 3..8), which from |1> (zero slope at tau = 0) put the root where
+    # the survival is nearly flat.  The reference is Newton at 30 digits on
+    # the eigen-expansion of exp(-i H_eff tau) psi.  A root is as good as
+    # the survival it solves: one ulp of u over the slope, times the table
+    # steps to tau, whose roundoff adds up (measured: at most 1.5 times
+    # that, plus an ulp of tau)
+    import mpmath
+    m = build_model(SystemParams(Config.FIG2A, gamma21=1.0,
+                                 gamma23_or_31=0.005, omega_a=1.0,
+                                 omega_b=0.08))
+    t_final = 20.0
+    evo = _NoJumpEvolution(m, np.eye(3, dtype=complex), t_final)
+    rng = np.random.default_rng(5)
+    last = min(evo.survival.shape[1] - 1, round(t_final / evo.h))
+    u = np.concatenate([np.append(rng.uniform(evo.survival[j, last], 1, 34),
+                                  1 - 10.0 ** -np.arange(3, 9))
+                        for j in range(3)])
+    start = np.repeat(np.arange(3), u.size // 3)
+    tau = evo.jump_times(start, u, np.full(u.size, t_final))
+    assert not np.isnan(tau).any()
+    with mpmath.workdps(30):
+        h = mpmath.matrix(m.effective_hamiltonian.tolist())
+        decay = 1j * (h - h.H)  # K, from H_eff = H - i K / 2
+        energies, vecs = mpmath.eig(h)
+        for j, u_j, tau_j in zip(start, u, tau):
+            amp = vecs ** -1 * mpmath.matrix(np.eye(3)[j].tolist())
+            x = mpmath.mpf(tau_j)
+            for _ in range(10):
+                psi = vecs * mpmath.matrix([mpmath.exp(-1j * e * x) * a
+                                            for e, a in zip(energies, amp)])
+                slope = -mpmath.re((psi.H * decay * psi)[0])
+                step = (mpmath.norm(psi) ** 2 - u_j) / slope
+                x -= step
+                if abs(step) < 1e-25:
+                    break
+            bound = (4 * (tau_j / evo.h + 1) * np.spacing(u_j)
+                     / abs(float(slope)) + 8 * np.spacing(tau_j))
+            assert abs(float(x - tau_j)) <= bound, (j, u_j, tau_j)
 
 
 def test_mc_dark_state_run_memory_is_bounded():
