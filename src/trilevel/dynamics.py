@@ -64,9 +64,9 @@ def _step_runs(dts: np.ndarray, width: float) -> list[tuple[int, int, int]]:
 
 def _fill_powers(step: np.ndarray, v: np.ndarray, rows: np.ndarray) -> None:
     """rows[..., i, :] = step^(i+1) v, by doubling the filled rows each
-    pass.  ``step`` may be a (k, n, n) stack with ``v`` (k, n) and ``rows``
-    (k, m, n): each pass is then one batched product, and each member's
-    rows are those of a lone call, bit for bit."""
+    pass.  ``v`` (k, n) and ``rows`` (k, m, n) may hold k start vectors of
+    one (n, n) step, or of a (k, n, n) stack, each member's rows then those
+    of a lone call, bit for bit; each pass is one batched product."""
     rows[..., 0, :] = (step @ v[..., None])[..., 0]
     power = np.swapaxes(step, -1, -2)  # rows are multiplied from the right
     done, n = 1, rows.shape[-2]

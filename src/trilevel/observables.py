@@ -104,15 +104,15 @@ def waiting_time(model: LindbladModel, taus: np.ndarray,
     minus all feeding terms); the density is the detection-rate functional
     of that decaying state, so it integrates to at most 1.  The exact
     probability of an emission by the last grid point, the trace the
-    no-jump state has lost, is kept in meta["emitted_probability"]; above
-    1 + EMISSION_EXCESS it is a ValueError.
+    no-jump state has lost, is kept in meta["emitted_probability"]; G0
+    only loses trace, so above 1 + EMISSION_EXCESS it is a RuntimeError.
     """
     v0 = _reset_vec(reset_state)
     vs = propagate_vectors(model.no_jump, v0, taus)
     values = _photon_rates(model, vs, "waiting-time density")
     emitted = float((vec(np.eye(3)) @ (v0 - vs[:, -1])).real)
     if emitted > 1.0 + EMISSION_EXCESS:
-        raise ValueError(f"waiting-time density integrates to {emitted} > 1")
+        raise RuntimeError(f"waiting-time density integrates to {emitted} > 1")
     return SampledFunction(np.asarray(taus, dtype=float), values,
                            {"emitted_probability": emitted})
 
@@ -307,9 +307,15 @@ _PAIR_BLOCK = 1024
 # Taylor terms of each no-jump quadratic form in the offset from a table
 # point
 _TERMS = 11
-# <psi|B|psi> = w . beta(B) for Hermitian B: w holds the |psi_i|^2, then Re
-# and Im of conj(psi_i) psi_k for i < k; beta(B) the matching entries of B
-_ROW, _COL = (0, 1, 2, 0, 0, 1), (0, 1, 2, 1, 2, 2)
+# the Hermitian basis E_c of rho = sum_c w_c E_c, w_c = tr(E_c rho) /
+# tr(E_c^2): the |i><i|, then |i><k| + |k><i| and i (|k><i| - |i><k|) for
+# i < k, so w holds the rho_ii, then Re and Im of rho_ki.  Row c of _VECS
+# is vec(E_c), and tr(E_c X) = conj(vec(E_c)) . vec(X)
+_PAIRS = tuple(itertools.combinations(range(3), 2))
+_VECS = vec(np.array(
+    [ketbra(i, i) for i in range(3)]
+    + [ketbra(i, k) + ketbra(k, i) for i, k in _PAIRS]
+    + [1j * (ketbra(k, i) - ketbra(i, k)) for i, k in _PAIRS]))
 
 
 def _powers(delta: np.ndarray) -> np.ndarray:
@@ -327,61 +333,59 @@ def _powers(delta: np.ndarray) -> np.ndarray:
 
 
 class _NoJumpEvolution:
-    """Quadratic forms <psi(tau)|O|psi(tau)> of psi(tau) = exp(-i H_eff
-    tau) psi_j for a few start states, 0 <= tau <= t_max: the survival
+    """Quadratic forms tr(O rho(tau)) of the no-jump states rho(tau) =
+    exp(G0 tau) psi_j psi_j^+ of a few start states, 0 <= tau <= t_max, for
+    G0 = ``model.no_jump``, which waiting times propagate too: the survival
     (O = 1), the level populations (the projectors) and the channel rates
     (O = c_k^+ c_k of ``model.jump_operators``).
 
-    The table holds, at multiples of h = min(t_max, 1/(8 ||H_eff||)), the
-    9 reals w of psi psi^+ of each start.  From the nearest table point, a
-    form is the real polynomial sum_n delta^n w . beta(B_n) of the offset
-    delta, with B_0 = O and (n + 1) B_(n+1) = (i H_eff^+) B_n + B_n
-    (-i H_eff), the Taylor coefficients of exp(i H_eff^+ delta) O
-    exp(-i H_eff delta).  At |delta| <= h/2 the 11 terms kept leave out at
-    most (2 ||H_eff|| |delta|)**11 / 11! ~ 2.9e-18 of the form at that
-    point.  Each family of forms keeps these coefficients as one (forms,
-    9, _TERMS) array, highest power first: ``beta_populations`` and
-    ``beta_rates``, and ``beta_survival``, the survival and then its tau
-    derivative, whose coefficients are (n + 1) c_(n+1), a family of its
-    own.  ``forms`` evaluates a family at any rows as one product with the
-    powers of delta (the small terms summed before the large ones, as in
-    Horner's rule), contracted with the 9 reals each row gathers from the
-    table.  Each start's survival is also kept as a non-increasing search
-    table.
+    rho is held as its 9 reals w on the basis of _VECS, where G0 is a real
+    9x9 matrix, gen.  The table holds the w of each start at multiples of
+    h = min(t_max, 1/(8 ||H_eff||)).  From the nearest table point, a form
+    is the real polynomial sum_n delta^n w . beta_n of the offset delta,
+    with beta_0 = beta(O), beta(O)_c = tr(O E_c), and beta_n = beta_(n-1)
+    gen / n, the Taylor coefficients of beta(O) exp(gen delta).  At |delta|
+    <= h/2 the 11 terms kept leave out at most (2 ||H_eff|| |delta|)**11 /
+    11! ~ 2.9e-18 of the form at that point.  Each family of forms keeps
+    these coefficients as one (forms, 9, _TERMS) array, highest power
+    first: ``beta_populations`` and ``beta_rates``, and ``beta_survival``,
+    the survival and then its tau derivative, whose coefficients are
+    (n + 1) c_(n+1), a family of its own.  ``forms`` evaluates a family at
+    any rows as one product with the powers of delta (the small terms
+    summed before the large ones, as in Horner's rule), contracted with the
+    9 reals each row gathers from the table.  Each start's survival is also
+    kept as a non-increasing search table.
 
     The table stops at the first point where every survival is below
     SURVIVAL_FLOOR, the smallest threshold a trajectory draws, so a model
     that keeps emitting needs a bounded table whatever t_max; a dark state,
     whose survival levels off above that, keeps the whole table.  Squaring
     the step's exponential to power-of-two points bounds that length; the
-    table is then allocated once, and each start's states are filled by the
-    series' doubling, ``dynamics._fill_powers``, and reduced to w."""
+    table is then allocated once and filled, one step and every start, by
+    one call of the series' doubling, ``dynamics._fill_powers``."""
 
     def __init__(self, model: LindbladModel, starts: np.ndarray,
                  t_max: float):
-        h_eff = model.effective_hamiltonian
-        norm = np.linalg.norm(h_eff, 2)
+        norm = np.linalg.norm(model.effective_hamiltonian, 2)
         scale = 1.0 / norm if norm > 0 else np.inf
         self.h = min(t_max, scale / 8)
         # Newton's last step.  Where the survival is nearly flat, at the end
         # of a long dark period, the root is only good to about (roundoff of
         # the survival) / |slope|: 4.9e-11 at slope -1.3e-6, say
         self.tol = NEWTON_STEP * min(t_max, scale)
-        ops = model.jump_operators
-        gen = -1j * h_eff
-        # B_0 = O: 1, the level projectors, the c_k^+ c_k
-        terms = [np.concatenate([np.eye(3)[None],
-                                 [np.diag(e) for e in np.eye(3)],
-                                 ops.conj().transpose(0, 2, 1) @ ops])]
-        # B_10 grows as ||H_eff||^10 ||O||: the test after the block names
+        ops, dual = model.jump_operators, _VECS.conj().T
+        squares = (_VECS @ dual).real.diagonal()  # tr(E_c^2)
+        gen = (dual.T @ model.no_jump @ _VECS.T).real / squares[:, None]
+        # beta_0 = beta(O): 1, the level projectors, the c_k^+ c_k
+        terms = [(vec(np.concatenate([
+            np.eye(3)[None], [np.diag(e) for e in np.eye(3)],
+            ops.conj().transpose(0, 2, 1) @ ops])) @ dual).real]
+        # beta_10 grows as ||H_eff||^10 ||O||: the test after the block names
         # an overflow, which numpy would only warn of
         with np.errstate(over="ignore", invalid="ignore"):
             for q in range(1, _TERMS):
-                terms.append((gen.conj().T @ terms[-1] + terms[-1] @ gen) / q)
-            # (forms, 9, terms), highest power first
-            b = np.moveaxis(np.stack(terms[::-1])[..., _ROW, _COL], 0, -1)
-            beta = np.concatenate([b.real * [[1], [1], [1], [2], [2], [2]],
-                                   -2 * b[:, 3:].imag], axis=1)
+                terms.append(terms[-1] @ gen / q)
+            beta = np.stack(terms[::-1], axis=-1)  # highest power first
             # d/dtau sum_n delta^n c_n = sum_n delta^n (n + 1) c_(n+1)
             slope = np.zeros_like(beta[0])
             slope[:, 1:] = beta[0, :, :-1] * np.arange(_TERMS - 1, 0, -1)
@@ -392,10 +396,12 @@ class _NoJumpEvolution:
         self.beta_survival = np.stack([beta[0], slope])
         self.beta_populations = beta[1:4].copy()
         self.beta_rates = beta[4:].copy()
-        step = mat_exp(gen, self.h)
+        w0 = (vec(starts[:, :, None] * starts[:, None, :].conj())
+              @ dual).real / squares
+        step = mat_exp(gen, self.h).real
         n, power, end = int(np.ceil(t_max / self.h)), step, 1
-        while end < n and (np.abs(starts @ power.T) ** 2).sum(
-                axis=1).max() >= SURVIVAL_FLOOR:
+        while (end < n and (power[:3].sum(axis=0) @ w0.T).max()
+               >= SURVIVAL_FLOOR):
             power, end = power @ power, 2 * end
         try:
             table = np.empty((len(starts), min(end, n) + 1, 9))
@@ -404,15 +410,8 @@ class _NoJumpEvolution:
                 f"jump sampler: a no-jump table of {min(end, n) + 1:.3g} "
                 f"points (step {self.h:.3g} to t = {t_max:g}) exceeds "
                 f"numpy's array size") from err
-        psi = np.empty((table.shape[1], 3), dtype=complex)
-        for j, start in enumerate(starts):
-            psi[0] = start
-            _fill_powers(step, start, psi[1:])
-            for col, (i, k) in enumerate(zip(_ROW, _COL)):
-                z = psi[:, i].conj() * psi[:, k]
-                table[j, :, col] = z.real
-                if i < k:
-                    table[j, :, col + 3] = z.imag
+        table[:, 0] = w0
+        _fill_powers(step, w0, table[:, 1:])
         survival = table[:, :, :3].sum(axis=2)
         below = survival.max(axis=0) < SURVIVAL_FLOOR
         end = np.argmax(below) + 1 if below.any() else table.shape[1]
@@ -459,9 +458,10 @@ class _NoJumpEvolution:
         # start from the root of the cubic Hermite interpolant of the
         # survival and its slope on [lo, hi], in x = (t - lo) / (hi - lo):
         # from the secant root, two Newton steps on the cubic, clipped to
-        # the bracket.  The slope at a table point is w . beta(B_1) = -<K>,
-        # with the slope family's delta^0 coefficients, summed row by row:
-        # a BLAS (rows, 9) @ (9,) product rounds a row by how many there are
+        # the bracket.  The slope at a table point is w . beta(1) gen =
+        # -tr(K rho), the slope family's delta^0 coefficients, summed row by
+        # row: a BLAS (rows, 9) @ (9,) product rounds a row by how many there
+        # are
         at_k, at_m = start * n + k, start * n + m
         s0, s1 = self.survival.take(at_k), self.survival.take(at_m)
         flat, beta_1 = self.table.reshape(-1, 9), self.beta_survival[1, :, -1]

@@ -386,6 +386,25 @@ def test_non_finite_propagated_state_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("change, message", [
+    # E3 = delta3 - delta2 and the rate coordinate 2 gamma21 overflow
+    ({"delta2": -1e308, "delta3": 1e308}, "hamiltonian must be finite"),
+    ({"gamma21": 1e308}, "rate matrix must be finite"),
+], ids=["energy", "rate"])
+def test_a_model_that_overflows_its_build_is_rejected_input(tmp_path, capsys,
+                                                            change, message):
+    payload = minimal_fig2a()
+    payload["system"].update(change)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["simulate", "--config",
+                     str(write_scenario(tmp_path, payload)),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("gamma21, limit", [
     # a start frozen by the Zeno effect survives to t = 20, so the table
     # would run there at h = 1/(8 ||H_eff||): 1.6e22 points

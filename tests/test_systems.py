@@ -92,6 +92,22 @@ def test_models_and_params_reject_bad_input_by_name(make, message):
         make()
 
 
+# build_model's own sums that overflow a double are rejected input: here
+# E3 = delta3 - delta2 and the rate coordinate 2 gamma21 are each 2e308
+@pytest.mark.parametrize("change, message", [
+    ({"delta2": -1e308, "delta3": 1e308}, "hamiltonian must be finite"),
+    ({"gamma21": 1e308}, "rate matrix must be finite"),
+], ids=["energy", "rate"])
+def test_build_model_rejects_an_energy_or_rate_that_overflows(change,
+                                                              message):
+    p = dict(config=Config.FIG2A, gamma21=1.0, gamma23_or_31=0.1,
+             omega_a=2.0, omega_b=0.6) | change
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            build_model(SystemParams(**p))
+
+
 # rates and drive whose squares overflow: the Hermitian, symmetric and
 # trace-preservation checks compare norms of their operands divided by the
 # largest |entry|, so they neither warn nor go blind at this scale
