@@ -1,14 +1,19 @@
 """Time propagation and steady states of a model's generator.
 
 Propagation exponentiates the full 9x9 Liouvillian (the generators here are
-time independent and tiny, so exactness beats ODE stepping).  Steps fall
-into length classes a few ulps of the grid end wide, whatever their order,
-and each class shares one exponential E.  A run of n consecutive steps of
-one class is filled by doubling: E^m times the first m states
-E v ... E^m v gives the next m, then E^m is squared, so the run costs about
-2 log2 n small matrix products.  A uniform grid is one run; a ragged grid is
-runs of length one, one exponential and one product per step.  The jump
-sampler's no-jump table is filled by the same doubling.
+time independent and tiny, so exactness beats ODE stepping).  Series
+propagate a state's 9 real coordinates (``linalg.coords``) under the real
+9x9 generator of ``linalg.similarity``, so every exponential and product is
+real, each state comes back Hermitian bit for bit (``linalg.states``) and
+its trace is w_1 + w_2 + w_3; the steady state reads the complex vec form.
+
+Steps fall into length classes a few ulps of the grid end wide, whatever
+their order, and each class shares one exponential E.  A run of n
+consecutive steps of one class is filled by doubling: E^m times the first
+m states E v ... E^m v gives the next m, then E^m is squared, so the run
+costs about 2 log2 n small matrix products.  A uniform grid is one run; a
+ragged grid is runs of length one, one exponential and one product per
+step.  The jump sampler's no-jump table is filled by the same doubling.
 
 The propagators also take a stack of k generators and k start vectors (or
 states) on one shared grid: the grid is checked and its classes found once,
@@ -25,8 +30,8 @@ import numpy as np
 
 from .defaults import STEP_SHARE, TRACE_DRIFT, TRACE_FLOOR
 from .errors import NonUniqueSteadyStateError, PropagationError
-from .linalg import (check_density_matrix, check_grid, hermitize, mat_exp,
-                     null_space, unvec, vec)
+from .linalg import (check_density_matrix, check_grid, coords, hermitize,
+                     mat_exp, null_space, similarity, states, unvec)
 from .systems import LindbladModel
 
 
@@ -82,7 +87,9 @@ def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
                       times: np.ndarray) -> np.ndarray:
     """Columns exp(G t_j) v0 for a finite, increasing grid starting at >= 0.
 
-    A (k, 9, 9) stack of generators with a (k, 9) stack of start vectors
+    The columns are real when G and v0 both are (a generator on
+    coordinates, ``linalg.similarity``), and complex otherwise.  A
+    (k, 9, 9) stack of generators with a (k, 9) stack of start vectors
     gives the (k, 9, len(times)) columns of each member on the one grid;
     each member's columns equal those of a lone call bit for bit.
 
@@ -103,11 +110,12 @@ def propagate_vectors(generator: np.ndarray, v0: np.ndarray,
     dts = np.diff(times)
     if times[0] < 0 or (dts <= 0).any():
         raise ValueError("times must be strictly increasing and start at >= 0")
-    v = np.asarray(v0, dtype=complex)
+    real = not (np.iscomplexobj(generator) or np.iscomplexobj(v0))
+    v = np.asarray(v0, dtype=float if real else complex)
     if v.shape != np.shape(generator)[:-1]:
         raise ValueError(f"v0 has shape {v.shape}, but the generator is "
                          f"{'x'.join(map(str, np.shape(generator)))}")
-    out = np.empty((*v.shape[:-1], times.size, v.shape[-1]), dtype=complex)
+    out = np.empty((*v.shape[:-1], times.size, v.shape[-1]), dtype=v.dtype)
     lead = int(times[0] == 0.0)  # a grid from t = 0 starts with v0 itself
     out[..., :lead, :] = v[..., None, :]
     if not lead:  # the first step is from t = 0 to the grid's start
@@ -136,39 +144,41 @@ def propagate_series(l: np.ndarray, rho0: np.ndarray,
     """(len(times), 3, 3) stack of the states at the given times
     (finite, increasing, starting at >= 0).
 
-    The series is :func:`propagate_vectors` of vec(rho0): shared
-    exponentials, each uniform run filled by doubling.  A (k, 9, 9) stack
-    of generators with a (k, 3, 3) stack of start states gives the
+    The series is :func:`propagate_vectors` of coords(rho0) under the real
+    generator similarity(l), converted once: shared exponentials, each
+    uniform run filled by doubling, and every state rebuilt by
+    ``linalg.states``, Hermitian bit for bit.  A (k, 9, 9) stack of
+    generators with a (k, 3, 3) stack of start states gives the
     (k, len(times), 3, 3) series of each member on the one grid, each
     equal to a lone call's bit for bit.  A rho0 that is not 3x3,
     Hermitian, of unit trace and positive semidefinite to within
-    DENSITY_SLACK is bad input (ValueError); every propagated state is
-    re-Hermitized and a trace that drifts by more than TRACE_DRIFT is an
-    internal failure (PropagationError).
+    DENSITY_SLACK, or an l that does not map Hermitian matrices to
+    Hermitian ones, is bad input (ValueError); a trace that drifts by more
+    than TRACE_DRIFT is an internal failure (PropagationError).
     """
     if np.ndim(l) == 3:
         rho0 = np.stack([check_density_matrix(r, "rho0") for r in rho0])
     else:
         rho0 = check_density_matrix(rho0, "rho0")
-    return _series(l, rho0, times)[0]
+    return states(_series(similarity(l, "l"), coords(rho0), times)[0])
 
 
-def _series(l: np.ndarray, rho0: np.ndarray,
+def _series(gen: np.ndarray, w0: np.ndarray,
             times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`propagate_series` of start states its caller has checked,
-    with each state's trace error |tr rho - 1| (same shape, less the two
-    matrix axes)."""
-    vs = propagate_vectors(l, vec(rho0), times)
-    # row j of each member's vs^T is vec(rho_j)
-    rhos = hermitize(unvec(np.swapaxes(vs, -1, -2)))
-    drift = np.abs(np.trace(rhos, axis1=-2, axis2=-1).real - 1.0)
+    """The coordinates (..., len(times), 9) of the series under the real
+    generator(s) ``gen`` (``linalg.similarity``) from checked start
+    coordinates ``w0`` (``linalg.coords``), with each state's trace error
+    |w_1 + w_2 + w_3 - 1| (same shape, less the last axis)."""
+    # row j of each member's columns^T is w(t_j)
+    ws = np.swapaxes(propagate_vectors(gen, w0, times), -1, -2)
+    drift = np.abs(ws[..., :3].sum(axis=-1) - 1.0)
     bad = np.flatnonzero((drift > TRACE_DRIFT).reshape(
         -1, drift.shape[-1]).any(axis=0))
     if bad.size:
         raise PropagationError(
             f"trace drifted by {drift[..., bad[0]].max():.3e}",
             time=float(np.asarray(times)[bad[0]]))
-    return rhos, drift
+    return ws, drift
 
 
 def steady_state(l: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:

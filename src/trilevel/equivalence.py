@@ -17,7 +17,8 @@ block's detuning and the resulting detuning shifts differ between them.
 
 ``verify_equivalence`` certifies a mapped pair numerically by integrating
 both master equations in one stacked propagation and comparing the
-rotated trajectories.
+rotated trajectories, all in the 9 real coordinates of a state
+(``linalg.coords``), where rho -> U rho U^+ is a real 9x9 matrix too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 from .defaults import DEFAULT_TOLERANCES, EIG_SCREEN, SNAP, UNITARITY
 from .dynamics import _series
 from .errors import DegenerateBasisError, UndefinedAngleError
-from .linalg import check_density_matrix, finite_number, kron
+from .linalg import (SQUARES, check_density_matrix, coords, finite_number,
+                     kron, similarity, states)
 from .systems import _TWIN, LindbladModel, SystemParams
 
 
@@ -197,38 +199,41 @@ def map_system(p: SystemParams) -> tuple[SystemParams, EquivalenceMap]:
     return target, emap
 
 
-def _smallest_eigenvalue_bounds(stack: np.ndarray):
+def _smallest_eigenvalue_bounds(w: np.ndarray):
     """Lower and upper bounds on the smallest eigenvalue of each state of
-    an (n, 3, 3) Hermitian stack (lower triangles read), as
-    ``np.linalg.eigvalsh`` computes it; NaN where a state has a non-finite
-    entry.
+    an (n, 9) stack of coordinates (``linalg.coords``), as
+    ``np.linalg.eigvalsh`` computes it of ``linalg.states(w)``; NaN where
+    a state has a non-finite coordinate.
 
     The trigonometric closed form (O. K. Smith, Commun. ACM 4, 168
     (1961)): with q = tr/3 and the spread p = sqrt(tr (A - q)^2 / 6), the
     smallest eigenvalue is q + p beta(r) for r = det((A - q)/p)/2, where
     beta(r) = 2 cos(acos(r)/3 + 2 pi/3) is the smallest root of beta^3 -
-    3 beta = 2r and rises with r.  Forming A - q errs by ulps of q, so the
-    computed r is within dr = EIG_SCREEN (1 + |q|/p) of the exact one, and
-    beta(r -+ dr) bound the exact root.  This interval widens by itself,
-    to about sqrt(dr), near a double root, where acos is ill-conditioned
-    (J. Kopp, Int. J. Mod. Phys. C 19, 523 (2008)).  The bounds then widen
-    by EIG_SCREEN (|q| + 2p) for the final rounding and for LAPACK's own
-    error.
+    3 beta = 2r and rises with r.  q, p and r are read from w: the
+    diagonal is w_1..w_3, and x, y, z = A_21, A_31, A_32 have real parts
+    w_4..w_6 and imaginary parts w_7..w_9.  Forming A - q errs by ulps of
+    q, so the computed r is within dr = EIG_SCREEN (1 + |q|/p) of the
+    exact one, and beta(r -+ dr) bound the exact root.  This interval
+    widens by itself, to about sqrt(dr), near a double root, where acos is
+    ill-conditioned (J. Kopp, Int. J. Mod. Phys. C 19, 523 (2008)).  The
+    bounds then widen by EIG_SCREEN (|q| + 2p) for the final rounding and
+    for LAPACK's own error.
     """
-    d = np.diagonal(stack, axis1=1, axis2=2).real
-    q = d.sum(axis=1) / 3
-    b = d - q[:, None]
-    x, y, z = stack[:, 1, 0], stack[:, 2, 0], stack[:, 2, 1]
-    p = np.sqrt(((b * b).sum(axis=1) + 2 * (abs(x) ** 2 + abs(y) ** 2
-                                            + abs(z) ** 2)) / 6)
+    d0, d1, d2, ax, ay, az, bx, by, bz = np.ascontiguousarray(w.T)
+    q = (d0 + d1 + d2) / 3
+    b0, b1, b2 = d0 - q, d1 - q, d2 - q
+    p = np.sqrt((b0 * b0 + b1 * b1 + b2 * b2 + 2 * (
+        ax * ax + ay * ay + az * az + bx * bx + by * by + bz * bz)) / 6)
     scale = np.where(p > 0, p, 1.0)  # A = q I makes B = 0, so r = 0
-    b, x, y, z = b / scale[:, None], x / scale, y / scale, z / scale
-    r = (b[:, 0] * b[:, 1] * b[:, 2] - b[:, 0] * abs(z) ** 2
-         - b[:, 1] * abs(y) ** 2 - b[:, 2] * abs(x) ** 2
-         + 2 * (x * z * y.conj()).real) / 2
+    b0, b1, b2, ax, ay, az, bx, by, bz = (
+        np.array([b0, b1, b2, ax, ay, az, bx, by, bz]) / scale)
+    sx, sy, sz = ax * ax + bx * bx, ay * ay + by * by, az * az + bz * bz
+    # det(B) / 2, with 2 Re(x z conj(y)) its off-diagonal part
+    r = (b0 * b1 * b2 - b0 * sz - b1 * sy - b2 * sx
+         + 2 * ((ax * az - bx * bz) * ay + (ax * bz + bx * az) * by)) / 2
     dr = EIG_SCREEN * (1 + abs(q) / scale)
     slack = EIG_SCREEN * (abs(q) + 2 * p)
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    finite = np.isfinite(w).all(axis=1)
 
     def smallest(r):
         beta = 2 * np.cos(np.arccos(np.clip(r, -1.0, 1.0)) / 3 + 2 * np.pi / 3)
@@ -237,15 +242,15 @@ def _smallest_eigenvalue_bounds(stack: np.ndarray):
     return smallest(r - dr) - slack, smallest(r + dr) + slack
 
 
-def _min_eigenvalue(stack: np.ndarray) -> float:
-    """``np.linalg.eigvalsh(stack).min()`` of an (n, 3, 3) Hermitian stack,
-    bit for bit, with LAPACK run only on the states whose lower bound is
-    below the least upper bound (``_smallest_eigenvalue_bounds``): no other
-    state can hold the minimum.  A state with a non-finite entry is always
-    kept."""
-    lower, upper = _smallest_eigenvalue_bounds(stack)
+def _min_eigenvalue(w: np.ndarray) -> float:
+    """``np.linalg.eigvalsh(linalg.states(w)).min()`` of an (n, 9) stack of
+    coordinates, bit for bit, with the states rebuilt and LAPACK run only
+    where a state's lower bound is below the least upper bound
+    (``_smallest_eigenvalue_bounds``): no other state can hold the
+    minimum.  A state with a non-finite coordinate is always kept."""
+    lower, upper = _smallest_eigenvalue_bounds(w)
     top = np.min(upper, initial=np.inf, where=~np.isnan(upper))
-    return float(np.linalg.eigvalsh(stack[~(lower > top)]).min())
+    return float(np.linalg.eigvalsh(states(w[~(lower > top)])).min())
 
 
 @dataclass(frozen=True)
@@ -272,11 +277,14 @@ def verify_equivalence(
     """Integrate both master equations and compare rotated trajectories.
 
     model_a starts from rho0, model_b from U rho0 U^+, both in one stacked
-    propagation; the report carries the maximum Frobenius distance
-    max_t || U rho_a(t) U^+ - rho_b(t) || together with conservation
-    diagnostics of both trajectories: the largest trace error and the
-    smallest eigenvalue, ``np.linalg.eigvalsh``'s over both series bit for
-    bit (``_min_eigenvalue``).  rho0 must be a density matrix
+    propagation of their states' coordinates (``linalg.coords``) under the
+    models' ``generator_coords``; the report carries the maximum Frobenius
+    distance max_t || U rho_a(t) U^+ - rho_b(t) ||, which is
+    sqrt(sum_c tr(E_c^2) dw_c^2) for dw = S w_a - w_b and S the real matrix
+    of rho -> U rho U^+, together with conservation diagnostics of both
+    trajectories: the largest trace error |w_1 + w_2 + w_3 - 1| and the
+    smallest eigenvalue, ``np.linalg.eigvalsh``'s over both series of
+    states bit for bit (``_min_eigenvalue``).  rho0 must be a density matrix
     (``linalg.check_density_matrix``), ``unitary`` a finite 3x3 unitary to
     within UNITARITY and ``tol`` a finite number > 0 (ValueError).  Only
     rho0 is checked: U rho0 U^+ of a checked rho0 and a checked unitary
@@ -291,12 +299,12 @@ def verify_equivalence(
     times = np.asarray(times, dtype=float)
     rho0 = check_density_matrix(rho0, "rho0")
 
-    gens = np.stack([model_a.generator, model_b.generator])
-    series, trace_err = _series(gens, np.stack([rho0, u @ rho0 @ u.conj().T]),
-                                times)
-    # U rho U^+ flattened row-major is (U (x) conj(U)) times rho flattened
-    flat = series.reshape(2, -1, 9)
-    dists = np.linalg.norm(flat[0] @ kron(u, u.conj()).T - flat[1], axis=1)
+    gens = np.stack([model_a.generator_coords, model_b.generator_coords])
+    ws, trace_err = _series(
+        gens, coords(np.stack([rho0, u @ rho0 @ u.conj().T])), times)
+    # vec(U rho U^+) = (conj(U) (x) U) vec(rho)
+    dw = ws[0] @ similarity(kron(u.conj(), u)).T - ws[1]
+    dists = np.sqrt((dw * dw) @ SQUARES)
     max_dist = float(dists.max())
     return EquivalenceReport(
         max_dist=max_dist,
@@ -305,5 +313,5 @@ def verify_equivalence(
         times=times,
         distances=dists,
         max_trace_error=float(trace_err.max()),
-        min_eigenvalue=_min_eigenvalue(series.reshape(-1, 3, 3)),
+        min_eigenvalue=_min_eigenvalue(ws.reshape(-1, 9)),
     )

@@ -1,19 +1,32 @@
-"""Dense complex linear algebra for 3x3 operators and 9x9 superoperators.
+"""Dense linear algebra for 3x3 operators and 9x9 superoperators, and the
+real coordinates of Hermitian matrices that every propagation works in.
 
 Vectorization convention, used everywhere in this package: column stacking.
 vec(rho) flattens rho in Fortran order, so the superoperator of the map
 rho -> A rho B is kron(B.T, A).
+
+A Hermitian rho is rho = sum_c w_c E_c on the fixed Hermitian basis E_c of
+``BASIS``: the |i><i|, then |i><k| + |k><i| and i (|k><i| - |i><k|) for
+i < k, so its 9 reals w (``coords``) are the rho_ii, then Re and Im of the
+rho_ki, and tr(rho) = w_1 + w_2 + w_3.  A superoperator G that maps
+Hermitian matrices to Hermitian ones is the real 9x9 matrix
+``similarity(G)`` on them: the model's L and G0 (``LindbladModel``) and
+rho -> U rho U^+ for a unitary U.  Series propagation, the equivalence
+certificate, g2, waiting times and the jump sampler all propagate w;
+``states`` turns w back into 3x3 matrices, Hermitian bit for bit.  The
+complex vec form stays for the spectrum and the steady state.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 
 import numpy as np
 import scipy.linalg
 
-from .defaults import DENSITY_SLACK, NULL_CUT
+from .defaults import DENSITY_SLACK, NULL_CUT, ROUNDOFF
 
 
 def ketbra(i: int, j: int) -> np.ndarray:
@@ -52,6 +65,57 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return np.swapaxes(v.reshape(*v.shape[:-1], 3, 3), -1, -2)
 
 
+# the (i, k), i < k, of the off-diagonal coordinates 3 + p and 6 + p
+_PAIRS = tuple(itertools.combinations(range(3), 2))
+_ROWS, _COLS = np.array(_PAIRS).T
+# row c is vec(E_c); tr(E_c X) = conj(vec(E_c)) . vec(X), so vec(X) @ DUAL
+# holds the tr(E_c X), and SQUARES the tr(E_c^2): 1, 1, 1, then 2s
+BASIS = vec(np.array(
+    [ketbra(i, i) for i in range(3)]
+    + [ketbra(i, k) + ketbra(k, i) for i, k in _PAIRS]
+    + [1j * (ketbra(k, i) - ketbra(i, k)) for i, k in _PAIRS]))
+DUAL = BASIS.conj().T
+SQUARES = (BASIS @ DUAL).real.diagonal().copy()
+for _a in (BASIS, DUAL, SQUARES):
+    _a.flags.writeable = False
+
+
+def coords(rho: np.ndarray) -> np.ndarray:
+    """The 9 reals w_c = tr(E_c rho) / tr(E_c^2) of a Hermitian matrix, or
+    of each of a stack, on the last axis."""
+    return (vec(rho) @ DUAL).real / SQUARES
+
+
+def states(w: np.ndarray) -> np.ndarray:
+    """The 3x3 matrices sum_c w_c E_c of coordinates on the last axis of
+    ``w``: the diagonal is real and each off-diagonal pair is a +- i b, so
+    each is Hermitian bit for bit."""
+    w = np.asarray(w, dtype=float)
+    parts = np.zeros((*w.shape[:-1], 3, 3, 2))  # (real, imag) pairs
+    diag = np.arange(3)
+    parts[..., diag, diag, 0] = w[..., :3]
+    parts[..., _COLS, _ROWS, 0] = parts[..., _ROWS, _COLS, 0] = w[..., 3:6]
+    parts[..., _COLS, _ROWS, 1] = w[..., 6:]
+    parts[..., _ROWS, _COLS, 1] = -w[..., 6:]
+    return parts.view(complex)[..., 0]
+
+
+def similarity(g: np.ndarray, name: str | None = None) -> np.ndarray:
+    """The real 9x9 matrix of the superoperator ``g`` (vec form, or a stack
+    of them) on the coordinates of :func:`coords`: coords(X) = w maps to
+    coords(unvec(g vec(X))) = similarity(g) @ w.  Given a ``name``, a ``g``
+    that does not map Hermitian matrices to Hermitian ones, so that the
+    imaginary part of DUAL^T g BASIS^T exceeds ROUNDOFF times the largest
+    of 1 and its entries, is bad input (ValueError naming it); a model's
+    generators and a unitary's conjugation do so by construction."""
+    s = DUAL.T @ g @ BASIS.T
+    if name is not None and (np.abs(s.imag).max(axis=(-2, -1)) > ROUNDOFF * (
+            np.abs(s).max(axis=(-2, -1), initial=1.0))).any():
+        raise ValueError(f"{name} does not map Hermitian matrices to "
+                         f"Hermitian ones")
+    return s.real / SQUARES[:, None]
+
+
 def finite_number(value) -> bool:
     """Whether ``value`` is a real number, not a bool, that a double holds
     finitely: true is no number, and neither NaN, an infinity nor an
@@ -65,14 +129,15 @@ def finite_number(value) -> bool:
 
 
 def _require_finite(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
 def mat_exp(m: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """exp(m*t) via scaling-and-squaring with Pade approximation.
+    """exp(m*t) via scaling-and-squaring with Pade approximation, real for
+    a real ``m``.
 
     Backed by scipy.linalg.expm.  Against a 30-digit mpmath.expm, the
     relative Frobenius error on the L and G0 of four built models, at
@@ -123,7 +188,7 @@ def check_density_matrix(rho: np.ndarray,
         rho = np.empty(0)
     if rho.shape != (3, 3) or rho.dtype.kind not in "biufc":
         raise ValueError(f"{name} must be a 3x3 density matrix")
-    rho = _require_finite(rho, name)
+    rho = _require_finite(np.asarray(rho, dtype=complex), name)
     scale = max(1.0, float(np.linalg.norm(rho)))
     if np.linalg.norm(rho - rho.conj().T) > DENSITY_SLACK * scale:
         raise ValueError(f"{name} is not Hermitian within tolerance")

@@ -21,10 +21,9 @@ import scipy.linalg
 from .defaults import (EMISSION_EXCESS, NEWTON_STEP, NULL_CUT, ROUNDOFF,
                        SURVIVAL_FLOOR, TINY)
 from .errors import JumpRankError
-from .linalg import (check_density_matrix, check_grid, finite_number, ketbra,
-                     mat_exp, null_space, vec)
-from .dynamics import (_fill_powers, propagate_series, propagate_vectors,
-                       steady_state)
+from .linalg import (DUAL, check_density_matrix, check_grid, coords,
+                     finite_number, ketbra, mat_exp, null_space, vec)
+from .dynamics import _fill_powers, _series, propagate_vectors, steady_state
 from .systems import LindbladModel
 
 
@@ -57,16 +56,16 @@ def _positive(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and > 0")
 
 
-def _reset_vec(reset_state: np.ndarray | None) -> np.ndarray:
-    return vec(ketbra(0, 0) if reset_state is None
-               else check_density_matrix(reset_state, "reset_state"))
+def _reset_coords(reset_state: np.ndarray | None) -> np.ndarray:
+    return coords(ketbra(0, 0) if reset_state is None
+                  else check_density_matrix(reset_state, "reset_state"))
 
 
-def _photon_rates(model: LindbladModel, vs: np.ndarray,
+def _photon_rates(model: LindbladModel, ws: np.ndarray,
                   what: str) -> np.ndarray:
-    """tr(K rho) = vec(K^T) . vec(rho), the photon rate, of each column of
-    ``vs``; below 0 by more than roundoff it is a bug."""
-    raw = (vec(model.decay.T) @ vs).real
+    """tr(K rho) = beta(K) . w, the photon rate, of each column of
+    coordinates ``ws``; below 0 by more than roundoff it is a bug."""
+    raw = model.rate_coords @ ws
     floor = -ROUNDOFF * max(1.0, float(np.abs(raw).max()))
     if raw.min() < floor:
         raise RuntimeError(f"{what} went negative ({raw.min():.3e})")
@@ -83,8 +82,9 @@ def g2(model: LindbladModel, taus: np.ndarray,
     rate functional, cross-damping terms included.  ``normalized=True``
     divides by the rate at the last grid point.
     """
-    vs = propagate_vectors(model.generator, _reset_vec(reset_state), taus)
-    values = _photon_rates(model, vs, "intensity correlation")
+    ws = propagate_vectors(model.generator_coords, _reset_coords(reset_state),
+                           taus)
+    values = _photon_rates(model, ws, "intensity correlation")
     meta = {}
     if normalized:
         tail = values[-1]
@@ -107,10 +107,10 @@ def waiting_time(model: LindbladModel, taus: np.ndarray,
     no-jump state has lost, is kept in meta["emitted_probability"]; G0
     only loses trace, so above 1 + EMISSION_EXCESS it is a RuntimeError.
     """
-    v0 = _reset_vec(reset_state)
-    vs = propagate_vectors(model.no_jump, v0, taus)
-    values = _photon_rates(model, vs, "waiting-time density")
-    emitted = float((vec(np.eye(3)) @ (v0 - vs[:, -1])).real)
+    w0 = _reset_coords(reset_state)
+    ws = propagate_vectors(model.no_jump_coords, w0, taus)
+    values = _photon_rates(model, ws, "waiting-time density")
+    emitted = float((w0 - ws[:, -1])[:3].sum())
     if emitted > 1.0 + EMISSION_EXCESS:
         raise RuntimeError(f"waiting-time density integrates to {emitted} > 1")
     return SampledFunction(np.asarray(taus, dtype=float), values,
@@ -228,11 +228,13 @@ def emission_spectrum(
 
 def populations(model: LindbladModel, rho0: np.ndarray,
                 times: np.ndarray) -> tuple[SampledFunction, ...]:
-    """Level populations along a trajectory, one SampledFunction per level."""
-    series = propagate_series(model.generator, rho0, times)
-    diag = np.diagonal(series, axis1=1, axis2=2).real
+    """Level populations along a trajectory, one SampledFunction per level:
+    the first three coordinates of the states ``dynamics.propagate_series``
+    would give, read without rebuilding them."""
+    ws, _ = _series(model.generator_coords,
+                    coords(check_density_matrix(rho0, "rho0")), times)
     grid = np.asarray(times, dtype=float)
-    return tuple(SampledFunction(grid, diag[:, k], {"level": k + 1})
+    return tuple(SampledFunction(grid, ws[:, k], {"level": k + 1})
                  for k in range(3))
 
 
@@ -307,17 +309,6 @@ _PAIR_BLOCK = 1024
 # Taylor terms of each no-jump quadratic form in the offset from a table
 # point
 _TERMS = 11
-# the Hermitian basis E_c of rho = sum_c w_c E_c, w_c = tr(E_c rho) /
-# tr(E_c^2): the |i><i|, then |i><k| + |k><i| and i (|k><i| - |i><k|) for
-# i < k, so w holds the rho_ii, then Re and Im of rho_ki.  Row c of _VECS
-# is vec(E_c), and tr(E_c X) = conj(vec(E_c)) . vec(X)
-_PAIRS = tuple(itertools.combinations(range(3), 2))
-_VECS = vec(np.array(
-    [ketbra(i, i) for i in range(3)]
-    + [ketbra(i, k) + ketbra(k, i) for i, k in _PAIRS]
-    + [1j * (ketbra(k, i) - ketbra(i, k)) for i, k in _PAIRS]))
-
-
 def _powers(delta: np.ndarray) -> np.ndarray:
     """The (_TERMS, rows) powers delta**n, highest first: row _TERMS - 1 - n
     holds delta**n.  Each filled block times its last power gives the
@@ -339,12 +330,15 @@ class _NoJumpEvolution:
     (O = 1), the level populations (the projectors) and the channel rates
     (O = c_k^+ c_k of ``model.jump_operators``).
 
-    rho is held as its 9 reals w on the basis of _VECS, where G0 is a real
-    9x9 matrix, gen.  The table holds the w of each start at multiples of
-    h = min(t_max, 1/(8 ||H_eff||)).  From the nearest table point, a form
-    is the real polynomial sum_n delta^n w . beta_n of the offset delta,
-    with beta_0 = beta(O), beta(O)_c = tr(O E_c), and beta_n = beta_(n-1)
-    gen / n, the Taylor coefficients of beta(O) exp(gen delta).  At |delta|
+    rho is held as its 9 reals w (``linalg.coords``), where G0 is the real
+    9x9 matrix gen = ``model.no_jump_coords``.  The table holds the w of
+    each start at multiples of h = min(t_max, 1/(8 ||H_eff||)); the step's
+    exponential is taken of gen as a complex matrix and its real part kept,
+    since a real exponential rounds otherwise and would move recorded jump
+    times by roundoff.  From the nearest table point, a form is the real
+    polynomial sum_n delta^n w . beta_n of the offset delta, with beta_0 =
+    beta(O), beta(O)_c = tr(O E_c), and beta_n = beta_(n-1) gen / n, the
+    Taylor coefficients of beta(O) exp(gen delta).  At |delta|
     <= h/2 the 11 terms kept leave out at most (2 ||H_eff|| |delta|)**11 /
     11! ~ 2.9e-18 of the form at that point.  Each family of forms keeps
     these coefficients as one (forms, 9, _TERMS) array, highest power
@@ -373,13 +367,11 @@ class _NoJumpEvolution:
         # of a long dark period, the root is only good to about (roundoff of
         # the survival) / |slope|: 4.9e-11 at slope -1.3e-6, say
         self.tol = NEWTON_STEP * min(t_max, scale)
-        ops, dual = model.jump_operators, _VECS.conj().T
-        squares = (_VECS @ dual).real.diagonal()  # tr(E_c^2)
-        gen = (dual.T @ model.no_jump @ _VECS.T).real / squares[:, None]
+        ops, gen = model.jump_operators, model.no_jump_coords
         # beta_0 = beta(O): 1, the level projectors, the c_k^+ c_k
         terms = [(vec(np.concatenate([
             np.eye(3)[None], [np.diag(e) for e in np.eye(3)],
-            ops.conj().transpose(0, 2, 1) @ ops])) @ dual).real]
+            ops.conj().transpose(0, 2, 1) @ ops])) @ DUAL).real]
         # beta_10 grows as ||H_eff||^10 ||O||: the test after the block names
         # an overflow, which numpy would only warn of
         with np.errstate(over="ignore", invalid="ignore"):
@@ -396,9 +388,8 @@ class _NoJumpEvolution:
         self.beta_survival = np.stack([beta[0], slope])
         self.beta_populations = beta[1:4].copy()
         self.beta_rates = beta[4:].copy()
-        w0 = (vec(starts[:, :, None] * starts[:, None, :].conj())
-              @ dual).real / squares
-        step = mat_exp(gen, self.h).real
+        w0 = coords(starts[:, :, None] * starts[:, None, :].conj())
+        step = mat_exp(gen.astype(complex), self.h).real
         n, power, end = int(np.ceil(t_max / self.h)), step, 1
         while (end < n and (power[:3].sum(axis=0) @ w0.T).max()
                >= SURVIVAL_FLOOR):
@@ -643,8 +634,12 @@ def _ensemble_populations(evo: _NoJumpEvolution, offsets: np.ndarray,
     # (3, sample times, trajectories); clipped like the rates
     p = np.maximum(p, 0.0, out=p).reshape(3, *seg.shape)
     p /= p.sum(axis=0)
-    pops, mean_sq = p.sum(axis=2).T / n_traj, (p ** 2).sum(axis=2).T / n_traj
-    return pops, np.sqrt(np.maximum(mean_sq - pops ** 2, 0.0) / n_traj)
+    # two passes: the deviations from the mean, not E[p^2] - E[p]^2, whose
+    # cancellation leaves about sqrt(ulp) where every trajectory agrees
+    mean = p.sum(axis=2) / n_traj
+    p -= mean[:, :, None]
+    var = np.square(p, out=p).sum(axis=2) / n_traj
+    return mean.T, np.sqrt(var.T / n_traj)
 
 
 def interjump_gaps(run: McRun) -> np.ndarray:

@@ -58,7 +58,7 @@ import numpy as np
 
 from .defaults import CHANNEL_FLOOR, ROUNDOFF, SNAP
 from .errors import ScenarioError
-from .linalg import finite_number, ketbra, kron, vec
+from .linalg import DUAL, finite_number, ketbra, kron, similarity, vec
 
 
 class Config(str, enum.Enum):
@@ -176,6 +176,12 @@ class LindbladModel:
     the signs of its zero entries), and L = G0 + F is checked for trace
     preservation when first read.
 
+    ``generator_coords`` and ``no_jump_coords`` are L and G0 as real 9x9
+    matrices on a state's coordinates (``linalg.similarity``), and
+    ``rate_coords`` is the photon rate on them, beta(K)_c = tr(K E_c), so a
+    state w emits at rate_coords @ w; each is formed on first use from the
+    complex form, which the spectrum and the steady state read.
+
     ``jump_operators`` is the (m, 3, 3) stack c_k = sqrt(r_k) sum_a O[a, k]
     A_a from the PSD R = O diag(r) O^T: the same dissipator in single-sum
     Lindblad form, without the channels whose r_k is below CHANNEL_FLOOR
@@ -252,6 +258,18 @@ class LindbladModel:
         a = self.collapse_ops
         return np.einsum("ab,bij,akl->ikjl", self.rate_matrix, a.conj(),
                          a).reshape(9, 9)
+
+    @cached_property
+    def generator_coords(self) -> np.ndarray:
+        return similarity(self.generator)
+
+    @cached_property
+    def no_jump_coords(self) -> np.ndarray:
+        return similarity(self.no_jump)
+
+    @cached_property
+    def rate_coords(self) -> np.ndarray:
+        return (vec(self.decay) @ DUAL).real
 
     @cached_property
     def generator(self) -> np.ndarray:

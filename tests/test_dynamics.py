@@ -10,6 +10,7 @@ import trilevel.dynamics as dynamics
 from trilevel.defaults import STEP_SHARE
 from trilevel.dynamics import (
     _length_classes,
+    _series,
     _step_runs,
     liouvillian,
     propagate_series,
@@ -18,7 +19,7 @@ from trilevel.dynamics import (
 )
 from trilevel.equivalence import verify_equivalence
 from trilevel.errors import NonUniqueSteadyStateError, PropagationError
-from trilevel.linalg import ketbra, mat_exp, null_space, vec
+from trilevel.linalg import ketbra, mat_exp, null_space, states, vec
 from trilevel.observables import (emission_spectrum, g2, populations,
                                   waiting_time)
 from trilevel.systems import Config, LindbladModel, SystemParams, build_model
@@ -440,6 +441,31 @@ def test_non_finite_grid_is_rejected_everywhere(grid):
             call()
 
 
+def test_a_generator_that_breaks_hermiticity_is_bad_input():
+    # rho -> rho + i t rho leaves no state Hermitian: it has no real
+    # coordinate form, and is named before any propagation
+    lm = liouvillian(build_model(random_driven_params(Config.FIG1A)))
+    for bad in (lm + 1e-6j * np.eye(9), np.stack([lm, 1j * np.eye(9)])):
+        rho0 = ketbra(0, 0) if bad.ndim == 2 else [ketbra(0, 0)] * 2
+        with pytest.raises(ValueError, match="^l does not map Hermitian "
+                                             "matrices to Hermitian ones"):
+            propagate_series(bad, rho0, [0.0, 1.0])
+
+
+def test_propagated_vectors_keep_the_type_of_their_inputs():
+    m = build_model(random_driven_params(Config.FIG2A))
+    times = np.linspace(0.0, 2.0, 5)
+    w0 = np.eye(9)[0]
+    real = propagate_vectors(m.generator_coords, w0, times)
+    assert real.dtype == float
+    for gen, v0 in ((m.generator, vec(ketbra(0, 0))),
+                    (m.generator_coords, w0.astype(complex))):
+        assert propagate_vectors(gen, v0, times).dtype == complex
+    np.testing.assert_allclose(
+        real, propagate_vectors(m.generator_coords, w0.astype(complex),
+                                times).real, rtol=0, atol=1e-15)
+
+
 def test_rho0_with_wrong_trace_is_bad_input():
     lm = liouvillian(build_model(random_driven_params(Config.FIG1A)))
     # ValueError, not the PropagationError (a RuntimeError) of a drift
@@ -586,17 +612,20 @@ def test_every_propagated_state_is_hermitian_bit_for_bit(monkeypatch):
                                                            grid))
         _assert_hermitian_bit_for_bit(propagate_series(
             np.stack([m.generator for m in models]), rho0, grid))
-    # and the series populations reads its diagonal from
+    # and the coordinates populations reads its diagonal from, as states
     read = []
 
     def spy(*args):
-        read.append(propagate_series(*args))
-        return read[-1]
+        read.append(_series(*args)[0])
+        return read[-1], None
 
-    monkeypatch.setattr(observables, "propagate_series", spy)
-    populations(models[1], rho0[1], ragged)
+    monkeypatch.setattr(observables, "_series", spy)
+    pops = populations(models[1], rho0[1], ragged)
     assert len(read) == 1
-    _assert_hermitian_bit_for_bit(read[0])
+    series = states(read[0])
+    _assert_hermitian_bit_for_bit(series)
+    assert np.array_equal(np.column_stack([p.values for p in pops]),
+                          np.diagonal(series, axis1=1, axis2=2).real)
 
 
 # ----------------------------------------------------------- steady state

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from trilevel.linalg import (
+    BASIS,
+    SQUARES,
     check_density_matrix,
+    coords,
     ketbra,
     mat_exp,
     null_space,
+    similarity,
+    states,
     unvec,
     vec,
 )
@@ -159,3 +164,82 @@ def test_check_density_matrix():
     with pytest.raises(ValueError):
         check_density_matrix(bad)
 
+
+
+@pytest.mark.parametrize("shift, reason", [
+    # trace 1 + 1e-8, or an eigenvalue of -1e-8, is past DENSITY_SLACK
+    (np.diag([1e-8, 0.0, 0.0]), "has trace"),
+    (np.diag([1e-8, 0.0, -1e-8]), "negative eigenvalue"),
+    (1e-8 * ketbra(0, 1), "not Hermitian"),
+])
+def test_check_density_matrix_slack_is_density_slack(shift, reason):
+    # DENSITY_SLACK = 1e-9: a defect of 1e-10 is accepted, 1e-8 is not
+    rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    check_density_matrix(rho + 1e-2 * shift)
+    with pytest.raises(ValueError, match=reason):
+        check_density_matrix(rho + shift)
+
+
+# ---------------------------------------------------- Hermitian coordinates
+
+def test_coordinates_of_the_basis_are_unit_vectors():
+    basis = unvec(BASIS)
+    np.testing.assert_array_equal(coords(basis), np.eye(9))
+    np.testing.assert_array_equal(states(np.eye(9)), basis)
+    np.testing.assert_array_equal(SQUARES, [1, 1, 1, 2, 2, 2, 2, 2, 2])
+    # w holds the rho_ii, then Re and Im of rho_ki for (i, k) = (0, 1),
+    # (0, 2), (1, 2)
+    rho = random_hermitian(np.random.default_rng(4))
+    w = coords(rho)
+    np.testing.assert_array_equal(w[:3], rho.diagonal().real)
+    np.testing.assert_array_equal(w[3:], np.concatenate([
+        rho[[1, 2, 2], [0, 0, 1]].real, rho[[1, 2, 2], [0, 0, 1]].imag]))
+
+
+def test_states_are_hermitian_bit_for_bit_and_invert_coords():
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal((4, 7, 9))
+    rho = states(w)
+    assert rho.shape == (4, 7, 3, 3)
+    assert np.array_equal(rho, np.swapaxes(rho.conj(), -1, -2))
+    np.testing.assert_array_equal(coords(rho), w)
+    np.testing.assert_allclose(np.trace(rho, axis1=-2, axis2=-1).real,
+                               w[..., :3].sum(axis=-1), rtol=0, atol=1e-15)
+
+
+def test_similarity_is_the_superoperator_on_coordinates():
+    rng = np.random.default_rng(6)
+    model = build_model(SystemParams(Config.FIG2B, gamma21=1.0,
+                                     gamma23_or_31=0.4, omega_a=1.0,
+                                     omega_b=0.5, delta2=0.3, delta3=-0.2,
+                                     phi=1.0))
+    u = np.linalg.qr(random_complex(rng, (3, 3)))[0]
+    rho = random_hermitian(rng)
+    for g in (model.generator, model.no_jump, model.feeding,
+              np.kron(u.conj(), u)):
+        s = similarity(g, "g")
+        assert s.dtype == float
+        np.testing.assert_allclose(s @ coords(rho),
+                                   coords(unvec(g @ vec(rho))), atol=1e-13)
+    np.testing.assert_array_equal(model.generator_coords,
+                                  similarity(model.generator))
+    np.testing.assert_allclose(model.rate_coords @ coords(rho),
+                               np.trace(model.decay @ rho).real, atol=1e-14)
+
+
+def test_similarity_rejects_by_name_what_breaks_hermiticity():
+    # rho -> i rho and rho -> |1><2| rho are no maps of Hermitian matrices;
+    # a defect of roundoff size is not judged
+    for g in (1j * np.eye(9), np.kron(np.eye(3), ketbra(0, 1))):
+        with pytest.raises(ValueError, match="^l does not map Hermitian"):
+            similarity(g, "l")
+        similarity(g)  # unnamed, nothing is checked
+    similarity(np.eye(9) + 1e-14j * np.eye(9), "l")
+
+
+def test_mat_exp_keeps_a_real_matrix_real():
+    g = np.array([[-1.0, 2.0], [0.5, -3.0]])
+    e = mat_exp(g, 0.7)
+    assert e.dtype == float
+    np.testing.assert_allclose(e, mat_exp(g.astype(complex), 0.7).real,
+                               rtol=0, atol=1e-15)

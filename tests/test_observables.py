@@ -746,6 +746,33 @@ def test_mc_last_channel_takes_a_draw_past_every_cumulative_rate(monkeypatch):
     np.testing.assert_array_equal(run.channels, 1)
 
 
+@pytest.mark.parametrize("draw, channel", [(0.3, 0), (0.7, 1)])
+def test_mc_state_without_rates_picks_its_channel_uniformly(monkeypatch,
+                                                            draw, channel):
+    # every channel rate clips to 0, as roundoff can make it right after a
+    # reset into |1> of a fig2 model with a threshold within ulps of 1:
+    # the channel draw is then read as uniform over the two channels, not
+    # past every cumulative rate (which would always name the last one)
+    m = build_model(fig2a_params())
+    forms, round_draws = _NoJumpEvolution.forms, _round_draws
+
+    def no_rates(self, beta, start, tau):
+        if beta is self.beta_rates:
+            return np.zeros((len(beta), tau.size))
+        return forms(self, beta, start, tau)
+
+    def fixed_channel_draws(seed, rnd, n):
+        draws = round_draws(seed, rnd, n)
+        draws[:, 0] = draw
+        return draws
+
+    monkeypatch.setattr(_NoJumpEvolution, "forms", no_rates)
+    monkeypatch.setattr(observables, "_round_draws", fixed_channel_draws)
+    run = mc_trajectories(m, n_traj=5, t_final=10.0, seed=3)
+    assert run.channels.size > 0
+    np.testing.assert_array_equal(run.channels, channel)
+
+
 _RANK_TWO = LindbladModel(np.zeros((3, 3)), (ketbra(0, 1) + ketbra(1, 2),),
                           np.array([[1.0]]))
 
@@ -968,6 +995,19 @@ def test_mc_rejects_jump_operator_of_rank_two():
         mc_trajectories(model, n_traj=3, t_final=1.0, seed=0)
 
 
+def test_jump_rank_is_judged_against_roundoff():
+    # s2/s1 = 1e-9 is a second rank, far above ROUNDOFF (1e-12); 1e-13 is
+    # roundoff of a rank-one operator
+    def model(s2):
+        return LindbladModel(np.zeros((3, 3)),
+                             (ketbra(0, 1) + s2 * ketbra(1, 2),),
+                             np.array([[1.0]]))
+
+    with pytest.raises(JumpRankError, match=r"s2/s1 = 1\.000e-09"):
+        mc_trajectories(model(1e-9), n_traj=3, t_final=1.0, seed=0)
+    mc_trajectories(model(1e-13), n_traj=3, t_final=1.0, seed=0)
+
+
 def _ensemble_z(run, model, sample):
     exact = np.diagonal(propagate_series(liouvillian(model), ketbra(0, 0),
                                          sample), axis1=1, axis2=2).real
@@ -1064,6 +1104,36 @@ def test_mc_populations_are_read_from_the_record(name):
     np.testing.assert_allclose(run.populations, pops, rtol=0, atol=1e-13)
     np.testing.assert_allclose(run.populations_stderr, stderr, rtol=0,
                                atol=1e-13)
+
+
+def test_mc_standard_error_is_np_std_of_the_trajectories(monkeypatch):
+    # criterion 7's Lambda model: by t = 200 every trajectory has reached
+    # the dark state, so the level-3 population is the same in each and
+    # its standard error is roundoff, where E[p^2] - E[p]^2 would leave
+    # about sqrt(ulp); at t = 150 they still differ by 5e-11, an error of
+    # 2.6e-13 that it would read as 7.5e-10.  Each level's error is np.std
+    # over the sampler's own per-trajectory populations
+    m, n = _TABLE_MODELS["lambda"][0], 200
+    sample = np.arange(0.0, 201.0, 50.0)
+    forms, seen = _NoJumpEvolution.forms, []
+
+    def spy(self, beta, start, tau):
+        out = forms(self, beta, start, tau)
+        if beta is self.beta_populations:
+            seen.append(out)
+        return out
+
+    monkeypatch.setattr(_NoJumpEvolution, "forms", spy)
+    run = mc_trajectories(m, n_traj=n, t_final=200.0, seed=7,
+                          sample_times=sample)
+    p = np.maximum(np.concatenate(seen, axis=1), 0.0).reshape(3, -1, n)
+    p /= p.sum(axis=0)
+    assert np.ptp(p[2, 4]) < 1e-15  # one dark state
+    assert run.populations_stderr[4, 2] <= 1e-15
+    stderr = np.std(p, axis=-1).T / math.sqrt(n)
+    assert stderr[1].min() > 1e-3  # at t = 50 every level is mixed
+    np.testing.assert_allclose(run.populations_stderr, stderr, rtol=0,
+                               atol=1e-15)
 
 
 def test_mc_initial_state_must_be_a_finite_nonzero_3_vector():
@@ -1190,6 +1260,11 @@ def test_mc_run_validates_flat_jumps():
     for offsets in ([1, 2], [0, 2, 1], [0, 1], [0, 3], []):
         with pytest.raises(ValueError, match="offsets"):
             McRun(offsets, [1.0, 2.0], [0, 0], 5.0, 0)
+    # two jumps at one time are no increase within a trajectory, but two
+    # trajectories may each jump at that time
+    with pytest.raises(ValueError, match="increase"):
+        McRun([0, 2], [1.0, 1.0], [0, 1], 5.0, 0)
+    McRun([0, 1, 2], [1.0, 1.0], [0, 1], 5.0, 0)
     # times restart at each trajectory
     run = _run([[3.0], [], [1.0, 2.0]], 5.0)
     assert [r.times.tolist() for r in run.records] == [[3.0], [], [1.0, 2.0]]
