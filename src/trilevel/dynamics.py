@@ -5,7 +5,8 @@ time independent and tiny, so exactness beats ODE stepping).  Series
 propagate a state's 9 real coordinates (``linalg.coords``) under the real
 9x9 generator of ``linalg.similarity``, so every exponential and product is
 real, each state comes back Hermitian bit for bit (``linalg.states``) and
-its trace is w_1 + w_2 + w_3; the steady state reads the complex vec form.
+its trace is w_1 + w_2 + w_3; the steady state is ``linalg.states`` of
+the coordinates of a null vector of the complex vec form.
 
 Steps fall into length classes a few ulps of the grid end wide, whatever
 their order, and each class shares one exponential E.  A run of n
@@ -30,8 +31,8 @@ import numpy as np
 
 from .defaults import STEP_SHARE, TRACE_DRIFT, TRACE_FLOOR
 from .errors import NonUniqueSteadyStateError, PropagationError
-from .linalg import (check_density_matrix, check_grid, coords, hermitize,
-                     mat_exp, null_space, similarity, states, unvec)
+from .linalg import (check_density_matrix, check_grid, coords, mat_exp,
+                     null_space, similarity, states, unvec)
 from .systems import LindbladModel
 
 
@@ -157,10 +158,10 @@ def propagate_series(l: np.ndarray, rho0: np.ndarray,
     than TRACE_DRIFT is an internal failure (PropagationError).
     """
     if np.ndim(l) == 3:
-        rho0 = np.stack([check_density_matrix(r, "rho0") for r in rho0])
+        w0 = np.stack([check_density_matrix(r, "rho0") for r in rho0])
     else:
-        rho0 = check_density_matrix(rho0, "rho0")
-    return states(_series(similarity(l, "l"), coords(rho0), times)[0])
+        w0 = check_density_matrix(rho0, "rho0")
+    return states(_series(similarity(l, "l"), w0, times)[0])
 
 
 def _series(gen: np.ndarray, w0: np.ndarray,
@@ -182,22 +183,26 @@ def _series(gen: np.ndarray, w0: np.ndarray,
 
 
 def steady_state(l: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
-    """Unique unit-trace Hermitian null vector of the Liouvillian.
+    """Unique unit-trace Hermitian null vector of the Liouvillian: the
+    coordinates of its Hermitian part over their trace, as a state
+    Hermitian bit for bit (``linalg.states``).
 
     ``right`` is L's right null basis when the caller already holds it
-    from ``linalg.null_space(l)``; by default it is taken here.  Raises
-    NonUniqueSteadyStateError when the null space is not
-    one-dimensional, e.g. for decoupled levels or dark-state manifolds,
-    and ValueError when its one (unit-norm) vector has a trace below
-    TRACE_FLOOR, so that it cannot be normalized to a state.
+    from ``linalg.null_space(l)``; by default it is taken here.  A null
+    space of dimension 0 is a ValueError, of more than one a
+    NonUniqueSteadyStateError (decoupled levels, dark-state manifolds),
+    and a vector with a trace below TRACE_FLOOR, which cannot be
+    normalized to a state, a ValueError.
     """
     if right is None:
         right, _ = null_space(l)
-    if right.shape[1] != 1:
+    if right.shape[1] == 0:
+        raise ValueError("no steady state: L has no null vector")
+    if right.shape[1] > 1:
         raise NonUniqueSteadyStateError(dimension=right.shape[1])
-    rho = hermitize(unvec(right[:, 0]))
-    tr = float(np.trace(rho).real)
+    w = coords(unvec(right[:, 0]))
+    tr = float(w[:3].sum())
     if abs(tr) < TRACE_FLOOR:
         raise ValueError(f"no steady state: the only null vector has trace "
                          f"{tr:.3e}, below TRACE_FLOOR = {TRACE_FLOOR:.0e}")
-    return rho / tr
+    return states(w / tr)

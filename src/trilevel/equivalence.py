@@ -297,11 +297,12 @@ def verify_equivalence(
     if not (finite_number(tol) and tol > 0):
         raise ValueError(f"tol must be a finite number > 0, got {tol!r}")
     times = np.asarray(times, dtype=float)
-    rho0 = check_density_matrix(rho0, "rho0")
+    w0 = check_density_matrix(rho0, "rho0")
 
     gens = np.stack([model_a.generator_coords, model_b.generator_coords])
-    ws, trace_err = _series(
-        gens, coords(np.stack([rho0, u @ rho0 @ u.conj().T])), times)
+    # the twin starts at coords(U rho0 U^+), not at S w0, which rounds
+    ws, trace_err = _series(gens, np.stack([w0, coords(
+        u @ np.asarray(rho0) @ u.conj().T)]), times)
     # vec(U rho U^+) = (conj(U) (x) U) vec(rho)
     dw = ws[0] @ similarity(kron(u.conj(), u)).T - ws[1]
     dists = np.sqrt((dw * dw) @ SQUARES)

@@ -23,7 +23,7 @@ class PropagationError(RuntimeError):
 
 
 class NonUniqueSteadyStateError(ValueError):
-    """Liouvillian null space has dimension != 1: the model is (numerically)
+    """Liouvillian null space has dimension > 1: the model is (numerically)
     reducible, which is bad input, as a singular matrix is to numpy."""
 
     def __init__(self, dimension: int):

@@ -11,10 +11,10 @@ i < k, so its 9 reals w (``coords``) are the rho_ii, then Re and Im of the
 rho_ki, and tr(rho) = w_1 + w_2 + w_3.  A superoperator G that maps
 Hermitian matrices to Hermitian ones is the real 9x9 matrix
 ``similarity(G)`` on them: the model's L and G0 (``LindbladModel``) and
-rho -> U rho U^+ for a unitary U.  Series propagation, the equivalence
-certificate, g2, waiting times and the jump sampler all propagate w;
-``states`` turns w back into 3x3 matrices, Hermitian bit for bit.  The
-complex vec form stays for the spectrum and the steady state.
+rho -> U rho U^+ for a unitary U.  ``coords`` and ``states``, each one
+product, are the one bridge between a state and its w: a given state is
+checked as its w (``check_density_matrix``), every propagation works on w,
+and every state handed back is ``states`` of its w.
 """
 
 from __future__ import annotations
@@ -34,16 +34,6 @@ def ketbra(i: int, j: int) -> np.ndarray:
     m = np.zeros((3, 3), dtype=complex)
     m[i, j] = 1.0
     return m
-
-
-def hermitize(a: np.ndarray) -> np.ndarray:
-    """Symmetrize away accumulated floating-point non-Hermiticity.
-
-    Acts on the last two axes, so a stack of matrices is symmetrized
-    matrix by matrix.
-    """
-    a = np.asarray(a, dtype=complex)
-    return 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -67,7 +57,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 # the (i, k), i < k, of the off-diagonal coordinates 3 + p and 6 + p
 _PAIRS = tuple(itertools.combinations(range(3), 2))
-_ROWS, _COLS = np.array(_PAIRS).T
 # row c is vec(E_c); tr(E_c X) = conj(vec(E_c)) . vec(X), so vec(X) @ DUAL
 # holds the tr(E_c X), and SQUARES the tr(E_c^2): 1, 1, 1, then 2s
 BASIS = vec(np.array(
@@ -88,16 +77,11 @@ def coords(rho: np.ndarray) -> np.ndarray:
 
 def states(w: np.ndarray) -> np.ndarray:
     """The 3x3 matrices sum_c w_c E_c of coordinates on the last axis of
-    ``w``: the diagonal is real and each off-diagonal pair is a +- i b, so
-    each is Hermitian bit for bit."""
-    w = np.asarray(w, dtype=float)
-    parts = np.zeros((*w.shape[:-1], 3, 3, 2))  # (real, imag) pairs
-    diag = np.arange(3)
-    parts[..., diag, diag, 0] = w[..., :3]
-    parts[..., _COLS, _ROWS, 0] = parts[..., _ROWS, _COLS, 0] = w[..., 3:6]
-    parts[..., _COLS, _ROWS, 1] = w[..., 6:]
-    parts[..., _ROWS, _COLS, 1] = -w[..., 6:]
-    return parts.view(complex)[..., 0]
+    ``w``, one product with ``BASIS``.  Each entry sums one real and at
+    most one imaginary nonzero term, so it is exact: the diagonal is real
+    and each off-diagonal pair is a +- i b, and each matrix is Hermitian
+    bit for bit."""
+    return unvec(np.asarray(w, dtype=float) @ BASIS)
 
 
 def similarity(g: np.ndarray, name: str | None = None) -> np.ndarray:
@@ -179,9 +163,11 @@ def check_grid(x, name: str) -> np.ndarray:
 
 def check_density_matrix(rho: np.ndarray,
                          name: str = "density matrix") -> np.ndarray:
-    """Validate the 3x3 numeric shape, finiteness, Hermiticity, unit trace
-    and positivity of a density matrix, the last three each to within
-    ``DENSITY_SLACK``; errors call it ``name``."""
+    """w = coords(rho) of a density matrix whose 3x3 numeric shape,
+    finiteness, Hermiticity, unit trace w_1 + w_2 + w_3 and positivity (the
+    eigenvalues of states(w), where a propagation from w starts) are
+    checked, the last three each to within ``DENSITY_SLACK``; errors call
+    it ``name``."""
     try:
         rho = np.asarray(rho)
     except ValueError:  # ragged nesting
@@ -192,10 +178,11 @@ def check_density_matrix(rho: np.ndarray,
     scale = max(1.0, float(np.linalg.norm(rho)))
     if np.linalg.norm(rho - rho.conj().T) > DENSITY_SLACK * scale:
         raise ValueError(f"{name} is not Hermitian within tolerance")
-    tr = float(np.trace(rho).real)
+    w = coords(rho)
+    tr = float(w[:3].sum())
     if abs(tr - 1.0) > DENSITY_SLACK:
         raise ValueError(f"{name} has trace {tr:.6g}, not 1")
-    wmin = float(np.linalg.eigvalsh(hermitize(rho)).min())
+    wmin = float(np.linalg.eigvalsh(states(w)).min())
     if wmin < -DENSITY_SLACK:
         raise ValueError(f"{name} has negative eigenvalue {wmin:.6g}")
-    return rho
+    return w

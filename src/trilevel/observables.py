@@ -22,7 +22,7 @@ from .defaults import (EMISSION_EXCESS, NEWTON_STEP, NULL_CUT, ROUNDOFF,
                        SURVIVAL_FLOOR, TINY)
 from .errors import JumpRankError
 from .linalg import (DUAL, check_density_matrix, check_grid, coords,
-                     finite_number, ketbra, mat_exp, null_space, vec)
+                     finite_number, ketbra, mat_exp, null_space, states, vec)
 from .dynamics import _fill_powers, _series, propagate_vectors, steady_state
 from .systems import LindbladModel
 
@@ -57,8 +57,8 @@ def _positive(value, name: str) -> None:
 
 
 def _reset_coords(reset_state: np.ndarray | None) -> np.ndarray:
-    return coords(ketbra(0, 0) if reset_state is None
-                  else check_density_matrix(reset_state, "reset_state"))
+    return (coords(ketbra(0, 0)) if reset_state is None
+            else check_density_matrix(reset_state, "reset_state"))
 
 
 def _photon_rates(model: LindbladModel, ws: np.ndarray,
@@ -178,7 +178,7 @@ def emission_spectrum(
     if rho_ss is None:
         rho_ss = steady_state(l, right)
     else:
-        rho_ss = check_density_matrix(rho_ss, "rho_ss")
+        rho_ss = states(check_density_matrix(rho_ss, "rho_ss"))
         resid = float(np.linalg.norm(l @ vec(rho_ss)))
         if resid > NULL_CUT * np.linalg.norm(l):
             raise ValueError(f"rho_ss is not stationary (|L rho_ss| = "
@@ -231,8 +231,8 @@ def populations(model: LindbladModel, rho0: np.ndarray,
     """Level populations along a trajectory, one SampledFunction per level:
     the first three coordinates of the states ``dynamics.propagate_series``
     would give, read without rebuilding them."""
-    ws, _ = _series(model.generator_coords,
-                    coords(check_density_matrix(rho0, "rho0")), times)
+    ws, _ = _series(model.generator_coords, check_density_matrix(rho0, "rho0"),
+                    times)
     grid = np.asarray(times, dtype=float)
     return tuple(SampledFunction(grid, ws[:, k], {"level": k + 1})
                  for k in range(3))
@@ -332,13 +332,11 @@ class _NoJumpEvolution:
 
     rho is held as its 9 reals w (``linalg.coords``), where G0 is the real
     9x9 matrix gen = ``model.no_jump_coords``.  The table holds the w of
-    each start at multiples of h = min(t_max, 1/(8 ||H_eff||)); the step's
-    exponential is taken of gen as a complex matrix and its real part kept,
-    since a real exponential rounds otherwise and would move recorded jump
-    times by roundoff.  From the nearest table point, a form is the real
-    polynomial sum_n delta^n w . beta_n of the offset delta, with beta_0 =
-    beta(O), beta(O)_c = tr(O E_c), and beta_n = beta_(n-1) gen / n, the
-    Taylor coefficients of beta(O) exp(gen delta).  At |delta|
+    each start at multiples of h = min(t_max, 1/(8 ||H_eff||)), stepped by
+    the real exponential of gen h.  From the nearest table point, a form is
+    the real polynomial sum_n delta^n w . beta_n of the offset delta, with
+    beta_0 = beta(O), beta(O)_c = tr(O E_c), and beta_n = beta_(n-1) gen /
+    n, the Taylor coefficients of beta(O) exp(gen delta).  At |delta|
     <= h/2 the 11 terms kept leave out at most (2 ||H_eff|| |delta|)**11 /
     11! ~ 2.9e-18 of the form at that point.  Each family of forms keeps
     these coefficients as one (forms, 9, _TERMS) array, highest power
@@ -389,7 +387,7 @@ class _NoJumpEvolution:
         self.beta_populations = beta[1:4].copy()
         self.beta_rates = beta[4:].copy()
         w0 = coords(starts[:, :, None] * starts[:, None, :].conj())
-        step = mat_exp(gen.astype(complex), self.h).real
+        step = mat_exp(gen, self.h)
         n, power, end = int(np.ceil(t_max / self.h)), step, 1
         while (end < n and (power[:3].sum(axis=0) @ w0.T).max()
                >= SURVIVAL_FLOOR):

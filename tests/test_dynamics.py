@@ -19,7 +19,7 @@ from trilevel.dynamics import (
 )
 from trilevel.equivalence import verify_equivalence
 from trilevel.errors import NonUniqueSteadyStateError, PropagationError
-from trilevel.linalg import ketbra, mat_exp, null_space, states, vec
+from trilevel.linalg import coords, ketbra, mat_exp, null_space, states, vec
 from trilevel.observables import (emission_spectrum, g2, populations,
                                   waiting_time)
 from trilevel.systems import Config, LindbladModel, SystemParams, build_model
@@ -670,6 +670,48 @@ def test_steady_state_traceless_null_vector_is_named():
                                          r".*below TRACE_FLOOR = 1e-08") as err:
         steady_state(np.eye(9) - np.outer(n, n.conj()))
     assert not isinstance(err.value, NonUniqueSteadyStateError)
+
+
+def test_steady_state_of_an_l_without_null_vector_is_named():
+    # a full-rank L has no stationary state at all, which is not a
+    # non-unique one
+    with pytest.raises(ValueError, match="no steady state: L has no null "
+                                         "vector") as err:
+        steady_state(-np.eye(9))
+    assert not isinstance(err.value, NonUniqueSteadyStateError)
+
+
+@pytest.mark.parametrize("config", list(Config))
+def test_steady_state_is_hermitian_bit_for_bit(config):
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        rho = steady_state(liouvillian(build_model(random_driven_params(
+            config, rng))))
+        assert np.array_equal(rho, rho.conj().T)
+        assert np.array_equal(rho, states(coords(rho)))
+
+
+def test_a_given_state_is_judged_as_it_is_propagated(monkeypatch):
+    # rho0 with an anti-Hermitian defect of 1e-10, inside DENSITY_SLACK:
+    # the check's eigenvalues are those of states(w), and the series
+    # starts at that same matrix, bit for bit
+    rng = np.random.default_rng(32)
+    rho0 = random_density_matrix(rng) + 1e-10j * (ketbra(0, 2)
+                                                  + ketbra(2, 0))
+    judged = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        judged.append(np.array(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    lm = liouvillian(build_model(random_driven_params(Config.FIG2A, rng)))
+    series = propagate_series(lm, rho0, [0.0, 1.0])
+    assert len(judged) == 1
+    assert judged[0].tobytes() == states(coords(rho0)).tobytes()
+    assert series[0].tobytes() == judged[0].tobytes()
+    assert not np.array_equal(judged[0], rho0)
 
 
 def test_steady_state_reads_a_null_basis_it_is_given():

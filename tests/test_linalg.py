@@ -165,6 +165,17 @@ def test_check_density_matrix():
         check_density_matrix(bad)
 
 
+def test_a_checked_density_matrix_is_its_coordinates():
+    rng = np.random.default_rng(8)
+    a = random_complex(rng, (3, 3))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    for given in (rho, rho.tolist(), np.diag([0.2, 0.3, 0.5])):
+        w = check_density_matrix(given)
+        assert w.dtype == float and w.shape == (9,)
+        assert w.tobytes() == coords(np.asarray(given)).tobytes()
+
+
 
 @pytest.mark.parametrize("shift, reason", [
     # trace 1 + 1e-8, or an eigenvalue of -1e-8, is past DENSITY_SLACK

@@ -311,6 +311,26 @@ def test_spectrum_rejects_nonstationary_rho_ss():
                           rho_ss=ketbra(0, 0))
 
 
+@pytest.mark.parametrize("share, stationary", [(1e-11, True),
+                                               (1e-9, False)])
+def test_rho_ss_stationarity_is_judged_against_null_cut(share, stationary):
+    # NULL_CUT = 1e-10: the steady state plus a traceless coherence with
+    # |L rho| / |L| of 1e-11 is stationary, one of 1e-9 is not
+    m = build_model(fig2a_params())
+    l = m.generator
+    coherence = ketbra(0, 1) + ketbra(1, 0)
+    eps = share * np.linalg.norm(l) / np.linalg.norm(l @ vec(coherence))
+    rho = steady_state(l) + eps * coherence
+    assert np.linalg.norm(l @ vec(rho)) / np.linalg.norm(l) == pytest.approx(
+        share, rel=1e-3)
+    omegas = np.linspace(-5, 5, 11)
+    if stationary:
+        emission_spectrum(m, m.collapse_ops[0], omegas, rho_ss=rho)
+    else:
+        with pytest.raises(ValueError, match="rho_ss is not stationary"):
+            emission_spectrum(m, m.collapse_ops[0], omegas, rho_ss=rho)
+
+
 def test_spectrum_rho_ss_must_be_a_density_matrix():
     # twice the steady state is stationary too, and doubled the spectrum
     m = build_model(fig2a_params())

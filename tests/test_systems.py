@@ -151,6 +151,35 @@ def test_roundoff_checks_fire_at_any_scale():
             m.generator
 
 
+# ROUNDOFF = 1e-12 of H's size: a relative Hermiticity defect of 1e-14 is
+# roundoff, one of 1e-10 is not; and an H of size 1e-6 is judged against
+# ROUNDOFF in absolute terms, so a defect of 1e-14, 1e-8 of H, passes and
+# one of 1e-11 does not
+@pytest.mark.parametrize("scale, defect, hermitian", [
+    (1.0, 1e-14, True), (1.0, 1e-10, False),
+    (1e-6, 1e-14, True), (1e-6, 1e-11, False),
+])
+def test_hermiticity_is_judged_against_roundoff(scale, defect, hermitian):
+    coherence = ketbra(0, 1) + ketbra(1, 0)
+    h = (scale * (coherence + np.diag([0.0, 0.5, 1.0]))
+         + 1j * defect * coherence)  # an anti-Hermitian defect
+    if hermitian:
+        LindbladModel(h, _CHANNELS, np.eye(2))
+    else:
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            LindbladModel(h, _CHANNELS, np.eye(2))
+
+
+@pytest.mark.parametrize("weak, channels", [(1e-8, 2), (1e-16, 1)])
+def test_a_jump_channel_is_dropped_only_below_channel_floor(weak, channels):
+    # CHANNEL_FLOOR = 1e-14 of the largest rate: a rate share of 1e-8 is a
+    # channel, one of 1e-16 is not
+    m = LindbladModel(np.zeros((3, 3)), _CHANNELS, np.diag([1.0, weak]))
+    jumps = m.jump_operators
+    assert len(jumps) == channels
+    np.testing.assert_array_equal(jumps[-1], _CHANNELS[0])
+
+
 # ---------------------------------------------------------------- fig1a
 
 def test_fig1a_printed_structure():
