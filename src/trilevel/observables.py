@@ -64,9 +64,12 @@ def _reset_coords(reset_state: np.ndarray | None) -> np.ndarray:
 def _photon_rates(model: LindbladModel, ws: np.ndarray,
                   what: str) -> np.ndarray:
     """tr(K rho) = beta(K) . w, the photon rate, of each column of
-    coordinates ``ws``; below 0 by more than roundoff it is a bug."""
-    raw = model.rate_coords @ ws
-    floor = -ROUNDOFF * max(1.0, float(np.abs(raw).max()))
+    coordinates ``ws``, clipped at 0.  The states' roundoff reaches it
+    times ||beta(K)||_1, which a stiff K makes far larger than the rates:
+    below -ROUNDOFF ||beta(K)||_1 max|w| it is a bug."""
+    beta = model.rate_coords
+    raw = beta @ ws
+    floor = -ROUNDOFF * float(np.abs(beta).sum()) * float(np.abs(ws).max())
     if raw.min() < floor:
         raise RuntimeError(f"{what} went negative ({raw.min():.3e})")
     return np.maximum(raw, 0.0)
@@ -306,6 +309,9 @@ class McRun:
 # (sample time, trajectory) pairs per forms call of the ensemble
 # populations, which bounds the (27, n) product a call holds to 221 kB
 _PAIR_BLOCK = 1024
+# (round, trajectory, start) rows per call of the rounds solved ahead, and
+# rows of each of their draws
+_ROW_TARGET = 1024
 # Taylor terms of each no-jump quadratic form in the offset from a table
 # point
 _TERMS = 11
@@ -426,7 +432,8 @@ class _NoJumpEvolution:
         c = beta.reshape(-1, _TERMS) @ _powers(tau - m * self.h)
         w = self.table.reshape(-1, 9).take(start * self.table.shape[1] + m,
                                            axis=0)
-        out = np.einsum("kir,ir->kr", c.reshape(-1, 9, tau.size), w.T.copy())
+        out = np.einsum("kir,ir->kr", c.reshape(len(c) // 9, 9, -1),
+                        w.T.copy())
         return out[:, :rows].reshape(beta.shape[:-2] + (rows,))
 
     def jump_times(self, start, u, t_left):
@@ -499,6 +506,32 @@ def _round_draws(seed: int, rnd: int, n: int) -> np.ndarray:
     return np.random.default_rng(stream).random((n, 2))
 
 
+def _solve_ahead(evo: _NoJumpEvolution, seed: int, first: int, depth: int,
+                 traj: np.ndarray, u: np.ndarray, t_left: np.ndarray,
+                 starts: np.ndarray) -> list:
+    """Rounds first .. first + depth - 1 of the running trajectories
+    ``traj`` (thresholds ``u`` at round ``first``, at most ``t_left`` to
+    go), solved before their start states are known: every trajectory from
+    every one of ``starts``, in one jump_times and one forms call.  The
+    draws of each round are made here, up to the last trajectory, and give
+    the thresholds of the rounds after it.  Returns (traj, draws, roots,
+    rates) per round: the roots (NaN where none) and the clipped channel
+    rates at them, indexed by position in ``traj`` and by start."""
+    drawn = [_round_draws(seed, q, traj[-1] + 1)
+             for q in range(first, first + depth)]
+    us = np.stack([u, *(1.0 - d[traj, 1] for d in drawn[:-1])])
+    shape = (depth, traj.size, starts.size)
+    start = np.broadcast_to(starts, shape).ravel()
+    tau = evo.jump_times(start, np.broadcast_to(us[:, :, None], shape).ravel(),
+                         np.broadcast_to(t_left[:, None], shape).ravel())
+    found = np.flatnonzero(~np.isnan(tau))
+    rates = np.zeros((tau.size, len(evo.beta_rates)))
+    rates[found] = np.maximum(
+        evo.forms(evo.beta_rates, start[found], tau[found]).T, 0.0)
+    return [(traj, *r) for r in zip(drawn, tau.reshape(shape),
+                                    rates.reshape(shape + (-1,)))]
+
+
 def mc_trajectories(
     model: LindbladModel,
     n_traj: int,
@@ -524,7 +557,18 @@ def mc_trajectories(
     its first threshold at r = 0 (column 1) and the channel of its jump r
     (column 0) and its next threshold at r >= 1.  A fixed seed gives the
     same jumps, and trajectory i does not depend on ``n_traj`` or on the
-    other trajectories.  ``n_traj`` (>= 1) and ``seed`` must be integers
+    other trajectories.
+    A round costs numpy calls whatever its rows, so after round r a small
+    ensemble solves rounds r + 1 .. r + b - 1 ahead, for every running
+    trajectory from every distinct reset state (channels whose reset
+    coordinates agree bit for bit share one), in one root search and one
+    rate evaluation.  b = min(r + 1, _ROW_TARGET / (reset states x (last
+    running trajectory + 1))), so those calls, and each round drawn ahead,
+    take at most _ROW_TARGET rows, and at most r rounds are drawn that no
+    trajectory reaches.  Each row is computed on its own, bit for bit, so
+    the jumps do not depend on b; at b = 1 (1000 trajectories, say) each
+    round is solved as it comes.
+    ``n_traj`` (>= 1) and ``seed`` must be integers
     and ``t_final`` a finite number > 0; true is neither (ValueError).
     ``initial_state`` (default |1>) must be a finite,
     nonzero 3-vector; it is normalized.  ``sample_times`` (finite, in any
@@ -565,21 +609,45 @@ def mc_trajectories(
     evo = _NoJumpEvolution(model, np.vstack([psi0 / norm, ranges[:, :, 0]]),
                            t_final)
 
+    # channels whose reset coordinates agree bit for bit share one slot of
+    # the rounds solved ahead: their table rows, roots and rates agree too
+    keys = [w.tobytes() for w in evo.table[1:, 0]]
+    heads, slot = np.unique(np.array([keys.index(k) for k in keys], dtype=int),
+                            return_inverse=True)
+
     traj, t0 = np.arange(n_traj), np.zeros(n_traj)
     start = np.zeros(n_traj, dtype=int)
     found = [(traj[:0], t0[:0], start[:0])]
+    ahead = []  # the rounds solved ahead, next first
     for rnd in itertools.count(1):
-        tau = evo.jump_times(start, thresholds[traj], t_final - t0)
-        jumped = ~np.isnan(tau)
+        u, t_left = thresholds[traj], t_final - t0
+        if ahead:
+            solved, draws, tau, rates = ahead.pop(0)
+            at = np.searchsorted(solved, traj), slot[start - 1]
+            tau, rates = tau[at], rates[at]
+            # the root was solved with a longer t_left; at t_left itself it
+            # is a jump unless its bracket starts there, which jump_times
+            # prunes
+            edge = np.flatnonzero(tau == t_left)
+            if edge.size:
+                tau[edge] = evo.jump_times(start[edge], u[edge], t_left[edge])
+        else:
+            draws = rates = None
+            tau = evo.jump_times(start, u, t_left)
+        jumped = tau <= t_left
         traj = traj[jumped]
         if not traj.size:
             break
         tau, start = tau[jumped], start[jumped]
         t0 = np.minimum(t0[jumped] + tau, t_final)
-        # a form of a PSD operator dips below 0 by roundoff at most
-        rates = np.maximum(evo.forms(evo.beta_rates, start, tau).T, 0.0)
-        # traj increases: the rows past its last entry are not drawn
-        draw, next_u = _round_draws(seed, rnd, traj[-1] + 1)[traj].T
+        if rates is None:
+            # a form of a PSD operator dips below 0 by roundoff at most
+            rates = np.maximum(evo.forms(evo.beta_rates, start, tau).T, 0.0)
+            # traj increases: the rows past its last entry are not drawn
+            draws = _round_draws(seed, rnd, traj[-1] + 1)
+        else:
+            rates = rates[jumped]
+        draw, next_u = draws[traj].T
         thresholds[traj] = 1.0 - next_u
         total = rates.sum(axis=1)
         # the last channel takes every draw past the others
@@ -589,6 +657,15 @@ def mc_trajectories(
         channel = np.where(total > 0, channel, (draw * len(ops)).astype(int))
         start = channel + 1
         found.append((traj, t0, channel))
+        if not ahead:
+            # a block of rounds rnd .. rnd + b - 1, b at most the rounds
+            # drawn so far, so at most as many are drawn past the last
+            # round reached
+            b = min(rnd + 1, _ROW_TARGET // (heads.size * (traj[-1] + 1)))
+            if b > 1:
+                ahead = _solve_ahead(evo, seed, rnd + 1, b - 1, traj,
+                                     thresholds[traj], t_final - t0,
+                                     heads + 1)
 
     who, when, which = (np.concatenate(x) for x in zip(*found))
     by_traj = np.argsort(who, kind="stable")  # rounds come in time order

@@ -18,7 +18,7 @@ from trilevel.dynamics import (
 )
 from trilevel import observables
 from trilevel.errors import JumpRankError
-from trilevel.defaults import SURVIVAL_FLOOR
+from trilevel.defaults import ROUNDOFF, SURVIVAL_FLOOR
 from trilevel.linalg import ketbra, mat_exp, vec
 from trilevel.observables import (
     BrightDarkStats,
@@ -213,6 +213,38 @@ def test_a_negative_photon_rate_is_an_internal_failure(curve, what):
     object.__setattr__(m, "decay", -m.decay)
     with pytest.raises(RuntimeError, match=f"{what} went negative"):
         curve(m, np.linspace(0.0, 5.0, 11))
+
+
+@pytest.mark.parametrize("share, bug", [(0.99, False), (1.01, True)])
+def test_photon_rate_floor_is_roundoff_times_beta_and_the_state(share, bug):
+    # the floor is ROUNDOFF ||beta(K)||_1 max|w|: a rate 1% above it is
+    # clipped to 0, one 1% below it is a bug.  Here ||beta(K)||_1 = 200.2
+    # and max|w| = 1000, held in the ground population, which emits
+    # nothing, so the floor is neither ROUNDOFF nor scaled by the rates
+    m = build_model(fig2a_params(gamma21=100.0))
+    beta = m.rate_coords
+    assert beta[0] == 0.0 and np.abs(beta).sum() == 200.2
+    ws = np.zeros((9, 2))
+    ws[0, 0] = 1000.0
+    ws[1, 1] = -share * ROUNDOFF * np.abs(beta).sum() * 1000.0 / beta[1]
+    if bug:
+        with pytest.raises(RuntimeError, match="rate went negative"):
+            observables._photon_rates(m, ws, "rate")
+    else:
+        np.testing.assert_array_equal(observables._photon_rates(m, ws, "rate"),
+                                      [0.0, 0.0])
+
+
+def test_g2_of_a_stiff_model_is_no_failure():
+    # gamma21 = Omega_b = 1e8: the rates stay below 1.7e-8, but beta(K)
+    # reaches 2e8, and its product with the states' roundoff dips to
+    # -2.4e-9, which the rates' own scale called a bug
+    p = SystemParams(Config.FIG1A, gamma21=1e8,
+                     gamma23_or_31=0.17826665991240026,
+                     omega_a=1.0047684312606042, omega_b=1e8, delta2=-0.0,
+                     delta3=-1.2181928323880097e-5)
+    values = g2(build_model(p), np.linspace(0.0, 5.0, 21)).values
+    assert values.min() >= 0.0 and values.max() < 1.7e-8
 
 
 # ----------------------------------------------------------------- spectra
@@ -716,7 +748,9 @@ def test_mc_rejects_a_bad_final_time(t_final):
 
 def test_mc_builds_no_per_trajectory_generator(monkeypatch):
     # one SeedSequence and one generator per jump round, keyed by the
-    # round, and none per trajectory
+    # round, in round order, and none per trajectory.  Rounds solved ahead
+    # draw a few rounds that no trajectory reaches, at most as many as
+    # were drawn before them
     calls, rngs = [], []
     seed_sequence, default_rng = np.random.SeedSequence, np.random.default_rng
 
@@ -734,9 +768,103 @@ def test_mc_builds_no_per_trajectory_generator(monkeypatch):
                           t_final=5.0, seed=8)
     assert run.offsets[-1] == run.times.size > 0
     rounds = 1 + np.diff(run.offsets).max()  # round 0 draws no jump
-    assert rounds < 50
-    assert calls == [((8,), {"spawn_key": (r,)}) for r in range(rounds)]
-    assert len(rngs) == rounds
+    drawn = len(calls)
+    assert rounds <= drawn <= 2 * rounds < 50
+    assert calls == [((8,), {"spawn_key": (r,)}) for r in range(drawn)]
+    assert len(rngs) == drawn
+
+
+_LOOK_AHEAD = {}
+_LOOK_AHEAD["fig1a"], _LOOK_AHEAD["fig1b"], _ = mapped_pair(SystemParams(
+    Config.FIG1A, gamma21=1.0, gamma23_or_31=0.3, omega_a=1.2, omega_b=0.7,
+    delta2=0.4, delta3=-0.6))
+_LOOK_AHEAD["fig2a"], _LOOK_AHEAD["fig2b"], _ = mapped_pair(fig2a_params())
+
+
+@pytest.mark.parametrize("n_traj", [1, 7, 50])
+@pytest.mark.parametrize("level", [1, 2])
+@pytest.mark.parametrize("name", sorted(_LOOK_AHEAD))
+def test_mc_records_do_not_depend_on_the_rounds_solved_ahead(
+        monkeypatch, name, level, n_traj):
+    # fig1's two channels reset to different states (two slots), fig2's
+    # both to |1> (one).  A _ROW_TARGET of 1 solves every round alone, as
+    # it comes; by default the ensemble ends inside a block of rounds
+    # solved ahead, which drew rounds that no trajectory reaches
+    m = _LOOK_AHEAD[name]
+    kw = dict(n_traj=n_traj, t_final=13.0, seed=5,
+              initial_state=np.eye(3)[level - 1],
+              sample_times=np.linspace(0.0, 13.0, 6))
+    round_draws, drawn = _round_draws, []
+
+    def spy(seed, rnd, n):
+        drawn.append(rnd)
+        return round_draws(seed, rnd, n)
+
+    monkeypatch.setattr(observables, "_round_draws", spy)
+    ahead = mc_trajectories(m, **kw)
+    rounds = 1 + np.diff(ahead.offsets).max()
+    assert len(drawn) > rounds
+    drawn.clear()
+    monkeypatch.setattr(observables, "_ROW_TARGET", 1)
+    alone = mc_trajectories(m, **kw)
+    assert drawn == list(range(rounds))
+    for key in ("offsets", "times", "channels", "populations",
+                "populations_stderr"):
+        assert getattr(alone, key).tobytes() == getattr(ahead, key).tobytes()
+
+
+def test_mc_without_channels_solves_no_round_ahead(monkeypatch):
+    m = build_model(fig2a_params(gamma21=0.0, gamma23_or_31=0.0))
+    kw = dict(n_traj=7, t_final=5.0, seed=4,
+              sample_times=np.linspace(0.0, 5.0, 6))
+    ahead = mc_trajectories(m, **kw)
+    monkeypatch.setattr(observables, "_ROW_TARGET", 1)
+    alone = mc_trajectories(m, **kw)
+    assert ahead.offsets[-1] == alone.offsets[-1] == 0
+    assert alone.populations.tobytes() == ahead.populations.tobytes()
+
+
+@pytest.mark.parametrize("rnd", [3, 4, 5, 6])
+def test_mc_root_at_its_bracket_start_at_the_horizon_is_no_jump(monkeypatch,
+                                                                rnd):
+    # jump_times prunes a bracket that starts at t_final - t0 or later, so
+    # a root exactly there is no jump.  Round rnd's threshold is set to the
+    # survival at table point k, which is its root exactly, and t_final to
+    # k steps after jump rnd - 1.  A block solved ahead (rounds 3-4 and 5-8
+    # of one trajectory) finds that root with the longer t_left of the
+    # block's start, and must reach the same verdict
+    m = build_model(fig2a_params())
+    ref = mc_trajectories(m, n_traj=1, t_final=40.0, seed=8)
+    t0, start = ref.times[rnd - 2], ref.channels[rnd - 2] + 1
+    resets = np.linalg.svd(m.jump_operators)[0][:, :, 0]
+    starts = np.vstack([[1.0, 0.0, 0.0], resets])
+    evo = _NoJumpEvolution(m, starts, 40.0)
+    for k in range(10, 40):
+        u, lo = evo.survival[start, k], k * evo.h
+        t_final = t0 + lo
+        root = evo.jump_times(np.array([start]), np.array([u]),
+                              np.array([np.inf]))[0]
+        if t_final - t0 == lo and 1.0 - (1.0 - u) == u and root == lo:
+            break
+    else:
+        pytest.fail("no table point fits")
+    evo = _NoJumpEvolution(m, starts, t_final)
+    assert np.isnan(evo.jump_times(np.array([start]), np.array([u]),
+                                   np.array([lo]))[0])
+    round_draws = _round_draws
+
+    def threshold_at_root(seed, r, n):
+        draws = round_draws(seed, r, n)
+        if r == rnd - 1:
+            draws[0, 1] = 1.0 - u
+        return draws
+
+    monkeypatch.setattr(observables, "_round_draws", threshold_at_root)
+    for row_target in (1024, 1):
+        monkeypatch.setattr(observables, "_ROW_TARGET", row_target)
+        run = mc_trajectories(m, n_traj=1, t_final=t_final, seed=8)
+        np.testing.assert_array_equal(run.times, ref.times[:rnd - 1])
+        np.testing.assert_array_equal(run.channels, ref.channels[:rnd - 1])
 
 
 def test_mc_last_channel_takes_a_draw_past_every_cumulative_rate(monkeypatch):
