@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -438,7 +439,7 @@ class _NoJumpEvolution:
 
     def jump_times(self, start, u, t_left):
         """Times at which the survival ||psi(tau)||^2 falls to u, NaN where
-        it stays >= u on [0, t_left]."""
+        it does not fall to u before t_left."""
         n = self.table.shape[1]
         m, neg_u = np.empty(u.size, dtype=int), -u
         for j, survival in enumerate(self.survival):
@@ -477,7 +478,7 @@ class _NoJumpEvolution:
         step = before = width
         for _ in range(100):  # the step halves at least every other time
             if not rows.size:
-                return np.where(tau <= t_left, tau, np.nan)
+                return np.where(tau < t_left, tau, np.nan)
             f, slope = self.forms(self.beta_survival, start, t)
             f -= u
             above = f >= 0
@@ -545,7 +546,9 @@ def mc_trajectories(
     Every jump operator c_k must be rank one (else JumpRankError), so a
     jump resets the atom to the range of c_k; in between the state evolves
     under H_eff = H - i K / 2 until its survival ||psi||^2 falls to a
-    uniform threshold, a root found without any time grid.  The channel
+    uniform threshold, a root found without any time grid.  A trajectory
+    jumps before the horizon exactly when its survival there is below its
+    threshold, so a root at ``t_final`` is censored.  The channel
     is drawn from the rates ||c_k psi||^2 of the diagonalized dissipator
     modes at that root, so cross-damping models unravel correctly.  The
     survival and the rates are each a real polynomial in the offset from a
@@ -568,7 +571,7 @@ def mc_trajectories(
     trajectory reaches.  Each row is computed on its own, bit for bit, so
     the jumps do not depend on b; at b = 1 (1000 trajectories, say) each
     round is solved as it comes.
-    ``n_traj`` (>= 1) and ``seed`` must be integers
+    ``n_traj`` (>= 1) and ``seed`` (>= 0) must be integers
     and ``t_final`` a finite number > 0; true is neither (ValueError).
     ``initial_state`` (default |1>) must be a finite,
     nonzero 3-vector; it is normalized.  ``sample_times`` (finite, in any
@@ -578,11 +581,14 @@ def mc_trajectories(
     record (a jump at a sample time owns it).
     """
     for name, value in ("n_traj", n_traj), ("seed", seed):
-        if isinstance(value, bool):  # true is no integer
+        # true is no integer, and a seed of None would draw OS entropy
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
-    n_traj = operator.index(n_traj)
+    n_traj, seed = operator.index(n_traj), operator.index(seed)
     if n_traj < 1:
         raise ValueError("n_traj must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _positive(t_final, "t_final")
     ops = model.jump_operators
     ranges, sv, _ = np.linalg.svd(ops)
@@ -599,7 +605,6 @@ def mc_trajectories(
         sample_times = check_grid(sample_times, "sample_times")
         if np.any(sample_times < 0) or np.any(sample_times > t_final):
             raise ValueError("sample_times must lie within [0, t_final]")
-    seed = operator.index(seed)  # None would draw OS entropy
     if n_traj >= 1 << 32:  # round 0 alone would draw 64 GiB
         raise ValueError("n_traj must be below 2**32")
     # thresholds lie in [SURVIVAL_FLOOR, 1]; without jump channels they are
@@ -620,21 +625,17 @@ def mc_trajectories(
     found = [(traj[:0], t0[:0], start[:0])]
     ahead = []  # the rounds solved ahead, next first
     for rnd in itertools.count(1):
-        u, t_left = thresholds[traj], t_final - t0
+        t_left = t_final - t0
         if ahead:
             solved, draws, tau, rates = ahead.pop(0)
             at = np.searchsorted(solved, traj), slot[start - 1]
             tau, rates = tau[at], rates[at]
-            # the root was solved with a longer t_left; at t_left itself it
-            # is a jump unless its bracket starts there, which jump_times
-            # prunes
-            edge = np.flatnonzero(tau == t_left)
-            if edge.size:
-                tau[edge] = evo.jump_times(start[edge], u[edge], t_left[edge])
         else:
             draws = rates = None
-            tau = evo.jump_times(start, u, t_left)
-        jumped = tau <= t_left
+            tau = evo.jump_times(start, thresholds[traj], t_left)
+        # a root at t_left or later is no jump, also one solved ahead with
+        # the longer t_left of its block's start
+        jumped = tau < t_left
         traj = traj[jumped]
         if not traj.size:
             break

@@ -721,22 +721,33 @@ def test_streams_match_numpy_generator_for_any_seed(seed, rnd, sizes):
 
 @pytest.mark.parametrize("seed, error", [(-1, ValueError), (2.5, TypeError)])
 def test_mc_rejects_seeds_that_seed_sequence_rejects(seed, error):
+    # numpy raises its own error; mc_trajectories names the seed
     with pytest.raises(error):
         np.random.SeedSequence(seed)
-    with pytest.raises(error):
+    with pytest.raises(ValueError, match="seed must be"):
         mc_trajectories(build_model(fig2a_params()), n_traj=3, t_final=1.0,
                         seed=seed)
 
 
 @pytest.mark.parametrize("n_traj, error", [
     (0, ValueError),        # no trajectory at all
-    (2.5, TypeError),       # a count, not a float to round
+    (2.5, ValueError),      # a count, not a float to round
     (2**32, ValueError),    # round 0 alone would draw 64 GiB
 ])
 def test_mc_rejects_n_traj_beyond_one_word_count(n_traj, error):
     with pytest.raises(error):
         mc_trajectories(build_model(fig2a_params()), n_traj=n_traj,
                         t_final=1.0, seed=0)
+
+
+def test_mc_takes_numpy_integers():
+    m = build_model(fig2a_params())
+    ref = mc_trajectories(m, n_traj=5, t_final=5.0, seed=8)
+    run = mc_trajectories(m, n_traj=np.int64(5), t_final=5.0,
+                          seed=np.uint32(8))
+    assert run.seed == 8 and type(run.seed) is int
+    assert run.times.tobytes() == ref.times.tobytes()
+    assert run.offsets.tobytes() == ref.offsets.tobytes()
 
 
 @pytest.mark.parametrize("t_final", [math.inf, math.nan, 0.0, -1.0])
@@ -865,6 +876,59 @@ def test_mc_root_at_its_bracket_start_at_the_horizon_is_no_jump(monkeypatch,
         run = mc_trajectories(m, n_traj=1, t_final=t_final, seed=8)
         np.testing.assert_array_equal(run.times, ref.times[:rnd - 1])
         np.testing.assert_array_equal(run.channels, ref.channels[:rnd - 1])
+
+
+@pytest.mark.parametrize("rnd", [1, 4])
+def test_mc_root_inside_its_bracket_at_the_horizon_is_no_jump(monkeypatch,
+                                                              rnd):
+    # a trajectory jumps before the horizon exactly when its survival there
+    # is below its threshold, so a root exactly at t_final - t0 is no jump,
+    # also where no bracket start prunes it.  Round 1 starts at t0 = 0, so
+    # its own root is t_final.  Round 4 is the second of the rounds 3-4
+    # that one trajectory solves ahead, with the longer t_left of round 3;
+    # its threshold is moved until t_final - t0 can equal its root.  Each
+    # root is above 1/||H_eff||, so the table step and Newton's tolerance
+    # are the same at t_final as at t = 40
+    m = build_model(fig2a_params(delta2=0.4, delta3=-0.7))
+    ref = mc_trajectories(m, n_traj=1, t_final=40.0, seed=8)
+    t0 = ref.times[rnd - 2] if rnd > 1 else 0.0
+    start = ref.channels[rnd - 2] + 1 if rnd > 1 else 0
+    resets = np.linalg.svd(m.jump_operators)[0][:, :, 0]
+    evo = _NoJumpEvolution(m, np.vstack([[1.0, 0.0, 0.0], resets]), 40.0)
+    draw = _round_draws(8, rnd - 1, 1)[0, 1]
+    for _ in range(64):
+        root = evo.jump_times(np.array([start]), np.array([1.0 - draw]),
+                              np.array([np.inf]))[0]
+        if (t0 + root) - t0 == root:
+            break
+        draw += 1e-9
+    else:
+        pytest.fail("no threshold fits")
+    if rnd == 1:
+        assert root == ref.times[0] == 0.62567578170926
+    assert root > 1.0 / np.linalg.norm(m.effective_hamiltonian, 2)
+    assert root % evo.h > 0  # strictly inside its bracket
+    t_final = t0 + root
+    round_draws = _round_draws
+
+    def threshold(seed, r, n):
+        draws = round_draws(seed, r, n)
+        if r == rnd - 1:
+            draws[0, 1] = draw
+        return draws
+
+    monkeypatch.setattr(observables, "_round_draws", threshold)
+    for row_target in (1024, 1):
+        monkeypatch.setattr(observables, "_ROW_TARGET", row_target)
+        run = mc_trajectories(m, n_traj=1, t_final=t_final, seed=8)
+        np.testing.assert_array_equal(run.times, ref.times[:rnd - 1])
+        np.testing.assert_array_equal(run.channels, ref.channels[:rnd - 1])
+        # one ulp later the same root is a jump
+        run = mc_trajectories(m, n_traj=1, seed=8,
+                              t_final=np.nextafter(t_final, np.inf))
+        np.testing.assert_array_equal(run.times[:rnd - 1],
+                                      ref.times[:rnd - 1])
+        assert run.times[rnd - 1] == t_final
 
 
 def test_mc_last_channel_takes_a_draw_past_every_cumulative_rate(monkeypatch):
@@ -1427,16 +1491,24 @@ def test_mc_run_validates_flat_jumps():
     (lambda m: mc_trajectories(m, True, 1.0, 0), "n_traj must be an integer"),
     (lambda m: mc_trajectories(m, 3, 1.0, True), "seed must be an integer"),
     (lambda m: mc_trajectories(m, 3, True, 0), "t_final must be finite"),
+    (lambda m: mc_trajectories(m, 3.0, 1.0, 0), "n_traj must be an integer"),
+    (lambda m: mc_trajectories(m, None, 1.0, 0), "n_traj must be an integer"),
+    (lambda m: mc_trajectories(m, 3, 1.0, 2.5), "seed must be an integer"),
+    (lambda m: mc_trajectories(m, 3, 1.0, None), "seed must be an integer"),
+    (lambda m: mc_trajectories(m, 3, 1.0, -1), "seed must be >= 0"),
     (lambda m: bright_dark_stats(_run([[1.0]], 5.0), True),
      "threshold must be finite"),
     (lambda m: _run([], math.nan), "t_final must be finite"),
     (lambda m: _run([], 0.0), "t_final must be finite"),
     (lambda m: _run([[1.0]], -1.0), "t_final must be finite"),
-], ids=["true-n-traj", "true-seed", "true-t-final", "true-threshold",
-        "nan-run-t-final", "zero-run-t-final", "negative-run-t-final"])
+], ids=["true-n-traj", "true-seed", "true-t-final", "float-n-traj",
+        "none-n-traj", "float-seed", "none-seed", "negative-seed",
+        "true-threshold", "nan-run-t-final", "zero-run-t-final",
+        "negative-run-t-final"])
 def test_true_and_bad_final_times_are_rejected(call, message):
-    # as in a scenario, true is no number; a run's t_final obeys the rule
-    # mc_trajectories applies
+    # as in a scenario, true is no number; a count or a seed that is no
+    # non-negative integer is a ValueError that names it, not numpy's
+    # TypeError; a run's t_final obeys the rule mc_trajectories applies
     with pytest.raises(ValueError, match=message):
         call(build_model(fig2a_params()))
 
